@@ -30,7 +30,6 @@ from .semigroup import (
     NumericalSemigroup,
     bl_check_unicuspidal,
     build_membership,
-    counting_R,
     generators_from_newton,
 )
 from .records import CurveRecord, FamilySpec, KODAIRA_NEG_INF, OutputDocument, curve_record

@@ -7,7 +7,7 @@ Markdown carry the same data); everything is UTF-8 with LF line endings.
 Exit codes: 0 on success (for ``reproduce``: every row matches), 1 when a
 reproduced table differs from the embedded one, 2 for usage and domain
 errors.  The environment variable ``CUSPIDAL_JOBS`` sets the default
-worker count.
+worker count; a worker count below 1, from either source, is a usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__
 from . import invariants as inv
@@ -44,15 +45,20 @@ from .families import (
     tono_curve,
 )
 from .records import OutputDocument, curve_record
-from .semigroup import bl_check_unicuspidal, generators_from_newton
+from .semigroup import bl_check_unicuspidal
 from .tables import TABLE_IDS, reproduce
 
 
-def _default_jobs() -> int:
+def _jobs(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("CUSPIDAL_JOBS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--jobs or CUSPIDAL_JOBS) must be a positive integer, got {text!r}"
+        )
+    return value
 
 
 def _metadata(command: str, elapsed: float, **extra) -> dict:
@@ -73,12 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through _jobs too, so a bad CUSPIDAL_JOBS is a
+    # usage error of the subcommands that take --jobs
+    jobs = os.environ.get("CUSPIDAL_JOBS", "1")
 
     p = sub.add_parser("enumerate", help="search candidate cusps at one (degree, pair count)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True, help="number of Newton pairs")
     p.add_argument("--paranoid", action="store_true", help="full-scan oracle mode")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--classify", action="store_true", help="attach family/existence data")
 
@@ -89,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a reference table and diff it")
     p.add_argument("--table", required=True, help=f"one of {', '.join(TABLE_IDS)}")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=_jobs, default=jobs)
 
     p = sub.add_parser("family", help="generate one closed-form family member")
     p.add_argument("kind", help=f"one of {', '.join(ALL_KINDS)}")
@@ -155,14 +164,15 @@ def _cmd_invariants(args) -> int:
     pairs = inv.parse_newton(args.pairs)
     inv.validate_newton_pairs(pairs)
     start = time.monotonic()
-    delta = inv.delta_from_puiseux(inv.newton_to_puiseux(pairs))
-    verdict = bl_check_unicuspidal(args.degree, generators_from_newton(pairs))
-    if delta == inv.genus_target(args.degree):
-        record = classify_record(curve_record(args.degree, pairs))
+    # validated above; the genus check is done here, so a mismatch is
+    # reported on the record rather than raised
+    record = curve_record(args.degree, pairs, strict=False)
+    verdict = bl_check_unicuspidal(args.degree, record.semigroup_generators)
+    matches = record.delta == inv.genus_target(args.degree)
+    if matches:
+        record = classify_record(record)
     else:
-        record = curve_record(
-            args.degree, pairs, flags=("delta-genus-mismatch",), strict=False
-        )
+        record = replace(record, flags=("delta-genus-mismatch",))
     meta = _metadata(
         "invariants",
         time.monotonic() - start,
@@ -170,7 +180,7 @@ def _cmd_invariants(args) -> int:
             "passed": verdict.passed,
             "first_failing_j": verdict.first_failing_j,
         },
-        delta_matches_genus=delta == inv.genus_target(args.degree),
+        delta_matches_genus=matches,
     )
     _emit(OutputDocument((record,), meta), args.format)
     return 0

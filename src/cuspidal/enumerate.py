@@ -34,9 +34,10 @@ Emitted records always satisfy a <= d - 1 and m_1 + m_2 <= d; the second
 is the tangent-line bound, applied as a post-filter rather than assumed
 during the search.
 
-The (a, b_1) grid is embarrassingly parallel: work is partitioned over a,
-searched in separate processes, and merged by a canonical sort, so output
-is deterministic for any worker count.
+The search is embarrassingly parallel over the leading multiplicity a:
+each a is one task, a single process pool hands the tasks out as workers
+free up, and the results are merged by a canonical sort, so output is
+deterministic for any worker count.
 """
 
 from __future__ import annotations
@@ -94,19 +95,22 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
         )
     if config.mode not in (PRUNED, PARANOID):
         raise ValueError(f"unknown search mode {config.mode!r}")
-    a_values = list(_a_range(d, config.mode))
-    jobs = max(1, config.worker_count)
-    if jobs == 1 or len(a_values) <= 1:
-        records = _search_chunk(d, k, config.mode, a_values)
-    else:
-        chunks = [a_values[i::jobs] for i in range(jobs) if a_values[i::jobs]]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = pool.map(
-                _search_chunk_args, [(d, k, config.mode, chunk) for chunk in chunks]
-            )
-            records = [record for part in parts for record in part]
+    tasks = [(d, k, config.mode, a) for a in _a_range(d, config.mode)]
+    records = _run_tasks(_search_a, tasks, config.worker_count)
     records.sort(key=CurveRecord.sort_key)
     return records
+
+
+def _run_tasks(fn, tasks: list, worker_count: int) -> list:
+    """Map ``fn`` over ``tasks`` and concatenate the resulting lists in task
+    order: serially for one worker, else through one process pool that
+    hands out the tasks as workers free up."""
+    if worker_count <= 1 or len(tasks) <= 1:
+        parts = map(fn, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=min(worker_count, len(tasks))) as pool:
+            parts = list(pool.map(fn, tasks))
+    return [item for part in parts for item in part]
 
 
 def _a_range(degree: int, mode: str) -> range:
@@ -117,23 +121,13 @@ def _a_range(degree: int, mode: str) -> range:
     return range(2, isqrt(target) + 2)
 
 
-def _search_chunk_args(args) -> list[CurveRecord]:
-    return _search_chunk(*args)
-
-
-def _search_chunk(degree: int, k: int, mode: str, a_values: list[int]) -> list[CurveRecord]:
+def _search_a(args) -> list[CurveRecord]:
+    """The records with leading multiplicity a at (degree, k)."""
+    degree, k, mode, a = args
     target = (degree - 1) * (degree - 2)
-    out = []
-    for a in a_values:
-        if mode == PRUNED:
-            chars = _pruned_extend(k, target, a, (), 0, a, 1)
-        else:
-            chars = _paranoid_extend(k, target, a, (), 0, a, 1)
-        for _, bs in chars:
-            record = _finalize(degree, a, bs)
-            if record is not None:
-                out.append(record)
-    return out
+    extend = _pruned_extend if mode == PRUNED else _paranoid_extend
+    records = (_finalize(degree, a, bs) for _, bs in extend(k, target, a, (), 0, a, 1))
+    return [record for record in records if record is not None]
 
 
 def _omega_at_least(n: int, count: int) -> bool:
@@ -263,15 +257,10 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
         for d in range(3, max_degree + 1)
         for k in range(1, min(4, max_pairs_bound(d)) + 1)
     ]
-    if worker_count <= 1 or len(tasks) <= 1:
-        parts = map(_enumerate_task, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=min(worker_count, len(tasks))) as pool:
-            parts = list(pool.map(_enumerate_task, tasks))
-    merged: dict[tuple, CurveRecord] = {}
-    for part in parts:
-        for record in part:
-            merged[(record.degree, record.newton)] = record
+    merged = {
+        (record.degree, record.newton): record
+        for record in _run_tasks(_enumerate_task, tasks, worker_count)
+    }
     return [
         classify_record(record, frontier=record.degree > 30)
         for record in sorted(merged.values(), key=CurveRecord.sort_key)

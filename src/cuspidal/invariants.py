@@ -136,14 +136,19 @@ def newton_to_puiseux(pairs: Pairs) -> Pairs:
     P_j = p_j p_{j+1} ... p_k and Q_j = q_j p_{j+1} ... p_k.
     """
     validate_newton_pairs(pairs)
+    result = _puiseux_from_newton(pairs)
+    validate_puiseux_pairs(result)
+    return result
+
+
+def _puiseux_from_newton(pairs: Pairs) -> Pairs:
+    # unvalidated core of newton_to_puiseux
     out = []
     tail = 1  # product of p_{j+1} ... p_k
     for p, q in reversed(pairs):
         out.append((p * tail, q * tail))
         tail *= p
-    result = tuple(reversed(out))
-    validate_puiseux_pairs(result)
-    return result
+    return tuple(reversed(out))
 
 
 def puiseux_to_newton(pairs: Pairs) -> Pairs:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import invariants as inv
 from .existence import CANDIDATE, ReductionStep
-from .semigroup import generators_from_newton
+from .semigroup import _generators
 
 KODAIRA_NEG_INF = float("-inf")
 
@@ -80,9 +80,12 @@ def curve_record(
 ) -> CurveRecord:
     """Build a record with all derived fields computed from the Newton pairs.
 
-    With ``strict`` (the default) the delta invariant must equal the genus
-    (d-1)(d-2)/2 of a degree-d curve; records carrying known-bad source data
-    are built with ``strict=False`` and a flag instead.
+    Every field is derived from the Puiseux pairs, computed once; delta
+    comes from the multiplicity sequence, which equals the Puiseux formula
+    on valid data.  ``strict`` (the default) adds validation on top: the
+    Newton pairs must satisfy the cusp invariants and delta must equal the
+    genus (d-1)(d-2)/2 of a degree-d curve.  Records carrying known-bad
+    source data are built with ``strict=False`` and a flag instead.
 
     The empty Newton sequence is the degenerate smooth branch (no cusp);
     it is only meaningful at degree <= 2 and is used for the smooth conic.
@@ -92,45 +95,19 @@ def curve_record(
             raise inv.InvalidCuspData(
                 f"a smooth degree-{degree} curve is not rational; no record"
             )
-        return CurveRecord(
-            degree=degree,
-            newton=(),
-            puiseux=(),
-            mult=(),
-            delta=0,
-            semigroup_generators=(1,),
-            lct=Fraction(1),
-            self_intersection=3 * degree - 2,
-            family=family,
-            kodaira=kodaira,
-            existence=existence,
-            reduction_chain=reduction_chain,
-            flags=flags,
-        )
-    if strict:
-        puiseux = inv.newton_to_puiseux(newton)
-        delta = inv.delta_from_puiseux(puiseux)
-        if delta != inv.genus_target(degree):
+        puiseux, mult, delta, gens = (), (), 0, (1,)
+        lct_value, self_int = Fraction(1), 3 * degree - 2
+    else:
+        if strict:
+            inv.validate_newton_pairs(newton)
+        puiseux = inv._puiseux_from_newton(newton)
+        mult = inv._staged_euclid(puiseux)
+        delta = sum(c * v * (v - 1) // 2 for v, c in mult)
+        if strict and delta != inv.genus_target(degree):
             raise inv.InvalidCuspData(
                 f"delta {delta} != genus {inv.genus_target(degree)} at degree {degree}"
             )
-        mult = inv.multiplicity_sequence(newton)
-        gens = generators_from_newton(newton)
-        lct_value = inv.lct(puiseux)
-        self_int = inv.self_intersection(degree, puiseux)
-    else:
-        # Lenient path: the pair data may violate cusp invariants, so
-        # compute what is still well defined and record delta via the
-        # multiplicity formula (always an integer).
-        tail = 1
-        rev = []
-        for p, q in reversed(newton):
-            rev.append((p * tail, q * tail))
-            tail *= p
-        puiseux = tuple(reversed(rev))
-        mult = inv._staged_euclid(puiseux)
-        delta = sum(c * v * (v - 1) // 2 for v, c in mult)
-        gens = _lenient_generators(newton, puiseux)
+        gens = _generators(newton, puiseux)
         P1, Q1 = puiseux[0]
         lct_value = Fraction(1, P1) + Fraction(1, Q1)
         self_int = 3 * degree - 1 - P1 - sum(Q for _, Q in puiseux)
@@ -149,13 +126,6 @@ def curve_record(
         reduction_chain=reduction_chain,
         flags=flags,
     )
-
-
-def _lenient_generators(newton: inv.Pairs, puiseux: inv.Pairs) -> tuple[int, ...]:
-    w = [puiseux[0][0], puiseux[0][1]]
-    for j in range(1, len(newton)):
-        w.append(newton[j - 1][0] * w[-1] + puiseux[j][1])
-    return tuple(w)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ def generators_from_newton(pairs: Pairs) -> tuple[int, ...]:
     if not pairs:
         return (1,)
     validate_newton_pairs(pairs)
-    puiseux = newton_to_puiseux(pairs)
+    return _generators(pairs, newton_to_puiseux(pairs))
+
+
+def _generators(pairs: Pairs, puiseux: Pairs) -> tuple[int, ...]:
+    # unvalidated core of generators_from_newton
     w = [puiseux[0][0], puiseux[0][1]]
     for j in range(1, len(pairs)):
         w.append(pairs[j - 1][0] * w[-1] + puiseux[j][1])
@@ -109,11 +113,6 @@ def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigr
             bits |= (bits << shift) & mask
             shift <<= 1
     return NumericalSemigroup(tuple(sorted(set(generators))), bound, bits)
-
-
-def counting_R(semigroup: NumericalSemigroup, k: int) -> int:
-    """Counting function R(k) = #(W in [0, k)); 0 for k <= 0."""
-    return semigroup.count_below(k)
 
 
 @dataclass(frozen=True)

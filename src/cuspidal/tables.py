@@ -31,7 +31,13 @@ import time
 from dataclasses import dataclass, field
 
 from . import invariants as inv
-from .enumerate import PRUNED, SearchConfig, classify_record, enumerate_candidates, max_pairs_bound
+from .enumerate import (
+    _enumerate_task,
+    _run_tasks,
+    classify_range,
+    classify_record,
+    max_pairs_bound,
+)
 from .existence import CANDIDATE, PROVED_REDUCTION, resolve_existence
 from .families import (
     FamilyParameterError,
@@ -258,24 +264,12 @@ def _pair_row_str(degree: int, pairs: inv.Pairs) -> str:
     return f"d={degree} {inv.format_newton(pairs)}"
 
 
-def _sweep_one(args) -> list[CurveRecord]:
-    degree, pair_count = args
-    return enumerate_candidates(SearchConfig(degree, pair_count, PRUNED, 1))
-
-
 def _sweep(pair_count: int, max_degree: int, worker_count: int) -> list[CurveRecord]:
-    """Enumerate one pair count over all degrees, parallelizing across
-    degrees with a single pool (degree order is preserved, so output is
-    deterministic for any worker count)."""
-    degrees = [d for d in range(3, max_degree + 1) if max_pairs_bound(d) >= pair_count]
-    if worker_count <= 1 or len(degrees) <= 1:
-        parts = map(_sweep_one, [(d, pair_count) for d in degrees])
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(worker_count, len(degrees))) as pool:
-            parts = list(pool.map(_sweep_one, [(d, pair_count) for d in degrees]))
-    return [record for part in parts for record in part]
+    """Enumerate one pair count over all degrees, one task per degree
+    (degree order is preserved, so output is deterministic for any worker
+    count)."""
+    tasks = [(d, pair_count) for d in range(3, max_degree + 1) if max_pairs_bound(d) >= pair_count]
+    return _run_tasks(_enumerate_task, tasks, worker_count)
 
 
 def _diff_pair_table(
@@ -285,6 +279,21 @@ def _diff_pair_table(
     report.matched = len(expected & got)
     report.missing = [row_str(*row) for row in sorted(expected - got)]
     report.unexpected = [row_str(*row) for row in sorted(got - expected)]
+
+
+def _diff_classified(report: ReproduceReport, expected: set, records) -> None:
+    """Diff classified records against (degree, pairs) rows.  A candidate
+    with no known construction is noted and left out of the rows."""
+    got = set()
+    for record in records:
+        if record.existence == CANDIDATE:
+            report.notes.append(
+                "unconfirmed candidate (passes the counting criterion, no "
+                f"known construction): {_pair_row_str(record.degree, record.newton)}"
+            )
+            continue
+        got.add((record.degree, record.newton))
+    _diff_pair_table(report, expected, got)
 
 
 def _reproduce_full_table(report, rows, pair_count, worker_count):
@@ -381,24 +390,10 @@ def _reproduce_lct(report, grid_specs):
 
 
 def _reproduce_all(report, worker_count):
-    from .enumerate import classify_range
-
-    expected = set()
-    for d, pairs, _ in THREE_PAIR_ROWS + FOUR_PAIR_ROWS:
-        expected.add((d, pairs))
+    expected = {(d, pairs) for d, pairs, _ in THREE_PAIR_ROWS + FOUR_PAIR_ROWS}
     expected.update(one_pair_rows(30))
     expected.update(two_pair_rows(30))
-    records = classify_range(30, worker_count)
-    got = set()
-    for record in records:
-        if record.existence == CANDIDATE:
-            report.notes.append(
-                f"unconfirmed candidate (passes the counting criterion, no "
-                f"known construction): {_pair_row_str(record.degree, record.newton)}"
-            )
-            continue
-        got.add((record.degree, record.newton))
-    _diff_pair_table(report, expected, got)
+    _diff_classified(report, expected, classify_range(30, worker_count))
 
 
 def reproduce(identifier: str, worker_count: int = 1) -> ReproduceReport:
@@ -413,20 +408,10 @@ def reproduce(identifier: str, worker_count: int = 1) -> ReproduceReport:
     elif identifier == "induct":
         _reproduce_induct(report, worker_count)
     elif identifier in ("onepair", "twopairs"):
-        rows = expected_table(identifier).rows
-        expected = set(rows)
         records = _sweep(1 if identifier == "onepair" else 2, 30, worker_count)
-        got = set()
-        for record in records:
-            classified = classify_record(record)
-            if classified.existence == CANDIDATE:
-                report.notes.append(
-                    "unconfirmed candidate (passes the counting criterion, no "
-                    f"known construction): {_pair_row_str(record.degree, record.newton)}"
-                )
-                continue
-            got.add((record.degree, record.newton))
-        _diff_pair_table(report, expected, got)
+        _diff_classified(
+            report, set(expected_table(identifier).rows), map(classify_record, records)
+        )
     elif identifier == "lct-kashiwara":
         _reproduce_lct(report, kashiwara_grid(*KASHIWARA_GRID))
     elif identifier == "lct-tono":

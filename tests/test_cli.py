@@ -68,6 +68,20 @@ def test_invariants_cubic(capsys):
     assert payload["metadata"]["bl_check"]["passed"] is True
 
 
+def test_invariants_delta_genus_mismatch(capsys):
+    code, out, _ = run(capsys, "invariants", "--pairs", "(2,3)", "--degree", "4")
+    assert code == 0
+    payload = json.loads(out)
+    record = payload["records"][0]
+    assert record["flags"] == ["delta-genus-mismatch"]
+    assert record["delta"] == 1
+    assert record["semigroup_generators"] == [2, 3]
+    assert record["lct"] == {"num": 5, "den": 6}
+    assert record["self_intersection"] == 6
+    assert record["existence"] == "candidate"
+    assert payload["metadata"]["delta_matches_genus"] is False
+
+
 def test_invariants_invalid_pairs(capsys):
     code, _, err = run(capsys, "invariants", "--pairs", "(4,6)", "--degree", "8")
     assert code == 2
@@ -158,5 +172,22 @@ def test_jobs_defaults_from_environment(monkeypatch):
     args = build_parser().parse_args(["enumerate", "--degree", "12", "--pairs", "3"])
     assert args.jobs == 3
     monkeypatch.setenv("CUSPIDAL_JOBS", "junk")
-    args = build_parser().parse_args(["enumerate", "--degree", "12", "--pairs", "3"])
-    assert args.jobs == 1
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["enumerate", "--degree", "12", "--pairs", "3"])
+    assert exc.value.code == 2
+
+
+def test_nonpositive_jobs_is_a_usage_error(monkeypatch, capsys):
+    for argv in (["--jobs", "0"], ["--jobs", "-2"], ["--jobs", "two"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--degree", "12", "--pairs", "3", *argv])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+    monkeypatch.setenv("CUSPIDAL_JOBS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "--table", "fourpairs"])
+    assert exc.value.code == 2
+    assert "CUSPIDAL_JOBS" in capsys.readouterr().err
+    # subcommands without --jobs ignore the variable
+    code, out, _ = run(capsys, "factorizations", "--n", "12")
+    assert code == 0 and out.strip() == "8"

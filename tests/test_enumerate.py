@@ -76,6 +76,10 @@ def test_worker_count_does_not_change_output():
     assert enumerate_candidates(SearchConfig(20, 3, PARANOID, 3)) == base
 
 
+def test_classify_range_worker_count_does_not_change_output():
+    assert classify_range(20, 2) == classify_range(20, 1)
+
+
 def test_emitted_records_satisfy_multiplicity_bounds():
     for d in (8, 12, 16, 24):
         for k in range(1, min(3, max_pairs_bound(d)) + 1):

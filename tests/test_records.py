@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from cuspidal.enumerate import classify_range
+from cuspidal.families import tono_curve
 from cuspidal.invariants import InvalidCuspData
 from cuspidal.records import (
     CSV_COLUMNS,
@@ -37,6 +38,19 @@ def test_curve_record_derived_fields():
 def test_curve_record_rejects_wrong_degree():
     with pytest.raises(InvalidCuspData, match="delta"):
         curve_record(11, ((2, 3), (2, 5), (2, 3)))
+
+
+def test_record_of_inconsistent_source_data():
+    # the published tono-iib pairs violate the cusp invariants (q_1 < p_1),
+    # so the record is built unvalidated and carries a flag
+    data = record_to_json_dict(tono_curve("tono-iib", (2, 2)))
+    assert data["newton_pairs"] == [[14, 9], [7, 16], [9, 16]]
+    assert data["delta"] == 253851
+    assert data["semigroup_generators"] == [882, 567, 8082, 56590]
+    assert data["multiplicity_sequence"] == "567,315,252,63_6,18_3,9_3,7,2_3"
+    assert data["lct"] == {"num": 23, "den": 7938}
+    assert data["self_intersection"] == -758
+    assert data["flags"] == ["inconsistent-source-data"]
 
 
 def test_json_round_trip(classified):

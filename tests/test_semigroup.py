@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from cuspidal.semigroup import (
     bl_check_unicuspidal,
     build_membership,
-    counting_R,
     generators_from_newton,
 )
 
@@ -112,19 +111,19 @@ def test_membership_matches_naive(generators, bound):
 
 def test_counting_examples():
     w23 = build_membership((2, 3), 20)
-    assert counting_R(w23, 4) == 3
-    assert counting_R(w23, 1) == 1
-    assert counting_R(w23, 0) == 0
-    assert counting_R(w23, -7) == 0
+    assert w23.count_below(4) == 3
+    assert w23.count_below(1) == 1
+    assert w23.count_below(0) == 0
+    assert w23.count_below(-7) == 0
     with pytest.raises(ValueError, match="exceeds table bound"):
-        counting_R(w23, 22)
+        w23.count_below(22)
 
 
 def test_counting_monotone_steps():
     table = build_membership((5, 7, 11), 120)
     previous = 0
     for k in range(1, 122):
-        value = counting_R(table, k)
+        value = table.count_below(k)
         assert value - previous in (0, 1)
         previous = value
 
@@ -132,7 +131,7 @@ def test_counting_monotone_steps():
 def test_counts_below_matches_pointwise():
     table = build_membership((8, 12, 34, 71), 130)
     points = [0, 1, 13, 25, 49, 97, 110, 131]
-    assert table.counts_below(points) == [counting_R(table, k) for k in points]
+    assert table.counts_below(points) == [table.count_below(k) for k in points]
 
 
 def test_single_pair_gap_count():
@@ -141,7 +140,7 @@ def test_single_pair_gap_count():
         delta = (a - 1) * (b - 1) // 2
         bound = 2 * delta + 20
         table = build_membership((a, b), bound)
-        assert counting_R(table, bound + 1) == bound + 1 - delta
+        assert table.count_below(bound + 1) == bound + 1 - delta
 
 
 def test_bl_check_examples():
