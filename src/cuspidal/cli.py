@@ -33,18 +33,12 @@ from .families import (
     ALL_KINDS,
     AMS,
     KASHIWARA_KINDS,
-    OREVKOV,
-    OREVKOV_STAR,
-    TONO_KINDS,
     FamilyParameterError,
-    ams_curve,
-    kashiwara_curve,
+    family_curve,
     ordered_factorization_count,
-    orevkov_curve,
     prime_degree_scan,
-    tono_curve,
 )
-from .records import OutputDocument, curve_record
+from .records import FamilySpec, OutputDocument, curve_record
 from .semigroup import bl_check_unicuspidal
 from .tables import TABLE_IDS, reproduce
 
@@ -201,35 +195,34 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise SystemExit(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
+# the options that make up each family kind's params, in order; a
+# Kashiwara kind appends the optional --lambdas list to its --l
+_FAMILY_OPTIONS = {
+    AMS: ("factors",),
+    **dict.fromkeys(KASHIWARA_KINDS, ("l",)),
+    "tono-ia": ("a",),
+    "tono-ib": ("a", "s"),
+    "tono-iia": ("n",),
+    "tono-iib": ("n", "s"),
+    "orevkov": ("k",),
+    "orevkov-star": ("k",),
+}
+
+
 def _cmd_family(args) -> int:
     kind = args.kind
     start = time.monotonic()
-    if kind == AMS:
-        if args.factors is None:
-            raise SystemExit("ams needs --factors")
-        record = ams_curve(_parse_int_list(args.factors, "--factors"))
-    elif kind in KASHIWARA_KINDS:
-        if args.l is None:
-            raise SystemExit(f"{kind} needs --l")
-        lambdas = () if args.lambdas is None else _parse_int_list(args.lambdas, "--lambdas")
-        record = kashiwara_curve(kind, args.l, lambdas)
-    elif kind in TONO_KINDS:
-        needed = {
-            "tono-ia": ("--a", (args.a,)),
-            "tono-ib": ("--a and --s", (args.a, args.s)),
-            "tono-iia": ("--n", (args.n,)),
-            "tono-iib": ("--n and --s", (args.n, args.s)),
-        }
-        flags, params = needed[kind]
-        if any(p is None for p in params):
-            raise SystemExit(f"{kind} needs {flags}")
-        record = tono_curve(kind, params)
-    elif kind in (OREVKOV, OREVKOV_STAR):
-        if args.k is None:
-            raise SystemExit(f"{kind} needs --k")
-        record = orevkov_curve(args.k, starred=kind == OREVKOV_STAR)
-    else:
+    if kind not in _FAMILY_OPTIONS:
         raise SystemExit(f"unknown family kind {kind!r}; choose from {', '.join(ALL_KINDS)}")
+    options = _FAMILY_OPTIONS[kind]
+    params = tuple(getattr(args, option) for option in options)
+    if None in params:
+        raise SystemExit(f"{kind} needs {' and '.join('--' + o for o in options)}")
+    if kind == AMS:
+        params = _parse_int_list(args.factors, "--factors")
+    elif kind in KASHIWARA_KINDS and args.lambdas is not None:
+        params += _parse_int_list(args.lambdas, "--lambdas")
+    record = family_curve(FamilySpec(kind, params))
     meta = _metadata("family", time.monotonic() - start, kind=kind)
     _emit(OutputDocument((record,), meta), args.format)
     return 0

@@ -48,8 +48,8 @@ from math import gcd, isqrt
 
 from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
-from .families import OREVKOV, OREVKOV_STAR, TONO_KINDS, attribute_family
-from .records import CurveRecord, KODAIRA_NEG_INF, curve_record
+from .families import attribute_family, kodaira_of_kind
+from .records import FLAG_FRONTIER, CurveRecord, curve_record
 from .semigroup import bl_check_unicuspidal, generators_from_newton
 
 PRUNED = "pruned"
@@ -200,9 +200,9 @@ def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
     if not bl_check_unicuspidal(degree, generators_from_newton(newton)).passed:
         return None
     record = curve_record(degree, newton, existence=CANDIDATE)
-    seq = inv.expand_runs(record.mult)
-    m1 = seq[0] if seq else 1
-    m2 = seq[1] if len(seq) > 1 else 1
+    runs = record.mult + ((1, 2),)  # the sequence goes on with 1s
+    m1 = runs[0][0]
+    m2 = m1 if runs[0][1] > 1 else runs[1][0]
     if m1 + m2 > degree:  # tangent-line bound, post-filter
         return None
     return record
@@ -211,14 +211,6 @@ def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
 # ---------------------------------------------------------------------------
 # classification: attribution + existence resolution
 
-def kodaira_of_kind(kind: str) -> float | int:
-    if kind in TONO_KINDS:
-        return 1
-    if kind in (OREVKOV, OREVKOV_STAR):
-        return 2
-    return KODAIRA_NEG_INF  # ams and kashiwara
-
-
 def classify_record(record: CurveRecord, frontier: bool = False) -> CurveRecord:
     """Attach family attribution, Kodaira dimension and existence status."""
     spec = attribute_family(record.degree, record.newton)
@@ -226,8 +218,8 @@ def classify_record(record: CurveRecord, frontier: bool = False) -> CurveRecord:
     if status == CANDIDATE and spec is not None:
         status = PROVED_FAMILY
     flags = record.flags
-    if frontier and "frontier" not in flags:
-        flags = flags + ("frontier",)
+    if frontier and FLAG_FRONTIER not in flags:
+        flags = flags + (FLAG_FRONTIER,)
     return replace(
         record,
         family=spec,

@@ -24,8 +24,6 @@ from importlib import resources
 
 from .invariants import (
     MultRuns,
-    expand_runs,
-    compress_runs,
     format_multiplicity,
     normalize_runs,
     parse_multiplicity,
@@ -78,18 +76,23 @@ def detect_reduction(degree: int, runs: MultRuns) -> tuple[int, int, MultRuns] |
     k = m_1 / n; returns (k, n, remainder) or None if the pattern or the
     degree equation fails.
     """
-    seq = expand_runs(normalize_runs(runs))
-    if len(seq) < 2:
+    runs = normalize_runs(runs)
+    if not runs:
         return None
-    m1, n = seq[0], seq[1]
+    (m1, count), *rest = runs
+    if count > 1:
+        rest = [(m1, count - 1), *rest]  # the entries after the first
+    if not rest:
+        return None
+    n, run = rest[0]
     if m1 % n:
         return None
     k = m1 // n
     if degree != (k + 1) * n:
         return None
-    if len(seq) < 2 * k + 1 or any(v != n for v in seq[1 : 2 * k + 1]):
+    if run < 2 * k:  # normalized, so the entries equal to n after m1 are one run
         return None
-    return k, n, compress_runs(seq[2 * k + 1 :])
+    return k, n, normalize_runs(((n, run - 2 * k), *rest[1:]))
 
 
 def detect_lemma212(degree: int, runs: MultRuns) -> tuple[int, int] | None:
@@ -112,8 +115,8 @@ def type1_construct(a: int, s: int) -> tuple[int, MultRuns]:
     grafting construction, run-merge normalized."""
     if a < 3 or s < 1:
         raise ValueError(f"construction needs a >= 3, s >= 1, got a={a}, s={s}")
-    seq = ((a - 1) * a * s,) + (a * s,) * (2 * a - 1) + (a,) * (2 * s)
-    return a * a * s + 1, compress_runs(seq)
+    runs = (((a - 1) * a * s, 1), (a * s, 2 * a - 1), (a, 2 * s))
+    return a * a * s + 1, normalize_runs(runs)
 
 
 def resolve_existence(degree: int, runs: MultRuns) -> tuple[str, tuple[ReductionStep, ...]]:

@@ -13,18 +13,23 @@ organized by the logarithmic Kodaira dimension of the curve complement:
 * **Orevkov curves** (Kodaira dimension 2): two Fibonacci families, plain
   and starred.
 
-Generators validate every divisibility and coprimality condition at
-runtime and reject parameter combinations that do not produce genuine cusp
-data (several published parameterizations contain such combinations; see
-the individual docstrings).  Stored invariants always come from
-recomputation via :mod:`cuspidal.invariants`, never from the closed forms,
-so :func:`invariant_closed_forms` stays an independent cross-check.
+Each family kind maps to its data in one place: :func:`_family_data` turns
+a :class:`FamilySpec` into (degree, Newton pairs), and :func:`kodaira_of_kind`
+gives the Kodaira dimension of the kind.  :func:`family_curve` builds every
+family record from those two; the per-family constructors only name the
+spec.  The data functions validate every divisibility and coprimality
+condition at runtime and reject parameter combinations that do not produce
+genuine cusp data (several published parameterizations contain such
+combinations; see :func:`family_curve`).  Stored invariants always come
+from recomputation via :mod:`cuspidal.invariants`, never from the closed
+forms, so :func:`invariant_closed_forms` stays an independent cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, prod
 
 from . import invariants as inv
@@ -105,15 +110,7 @@ def ams_newton_pairs(factors: tuple[int, ...]) -> inv.Pairs:
 
 def ams_curve(factors: tuple[int, ...]) -> CurveRecord:
     """AMS curve of one ordered factorization (degree = product)."""
-    factors = tuple(factors)
-    pairs = ams_newton_pairs(factors)
-    return curve_record(
-        prod(factors),
-        pairs,
-        family=FamilySpec(AMS, factors),
-        kodaira=KODAIRA_NEG_INF,
-        existence=PROVED_FAMILY,
-    )
+    return family_curve(FamilySpec(AMS, tuple(factors)))
 
 
 @lru_cache(maxsize=None)
@@ -203,23 +200,11 @@ def kashiwara_curve(kind: str, l: int, lambdas: tuple[int, ...] = ()) -> CurveRe
     (lambda_1, ..., lambda_N).  Every divisibility condition in the pair
     formulas is checked at runtime; combinations producing non-integral
     entries or data violating the cusp invariants are rejected with a
-    diagnostic.  (Both "minus" types always fail the q_1 > p_1 invariant:
-    q_1/p_1 is roughly (phi_{2l+1}/phi_{2l+3})^2 < 1, so no parameter
-    choice yields genuine cusp data.)
+    diagnostic.
     """
     if kind not in KASHIWARA_KINDS:
         raise FamilyParameterError(f"unknown Kashiwara type {kind!r}")
-    degree, pairs = _kashiwara_data(kind, l, tuple(lambdas))
-    try:
-        return curve_record(
-            degree,
-            pairs,
-            family=FamilySpec(kind, (l, *lambdas)),
-            kodaira=KODAIRA_NEG_INF,
-            existence=PROVED_FAMILY,
-        )
-    except inv.InvalidCuspData as exc:
-        raise FamilyParameterError(f"{kind}(l={l}, lambdas={lambdas}): {exc}") from exc
+    return family_curve(FamilySpec(kind, (l, *lambdas)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,68 +213,40 @@ def kashiwara_curve(kind: str, l: int, lambdas: tuple[int, ...] = ()) -> CurveRe
 def tono_curve(kind: str, params: tuple[int, ...]) -> CurveRecord:
     """Tono curve of the given type: ia (a,), ib (a, s), iia (n,), iib (n, s).
 
-    The published iib pair data is internally inconsistent: the pairs fail
-    coprimality and first-pair ordering for small s, and their delta
-    invariant does not match the genus of the stated degree.  iib records
-    are therefore built on the lenient path, flagged, and left with
-    existence "candidate"; see also :func:`invariant_closed_forms`.
+    iib records are flagged and left with existence "candidate"; see
+    :func:`family_curve`.
     """
+    if kind not in TONO_KINDS:
+        raise FamilyParameterError(f"unknown Tono type {kind!r}")
+    return family_curve(FamilySpec(kind, tuple(params)))
+
+
+def _tono_data(kind: str, params: tuple[int, ...]) -> tuple[int, inv.Pairs]:
     if kind == TONO_IA:
         (a,) = params
         if a < 3:
             raise FamilyParameterError(f"type ia needs a >= 3, got {a}")
-        pairs = ((a - 1, a), (a, (a + 1) ** 2))
-        return curve_record(
-            a * a + 1,
-            pairs,
-            family=FamilySpec(kind, (a,)),
-            kodaira=1,
-            existence=PROVED_FAMILY,
-        )
+        return a * a + 1, ((a - 1, a), (a, (a + 1) ** 2))
     if kind == TONO_IB:
         a, s = params
         if a < 3 or s < 2:
             raise FamilyParameterError(f"type ib needs a >= 3 and s >= 2, got a={a}, s={s}")
-        pairs = ((a - 1, a), (s, a * s + 1), (a, a * s + 1))
-        return curve_record(
-            a * a * s + 1,
-            pairs,
-            family=FamilySpec(kind, (a, s)),
-            kodaira=1,
-            existence=PROVED_FAMILY,
-        )
+        return a * a * s + 1, ((a - 1, a), (s, a * s + 1), (a, a * s + 1))
     if kind == TONO_IIA:
         (n,) = params
         if n < 2:
             raise FamilyParameterError(f"type iia needs n >= 2, got {n}")
-        pairs = ((n, 4 * n + 1), (4 * n + 1, (2 * n + 1) ** 2))
-        return curve_record(
-            8 * n * n + 4 * n + 1,
-            pairs,
-            family=FamilySpec(kind, (n,)),
-            kodaira=1,
-            existence=PROVED_FAMILY,
-        )
-    if kind == TONO_IIB:
-        n, s = params
-        if n < 2 or s < 2:
-            raise FamilyParameterError(f"type iib needs n >= 2 and s >= 2, got n={n}, s={s}")
-        v = 4 * n + 1
-        pairs = (
-            (n * (4 * s - 1), (s - 1) * v),
-            (4 * s - 1, v * s - n),
-            (v, v * s - n),
-        )
-        return curve_record(
-            2 * v * v * s - 4 * n * (2 * n + 1),
-            pairs,
-            family=FamilySpec(kind, (n, s)),
-            kodaira=1,
-            existence=CANDIDATE,
-            flags=(FLAG_INCONSISTENT,),
-            strict=False,
-        )
-    raise FamilyParameterError(f"unknown Tono type {kind!r}")
+        return 8 * n * n + 4 * n + 1, ((n, 4 * n + 1), (4 * n + 1, (2 * n + 1) ** 2))
+    n, s = params  # TONO_IIB
+    if n < 2 or s < 2:
+        raise FamilyParameterError(f"type iib needs n >= 2 and s >= 2, got n={n}, s={s}")
+    v = 4 * n + 1
+    pairs = (
+        (n * (4 * s - 1), (s - 1) * v),
+        (4 * s - 1, v * s - n),
+        (v, v * s - n),
+    )
+    return 2 * v * v * s - 4 * n * (2 * n + 1), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -298,43 +255,82 @@ def tono_curve(kind: str, params: tuple[int, ...]) -> CurveRecord:
 def orevkov_curve(k: int, starred: bool = False) -> CurveRecord:
     """Orevkov curve: plain family at degree 8 (k = 1) and phi_{4k+2}
     (k > 1); starred family at twice those degrees."""
+    return family_curve(FamilySpec(OREVKOV_STAR if starred else OREVKOV, (k,)))
+
+
+def _orevkov_data(k: int, starred: bool) -> tuple[int, inv.Pairs]:
     if k < 1:
         raise FamilyParameterError(f"k must be >= 1, got {k}")
     if k == 1:
-        degree, pairs = ((16, ((6, 43),)) if starred else (8, ((3, 22),)))
-    else:
-        f4k, f4k4 = inv.fibonacci(4 * k), inv.fibonacci(4 * k + 4)
-        assert f4k % 3 == 0 and f4k4 % 3 == 0  # fib(4) = 3 divides fib(4k)
-        head = (f4k // 3, f4k4 // 3)
-        if starred:
-            degree, pairs = 2 * inv.fibonacci(4 * k + 2), (head, (6, 1))
-        else:
-            degree, pairs = inv.fibonacci(4 * k + 2), (head, (3, 1))
-    return curve_record(
-        degree,
-        pairs,
-        family=FamilySpec(OREVKOV_STAR if starred else OREVKOV, (k,)),
-        kodaira=2,
-        existence=PROVED_FAMILY,
-    )
+        return (16, ((6, 43),)) if starred else (8, ((3, 22),))
+    f4k, f4k4 = inv.fibonacci(4 * k), inv.fibonacci(4 * k + 4)
+    assert f4k % 3 == 0 and f4k4 % 3 == 0  # fib(4) = 3 divides fib(4k)
+    head = (f4k // 3, f4k4 // 3)
+    if starred:
+        return 2 * inv.fibonacci(4 * k + 2), (head, (6, 1))
+    return inv.fibonacci(4 * k + 2), (head, (3, 1))
 
 
 # ---------------------------------------------------------------------------
-# dispatch, closed forms, attribution
+# the family table: kind -> data and Kodaira dimension; one record builder
+
+def _family_data(spec: FamilySpec) -> tuple[int, inv.Pairs]:
+    """(degree, Newton pairs) of a family spec, after the parameter checks
+    of its kind; no record is built."""
+    kind, params = spec.kind, spec.params
+    if kind == AMS:
+        return prod(params), ams_newton_pairs(params)
+    if kind in KASHIWARA_KINDS:
+        return _kashiwara_data(kind, params[0], params[1:])
+    if kind in TONO_KINDS:
+        return _tono_data(kind, params)
+    if kind in (OREVKOV, OREVKOV_STAR):
+        return _orevkov_data(params[0], kind == OREVKOV_STAR)
+    raise FamilyParameterError(f"unknown family kind {kind!r}")
+
+
+def kodaira_of_kind(kind: str) -> float | int:
+    """Logarithmic Kodaira dimension of the complement of a family's curves."""
+    if kind in TONO_KINDS:
+        return 1
+    if kind in (OREVKOV, OREVKOV_STAR):
+        return 2
+    return KODAIRA_NEG_INF  # ams and kashiwara
+
 
 def family_curve(spec: FamilySpec) -> CurveRecord:
-    """Generate the curve of a family spec (dispatch on kind)."""
-    if spec.kind == AMS:
-        return ams_curve(spec.params)
-    if spec.kind in KASHIWARA_KINDS:
-        return kashiwara_curve(spec.kind, spec.params[0], spec.params[1:])
-    if spec.kind in TONO_KINDS:
-        return tono_curve(spec.kind, spec.params)
-    if spec.kind == OREVKOV:
-        return orevkov_curve(spec.params[0])
-    if spec.kind == OREVKOV_STAR:
-        return orevkov_curve(spec.params[0], starred=True)
-    raise FamilyParameterError(f"unknown family kind {spec.kind!r}")
+    """Generate the curve of a family spec; every family record is built here.
+
+    Data that violates the cusp invariants raises
+    :class:`FamilyParameterError`.  Both Kashiwara "minus" types always
+    do: they fail the q_1 > p_1 invariant, since q_1/p_1 is roughly
+    (phi_{2l+1}/phi_{2l+3})^2 < 1, so no parameter choice yields genuine
+    cusp data.
+
+    The published tono-iib pair data is internally inconsistent: the pairs
+    fail coprimality and first-pair ordering for small s, and their delta
+    invariant does not match the genus of the stated degree.  iib records
+    are therefore built on the lenient path, flagged, and left with
+    existence "candidate"; see also :func:`invariant_closed_forms`.
+    """
+    degree, pairs = _family_data(spec)
+    inconsistent = spec.kind == TONO_IIB
+    try:
+        return curve_record(
+            degree,
+            pairs,
+            family=spec,
+            kodaira=kodaira_of_kind(spec.kind),
+            existence=CANDIDATE if inconsistent else PROVED_FAMILY,
+            flags=(FLAG_INCONSISTENT,) if inconsistent else (),
+            strict=not inconsistent,
+        )
+    except inv.InvalidCuspData as exc:
+        if spec.kind in KASHIWARA_KINDS:
+            label = f"{spec.kind}(l={spec.params[0]}, lambdas={spec.params[1:]})"
+        else:
+            label = spec.describe()
+        raise FamilyParameterError(f"{label}: {exc}") from exc
 
 
 def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
@@ -517,15 +513,16 @@ def _family_specs_of_degree(degree: int):
 
 def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
     """Find the family spec whose generated curve has exactly these Newton
-    pairs at this degree; None when no family matches.  The search space is
-    bounded because every family degree is monotone in each parameter."""
+    pairs at this degree; None when no family matches.  Only a spec whose
+    data matches is built into a record, which must validate and carry no
+    flag.  The search space is bounded because every family degree is
+    monotone in each parameter."""
     for spec in _family_specs_of_degree(degree):
         try:
-            record = family_curve(spec)
+            if _family_data(spec) == (degree, newton) and not family_curve(spec).flags:
+                return spec
         except FamilyParameterError:
             continue
-        if record.degree == degree and record.newton == newton and not record.flags:
-            return spec
     return None
 
 
@@ -627,17 +624,8 @@ def kashiwara_grid(l_max: int, n_max: int, lambda_max: int):
             for N in range(1, n_max + 1):
                 yield from (
                     FamilySpec(kind, (l, *lams))
-                    for lams in _tuples(range(lambda_max + 1), N)
+                    for lams in product(range(lambda_max + 1), repeat=N)
                 )
-
-
-def _tuples(values, length):
-    if length == 0:
-        yield ()
-        return
-    for v in values:
-        for rest in _tuples(values, length - 1):
-            yield (v, *rest)
 
 
 def tono_grid(a_max: int, s_max: int, n_max: int):

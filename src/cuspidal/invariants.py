@@ -211,18 +211,19 @@ def multiplicity_sequence(pairs: Pairs) -> MultRuns:
 
 def _staged_euclid(puiseux: Pairs) -> MultRuns:
     # Also used on unvalidated pair data (it terminates regardless); the
-    # public path always validates first.
-    values: list[int] = []
+    # public path always validates first.  Each quotient is one run, so the
+    # cost does not grow with the entries.
+    runs: list[tuple[int, int]] = []
     e = puiseux[0][0]
     for _, Q in puiseux:
         c = Q
         while True:
             q, r = divmod(c, e)
-            values.extend([e] * q)
+            runs.append((e, q))
             if r == 0:
                 break
             c, e = e, r
-    return compress_runs(tuple(v for v in values if v > 1))
+    return normalize_runs(tuple(runs))
 
 
 def expand_runs(runs: MultRuns) -> tuple[int, ...]:
@@ -241,8 +242,15 @@ def compress_runs(values: tuple[int, ...]) -> MultRuns:
 
 
 def normalize_runs(runs: MultRuns) -> MultRuns:
-    """Merge adjacent equal runs and drop value-1 runs (smooth tail)."""
-    return compress_runs(tuple(v for v in expand_runs(runs) if v > 1))
+    """Merge adjacent equal runs and drop value-1 runs (smooth tail), as
+    well as runs of no entries.  Works on the runs, never on the entries."""
+    out: list[tuple[int, int]] = []
+    for value, count in runs:
+        if value > 1 and count > 0:
+            if out and out[-1][0] == value:
+                count += out.pop()[1]
+            out.append((value, count))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -273,12 +273,12 @@ def _sweep(pair_count: int, max_degree: int, worker_count: int) -> list[CurveRec
 
 
 def _diff_pair_table(
-    report: ReproduceReport, expected: set, got: set, row_str=_pair_row_str
+    report: ReproduceReport, expected: set, got: set, row_str=_pair_row_str, key=None
 ) -> None:
     report.total = len(expected)
     report.matched = len(expected & got)
-    report.missing = [row_str(*row) for row in sorted(expected - got)]
-    report.unexpected = [row_str(*row) for row in sorted(got - expected)]
+    report.missing = [row_str(*row) for row in sorted(expected - got, key=key)]
+    report.unexpected = [row_str(*row) for row in sorted(got - expected, key=key)]
 
 
 def _diff_classified(report: ReproduceReport, expected: set, records) -> None:
@@ -347,10 +347,8 @@ def _reproduce_induct(report, worker_count):
             out += f" -> d''={s2[0]} [{s2[1]}]"
         return out
 
-    report.total = len(expected)
-    report.matched = len(expected & got)
-    report.missing = [row_str(*row) for row in sorted(expected - got, key=str)]
-    report.unexpected = [row_str(*row) for row in sorted(got - expected, key=str)]
+    # rows without a second step hold None, which does not order
+    _diff_pair_table(report, expected, got, row_str, key=str)
 
 
 def _reproduce_lct(report, grid_specs):

@@ -122,8 +122,64 @@ def test_family_command(capsys):
     assert record["degree"] == 19
     code, _, err = run(capsys, "family", "tono-ib", "--a", "3")
     assert code == 2
+    assert err == "error: tono-ib needs --a and --s\n"
+    code, _, err = run(capsys, "family", "kashiwara-iiplus-sp", "--lambdas", "1")
+    assert code == 2
+    assert err == "error: kashiwara-iiplus-sp needs --l\n"
+    code, _, err = run(capsys, "family", "orevkov-star")
+    assert code == 2
+    assert err == "error: orevkov-star needs --k\n"
+    code, _, err = run(capsys, "family", "ams")
+    assert code == 2
+    assert err == "error: ams needs --factors\n"
+    code, _, err = run(capsys, "family", "klein", "--k", "1")
+    assert code == 2
+    assert err.startswith("error: unknown family kind 'klein'; choose from ams, ")
     code, _, err = run(capsys, "family", "ams", "--factors", "3,1")
     assert code == 2
+    code, _, err = run(capsys, "family", "kashiwara-iiminus-ge", "--l", "0", "--lambdas", "1")
+    assert code == 2
+    assert err == (
+        "error: kashiwara-iiminus-ge(l=0, lambdas=(1,)): "
+        "first pair: q must exceed p, got (5, 1)\n"
+    )
+
+
+# one member of every family kind and the options that select it
+FAMILY_MEMBERS = (
+    (("ams", "--factors", "3,2,2"), ("ams", (3, 2, 2))),
+    (("kashiwara-ii-ge", "--l", "1"), ("kashiwara-ii-ge", (1,))),
+    (("kashiwara-ii-sp", "--l", "2"), ("kashiwara-ii-sp", (2,))),
+    (("kashiwara-iiplus-ge", "--l", "0", "--lambdas", "1"), ("kashiwara-iiplus-ge", (0, 1))),
+    (("kashiwara-iiplus-sp", "--l", "0", "--lambdas", "1,1"), ("kashiwara-iiplus-sp", (0, 1, 1))),
+    (("kashiwara-iiminus-ge", "--l", "0", "--lambdas", "1"), ("kashiwara-iiminus-ge", (0, 1))),
+    (("kashiwara-iiminus-sp", "--l", "1", "--lambdas", "0"), ("kashiwara-iiminus-sp", (1, 0))),
+    (("tono-ia", "--a", "4"), ("tono-ia", (4,))),
+    (("tono-ib", "--a", "3", "--s", "2"), ("tono-ib", (3, 2))),
+    (("tono-iia", "--n", "2"), ("tono-iia", (2,))),
+    (("tono-iib", "--n", "2", "--s", "3"), ("tono-iib", (2, 3))),
+    (("orevkov", "--k", "2"), ("orevkov", (2,))),
+    (("orevkov-star", "--k", "1"), ("orevkov-star", (1,))),
+)
+
+
+def test_family_command_matches_family_curve(capsys):
+    from cuspidal.families import ALL_KINDS, FamilyParameterError, family_curve
+    from cuspidal.records import FamilySpec, record_to_json_dict
+
+    assert [spec[0] for _, spec in FAMILY_MEMBERS] == list(ALL_KINDS)
+    for argv, (kind, params) in FAMILY_MEMBERS:
+        code, out, err = run(capsys, "family", *argv)
+        try:
+            record = family_curve(FamilySpec(kind, params))
+        except FamilyParameterError as exc:
+            # the minus types never give genuine cusp data
+            assert (code, out, err) == (2, "", f"error: {exc}\n"), argv
+            continue
+        assert code == 0, argv
+        payload = json.loads(out)
+        assert payload["records"] == [record_to_json_dict(record)], argv
+        assert payload["metadata"]["kind"] == kind
 
 
 def test_reduce_command(capsys):
@@ -135,6 +191,23 @@ def test_reduce_command(capsys):
         capsys, "reduce", "--degree", "24", "--mult", "16,8x4,4x3,2x3", "--format", "json"
     )
     assert json.loads(out)["status"] == "proved-reduction"
+
+
+def test_huge_run_counts_stay_bounded(capsys):
+    # multiplicities are kept as runs end to end: a count of 10^10 would
+    # need well over 100 GB if any step expanded it entry by entry
+    import time
+
+    start = time.monotonic()
+    code, out, _ = run(capsys, "reduce", "--degree", "5", "--mult", "2_10000000000")
+    assert code == 0
+    assert out == "d=5 [2_10000000000]: candidate\n"
+    code, out, _ = run(capsys, "invariants", "--pairs", "(2,10000000001)", "--degree", "3")
+    assert code == 0
+    record = json.loads(out)["records"][0]
+    assert record["multiplicity_sequence"] == "2_5000000000"
+    assert record["delta"] == 5_000_000_000
+    assert time.monotonic() - start < 1.0
 
 
 def test_factorizations_command(capsys):

@@ -151,6 +151,19 @@ def test_every_family_curve_is_found_by_the_search():
         assert (record.degree, record.newton) in enumerated, record.newton
 
 
+def test_classify_range_kodaira_follows_family_kind():
+    kodaira = {"tono": 1, "orevkov": 2, "ams": float("-inf"), "kashiwara": float("-inf")}
+    kinds = set()
+    for record in classify_range(30):
+        if record.family is None:
+            assert record.kodaira is None
+            continue
+        group = record.family.kind.split("-")[0]
+        assert record.kodaira == kodaira[group], record.family
+        kinds.add(group)
+    assert kinds == set(kodaira)
+
+
 def test_classify_range_flags_frontier_degrees():
     records = classify_range(31)
     above = [r for r in records if r.degree == 31]

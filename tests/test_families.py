@@ -6,6 +6,7 @@ from cuspidal.families import (
     FamilyParameterError,
     ams_all,
     ams_curve,
+    ams_grid,
     attribute_family,
     bunyakovsky_condition_check,
     family_curve,
@@ -15,8 +16,10 @@ from cuspidal.families import (
     ordered_factorization_count,
     ordered_factorizations,
     orevkov_curve,
+    orevkov_grid,
     prime_degree_scan,
     tono_curve,
+    tono_grid,
 )
 from cuspidal.invariants import fibonacci, format_multiplicity, genus_target
 from cuspidal.records import FLAG_INCONSISTENT, FamilySpec
@@ -197,6 +200,37 @@ def test_attribution_round_trip_over_families():
     for spec in specs:
         record = family_curve(spec)
         assert attribute_family(record.degree, record.newton) == spec
+
+
+def test_attribution_over_family_grids():
+    # every genuine grid member of moderate degree is attributed to a spec
+    # that generates the same curve (possibly another kind with equal data);
+    # the flagged tono-iib data is never attributed
+    grids = (
+        ams_grid(30),
+        kashiwara_grid(3, 2, 2),
+        tono_grid(7, 4, 5),
+        orevkov_grid(4),
+    )
+    attributed = flagged = 0
+    for spec in (spec for grid in grids for spec in grid):
+        try:
+            record = family_curve(spec)
+        except FamilyParameterError:
+            continue
+        if record.degree > 2000:
+            continue
+        found = attribute_family(record.degree, record.newton)
+        if record.flags:
+            assert spec.kind == "tono-iib"
+            assert found is None, spec
+            flagged += 1
+            continue
+        assert found is not None, spec
+        match = family_curve(found)
+        assert (match.degree, match.newton) == (record.degree, record.newton), spec
+        attributed += 1
+    assert (flagged, attributed) == (9, 173)
 
 
 def test_prime_degree_scan():
