@@ -98,16 +98,17 @@ def detect_reduction(degree: int, runs: MultRuns) -> tuple[int, int, MultRuns] |
 def detect_lemma212(degree: int, runs: MultRuns) -> tuple[int, int] | None:
     """Match ((a-1)as, as_{2a-1}, a_{2s}) with degree a^2 s + 1 for some
     a >= 3, s >= 1.  Adjacent runs are merge-normalized before comparing,
-    so degenerate instances (s = 1 merges the last two runs) still match."""
+    so degenerate instances (s = 1 merges the last two runs) still match.
+    Nothing is searched: the first two entries fix a = m_1 / m_2 + 1, and
+    then the degree fixes s."""
     target = normalize_runs(runs)
-    a = 3
-    while a * a <= degree - 1:
-        if (degree - 1) % (a * a) == 0:
-            s = (degree - 1) // (a * a)
-            if type1_construct(a, s)[1] == target:
-                return a, s
-        a += 1
-    return None
+    if len(target) < 2 or target[0][0] % target[1][0]:
+        return None
+    a = target[0][0] // target[1][0] + 1
+    if a < 3 or (degree - 1) % (a * a):
+        return None
+    s = (degree - 1) // (a * a)
+    return (a, s) if s >= 1 and type1_construct(a, s)[1] == target else None
 
 
 def type1_construct(a: int, s: int) -> tuple[int, MultRuns]:

@@ -20,16 +20,20 @@ family record from those two; the per-family constructors only name the
 spec.  The data functions validate every divisibility and coprimality
 condition at runtime and reject parameter combinations that do not produce
 genuine cusp data (several published parameterizations contain such
-combinations; see :func:`family_curve`).  Stored invariants always come
-from recomputation via :mod:`cuspidal.invariants`, never from the closed
-forms, so :func:`invariant_closed_forms` stays an independent cross-check.
+combinations; see :func:`family_curve`).  Attribution runs the other way
+without a search: :func:`attribute_family` reads each kind's parameters off
+the Newton pairs and keeps a spec only if :func:`_family_data` gives back
+the same degree and pairs, so the degree formulas live in the data
+functions alone.  Stored invariants always come from recomputation via
+:mod:`cuspidal.invariants`, never from the closed forms, so
+:func:`invariant_closed_forms` stays an independent cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product, takewhile
 from math import gcd, prod
 
 from . import invariants as inv
@@ -274,9 +278,23 @@ def _orevkov_data(k: int, starred: bool) -> tuple[int, inv.Pairs]:
 # ---------------------------------------------------------------------------
 # the family table: kind -> data and Kodaira dimension; one record builder
 
+# kinds with a fixed number of params; Kashiwara takes l and the lambdas
+_PARAM_COUNT = {TONO_IA: 1, TONO_IIA: 1, OREVKOV: 1, OREVKOV_STAR: 1, TONO_IB: 2, TONO_IIB: 2}
+
+
+def _check_param_count(spec: FamilySpec) -> None:
+    given = len(spec.params)
+    if spec.kind in KASHIWARA_KINDS and given < 1:
+        raise FamilyParameterError(f"{spec.kind} needs the parameter l")
+    expected = _PARAM_COUNT.get(spec.kind, given)
+    if given != expected:
+        raise FamilyParameterError(f"{spec.kind} takes {expected} parameter(s), got {given}")
+
+
 def _family_data(spec: FamilySpec) -> tuple[int, inv.Pairs]:
     """(degree, Newton pairs) of a family spec, after the parameter checks
     of its kind; no record is built."""
+    _check_param_count(spec)
     kind, params = spec.kind, spec.params
     if kind == AMS:
         return prod(params), ams_newton_pairs(params)
@@ -350,6 +368,7 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
       for every s; it is returned verbatim here so the discrepancy stays
       visible, and records of that type carry an inconsistency flag.
     """
+    _check_param_count(spec)
     kind, params = spec.kind, spec.params
     if kind == AMS:
         factors = params
@@ -416,108 +435,43 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
     raise FamilyParameterError(f"unknown family kind {kind!r}")
 
 
-def _kashiwara_specs_of_degree(degree: int):
+def _specs_of_pairs(degree: int, newton: inv.Pairs):
+    """Candidate specs of (degree, newton) in kind order, at most one per
+    kind and Kashiwara level l, each read off the pairs; :func:`_family_data`
+    must still confirm it.  Kashiwara plus: n_i = lambda_i F^2 + c_i with
+    0 <= c_i < F^2, F = phi_{2l+3} <= degree.  The Kashiwara minus kinds
+    (never valid cusp data) and tono-iib (always flagged) are not tried."""
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
+    if not newton:
+        yield FamilySpec(AMS, (2,))
+        return
+    ps = tuple(p for p, _ in newton)
+    p1, q1 = newton[0]
+    yield FamilySpec(AMS, (q1, *ps[1:]) if q1 == p1 + 1 else (2, *ps))
+    levels = tuple(takewhile(lambda l: inv.fibonacci(2 * l + 3) <= degree, count()))
     for kind in (KASHIWARA_II_GE, KASHIWARA_II_SP):
-        l = 0
-        while True:
-            F = inv.fibonacci(2 * l + 3)
-            base = F * inv.fibonacci(2 * l + 5) if kind == KASHIWARA_II_GE else F
-            if base > degree:
-                break
-            if base == degree and not (kind == KASHIWARA_II_SP and l == 0):
-                yield FamilySpec(kind, (l,))
-            l += 1
-    for kind in (
-        KASHIWARA_IIPLUS_GE,
-        KASHIWARA_IIPLUS_SP,
-        KASHIWARA_IIMINUS_GE,
-        KASHIWARA_IIMINUS_SP,
-    ):
-        plus = kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP)
-        ge = kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIMINUS_GE)
-        l = 0
-        while True:
-            F = inv.fibonacci(2 * l + 3)
-            lead = inv.fibonacci(2 * l + 5) if plus else inv.fibonacci(2 * l + 1)
-            base = (F if ge else 1) * lead
-            # smallest achievable n_i at this l bounds the search
-            lam_min = 1 if l == 0 else 0
-            prev = inv.fibonacci(2 * l - 1)
-            c_vals = (F * prev - 1, F * (F - prev) - 1)
-            min_n = max(2, lam_min * F * F + min(c_vals))
-            if base * min_n > degree:
-                if base > degree:
-                    break
-                l += 1
-                continue
-            if degree % base == 0:
-                yield from (
-                    FamilySpec(kind, (l, *lams))
-                    for lams in _lambda_assignments(degree // base, F, c_vals, lam_min, min_n)
-                )
-            l += 1
-
-
-def _lambda_assignments(remaining, F, c_vals, lam_min, min_n, index=1):
-    """Ordered lambda tuples whose n_i values multiply to `remaining`."""
-    c_odd, c_even = c_vals
-    c = c_odd if index % 2 == 1 else c_even
-    for v in range(min_n, remaining + 1):
-        if remaining % v or (v - c) % (F * F) or (v - c) // (F * F) < lam_min:
-            continue
-        lam = (v - c) // (F * F)
-        if remaining == v:
-            yield (lam,)
-        for rest in _lambda_assignments(remaining // v, F, c_vals, lam_min, min_n, index + 1):
-            yield (lam, *rest)
-
-
-def _family_specs_of_degree(degree: int):
-    for factors in ordered_factorizations(degree):
-        yield FamilySpec(AMS, factors)
-    yield from _kashiwara_specs_of_degree(degree)
-    a = 3
-    while a * a <= degree - 1:
-        if (degree - 1) % (a * a) == 0:
-            s = (degree - 1) // (a * a)
-            if s == 1:
-                yield FamilySpec(TONO_IA, (a,))
-            else:
-                yield FamilySpec(TONO_IB, (a, s))
-        a += 1
-    n = 2
-    while 8 * n * n + 4 * n + 1 <= degree:
-        if 8 * n * n + 4 * n + 1 == degree:
-            yield FamilySpec(TONO_IIA, (n,))
-        n += 1
-    n = 2
-    while 2 * (4 * n + 1) ** 2 * 2 - 4 * n * (2 * n + 1) <= degree:
-        s = 2
-        while (d := 2 * (4 * n + 1) ** 2 * s - 4 * n * (2 * n + 1)) <= degree:
-            if d == degree:
-                yield FamilySpec(TONO_IIB, (n, s))
-            s += 1
-        n += 1
-    if degree == 8:
-        yield FamilySpec(OREVKOV, (1,))
-    if degree == 16:
-        yield FamilySpec(OREVKOV_STAR, (1,))
-    k = 2
-    while inv.fibonacci(4 * k + 2) <= degree:
-        if inv.fibonacci(4 * k + 2) == degree:
-            yield FamilySpec(OREVKOV, (k,))
-        if 2 * inv.fibonacci(4 * k + 2) == degree:
-            yield FamilySpec(OREVKOV_STAR, (k,))
-        k += 1
+        yield from (FamilySpec(kind, (l,)) for l in levels)
+    for kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP):
+        for l in levels:
+            square = inv.fibonacci(2 * l + 3) ** 2
+            yield FamilySpec(kind, (l, *(n // square for n in ps[:-1])))
+    yield FamilySpec(TONO_IA, (q1,))
+    if len(ps) > 1:
+        yield FamilySpec(TONO_IB, (q1, ps[1]))
+    yield FamilySpec(TONO_IIA, (p1,))
+    ks = tuple(takewhile(lambda k: inv.fibonacci(4 * k + 2) <= degree, count(1)))
+    for kind in (OREVKOV, OREVKOV_STAR):
+        yield from (FamilySpec(kind, (k,)) for k in ks)
 
 
 def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
     """Find the family spec whose generated curve has exactly these Newton
-    pairs at this degree; None when no family matches.  Only a spec whose
-    data matches is built into a record, which must validate and carry no
-    flag.  The search space is bounded because every family degree is
-    monotone in each parameter."""
-    for spec in _family_specs_of_degree(degree):
+    pairs at this degree; None when no family matches.  The candidates are
+    read off the pairs (:func:`_specs_of_pairs`); one counts only when
+    :func:`_family_data` gives back (degree, newton) and its record
+    validates and carries no flag.  Raises ValueError for degree < 1."""
+    for spec in _specs_of_pairs(degree, newton):
         try:
             if _family_data(spec) == (degree, newton) and not family_curve(spec).flags:
                 return spec

@@ -210,6 +210,18 @@ def test_huge_run_counts_stay_bounded(capsys):
     assert time.monotonic() - start < 1.0
 
 
+def test_lemma212_match_is_bounded_for_huge_degrees(capsys):
+    # the grafting pattern fixes a from the runs; a search over a with
+    # a^2 <= d - 1 would take ~10^8 steps at this degree
+    import time
+
+    start = time.monotonic()
+    code, out, _ = run(capsys, "reduce", "--degree", "10000000000000001", "--mult", "2")
+    assert code == 0
+    assert out == "d=10000000000000001 [2]: candidate\n"
+    assert time.monotonic() - start < 1.0
+
+
 def test_factorizations_command(capsys):
     code, out, _ = run(capsys, "factorizations", "--n", "12")
     assert code == 0 and out.strip() == "8"

@@ -62,6 +62,15 @@ def test_type1_detect_round_trip():
             assert detect_lemma212(degree, runs) == (a, s)
 
 
+def test_detect_lemma212_reads_a_from_the_runs():
+    # a = m_1 / m_2 + 1, so a huge a is matched without a search over a
+    assert detect_lemma212(*type1_construct(10**9, 3)) == (10**9, 3)
+    assert detect_lemma212(*type1_construct(3, 1)) == (3, 1)
+    degree, runs = type1_construct(4, 2)
+    for wrong in (degree - 1, degree + 1, 1, 0, -5):
+        assert detect_lemma212(wrong, runs) is None
+
+
 def test_resolve_chains():
     status, chain = resolve_existence(12, parse_multiplicity("8,4_4,2_3"))
     assert status == "proved-reduction"

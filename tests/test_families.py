@@ -4,6 +4,7 @@ import pytest
 
 from cuspidal.families import (
     FamilyParameterError,
+    _family_data,
     ams_all,
     ams_curve,
     ams_grid,
@@ -231,6 +232,60 @@ def test_attribution_over_family_grids():
         assert (match.degree, match.newton) == (record.degree, record.newton), spec
         attributed += 1
     assert (flagged, attributed) == (9, 173)
+
+
+def test_attribution_is_exact_over_wider_grids():
+    # the pairs fix the spec, so every unflagged member of these grids is
+    # attributed to itself at any degree (no two specs here share data)
+    import time
+
+    grids = (
+        ams_grid(60),
+        kashiwara_grid(4, 3, 3),
+        tono_grid(12, 8, 10),
+        orevkov_grid(6),
+    )
+    attributed = never = 0
+    for spec in (spec for grid in grids for spec in grid):
+        if spec.kind == "tono-iib" or "minus" in spec.kind:
+            try:
+                degree, newton = _family_data(spec)
+            except FamilyParameterError:
+                continue
+            assert attribute_family(degree, newton) is None, spec
+            never += 1
+            continue
+        try:
+            record = family_curve(spec)
+        except FamilyParameterError:
+            continue
+        assert not record.flags, spec
+        assert attribute_family(record.degree, record.newton) == spec
+        attributed += 1
+    assert (attributed, never) == (1256, 813)
+    assert attribute_family(2, ()) == FamilySpec("ams", (2,))
+    assert attribute_family(5, ()) is None
+    factors = (3,) + (2,) * 17
+    record = ams_curve(factors)
+    assert record.degree == 393_216
+    start = time.monotonic()
+    assert attribute_family(record.degree, record.newton) == FamilySpec("ams", factors)
+    assert time.monotonic() - start < 1.0
+    with pytest.raises(ValueError):
+        attribute_family(0, ((2, 3),))
+
+
+def test_wrong_parameter_count_is_a_family_error():
+    specs = (
+        FamilySpec("kashiwara-ii-ge", ()),
+        FamilySpec("orevkov", ()),
+        FamilySpec("tono-ia", (3, 1)),
+        FamilySpec("tono-ib", (3,)),
+    )
+    for spec in specs:
+        for function in (family_curve, invariant_closed_forms):
+            with pytest.raises(FamilyParameterError, match=spec.kind):
+                function(spec)
 
 
 def test_prime_degree_scan():
