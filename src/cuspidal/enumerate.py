@@ -50,7 +50,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import bl_check_unicuspidal, generators_from_newton
+from .semigroup import _generators, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -196,8 +196,13 @@ def _paranoid_extend(k, target, a, bs, partial, P, depth):
 
 
 def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
+    # The search's data is validated once, here; valid Newton pairs imply
+    # valid Puiseux pairs, so the generators come from the unvalidated
+    # cores.  The few candidates that pass the counting check are validated
+    # again, strictly, by curve_record.
     newton = inv.newton_from_characteristic(a, bs)
-    if not bl_check_unicuspidal(degree, generators_from_newton(newton)).passed:
+    generators = _generators(newton, inv._puiseux_from_newton(newton))
+    if not bl_check_unicuspidal(degree, generators).passed:
         return None
     record = curve_record(degree, newton, existence=CANDIDATE)
     runs = record.mult + ((1, 2),)  # the sequence goes on with 1s

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product, takewhile
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY
@@ -136,9 +136,14 @@ def ordered_factorization_count(n: int) -> int:
     """Kalmar count a(n): a(1) = 1, a(n) = sum of a(d) over proper divisors."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    return sum(ordered_factorization_count(d) for d in range(1, n) if n % d == 0)
+    # divisor pairs (i, n // i) with 2 <= i <= sqrt(n), plus the divisor 1
+    total = 1
+    for i in range(2, isqrt(n) + 1):
+        if n % i == 0:
+            total += ordered_factorization_count(i)
+            if i * i != n:
+                total += ordered_factorization_count(n // i)
+    return total
 
 
 def ams_all(degree: int) -> list[CurveRecord]:

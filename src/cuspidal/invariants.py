@@ -226,21 +226,6 @@ def _staged_euclid(puiseux: Pairs) -> MultRuns:
     return normalize_runs(tuple(runs))
 
 
-def expand_runs(runs: MultRuns) -> tuple[int, ...]:
-    return tuple(v for value, count in runs for v in [value] * count)
-
-
-def compress_runs(values: tuple[int, ...]) -> MultRuns:
-    """Run-length encode, merging adjacent equal values."""
-    runs: list[tuple[int, int]] = []
-    for v in values:
-        if runs and runs[-1][0] == v:
-            runs[-1] = (v, runs[-1][1] + 1)
-        else:
-            runs.append((v, 1))
-    return tuple(runs)
-
-
 def normalize_runs(runs: MultRuns) -> MultRuns:
     """Merge adjacent equal runs and drop value-1 runs (smooth tail), as
     well as runs of no entries.  Works on the runs, never on the entries."""

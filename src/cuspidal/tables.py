@@ -17,6 +17,11 @@ row from first principles with :func:`reproduce`:
 * ``all`` -- the union of the four classification tables against the full
   degree-<= 30 classification run.
 
+Every classification table is diffed against classified records
+(:func:`~cuspidal.enumerate.classify_record`): the four pair tables and
+``induct`` each enumerate and classify their own pair count once, and
+``induct`` reads existence and the reduction chain off those records.
+
 A note on ``twopairs``: the published closed-form list restricts its
 second item to k >= 3, but the k = 2, l >= 1 instantiation produces the
 genuine degree-25 curve with pairs (5,31),(2,3) (it is the same curve as
@@ -38,7 +43,7 @@ from .enumerate import (
     classify_record,
     max_pairs_bound,
 )
-from .existence import CANDIDATE, PROVED_REDUCTION, resolve_existence
+from .existence import CANDIDATE, PROVED_REDUCTION
 from .families import (
     FamilyParameterError,
     family_curve,
@@ -227,6 +232,9 @@ def expected_table(identifier: str) -> ExpectedTable:
     raise KeyError(f"no embedded table {identifier!r}")
 
 
+# the classification tables, by their number of Newton pairs
+_PAIR_COUNTS = {"onepair": 1, "twopairs": 2, "threepairs": 3, "fourpairs": 4}
+
 # standard cross-check grids
 KASHIWARA_GRID = (3, 2, 2)  # l <= 3, N <= 2, lambda_i <= 2
 TONO_GRID = (7, 4, 5)       # a <= 7, s <= 4, n <= 5
@@ -260,16 +268,17 @@ class ReproduceReport:
         return "\n".join(lines)
 
 
-def _pair_row_str(degree: int, pairs: inv.Pairs) -> str:
-    return f"d={degree} {inv.format_newton(pairs)}"
+def _pair_row_str(degree: int, pairs: inv.Pairs, mult: str | None = None) -> str:
+    text = f"d={degree} {inv.format_newton(pairs)}"
+    return text if mult is None else f"{text} [{mult}]"
 
 
-def _sweep(pair_count: int, max_degree: int, worker_count: int) -> list[CurveRecord]:
-    """Enumerate one pair count over all degrees, one task per degree
-    (degree order is preserved, so output is deterministic for any worker
-    count)."""
-    tasks = [(d, pair_count) for d in range(3, max_degree + 1) if max_pairs_bound(d) >= pair_count]
-    return _run_tasks(_enumerate_task, tasks, worker_count)
+def _classified(pair_count: int, worker_count: int) -> list[CurveRecord]:
+    """The classified records of one pair count over degrees <= 30, one
+    enumeration task per degree (degree order is preserved, so output is
+    deterministic for any worker count)."""
+    tasks = [(d, pair_count) for d in range(3, 31) if max_pairs_bound(d) >= pair_count]
+    return [classify_record(r) for r in _run_tasks(_enumerate_task, tasks, worker_count)]
 
 
 def _diff_pair_table(
@@ -281,9 +290,12 @@ def _diff_pair_table(
     report.unexpected = [row_str(*row) for row in sorted(got - expected, key=key)]
 
 
-def _diff_classified(report: ReproduceReport, expected: set, records) -> None:
-    """Diff classified records against (degree, pairs) rows.  A candidate
-    with no known construction is noted and left out of the rows."""
+def _diff_classified(
+    report: ReproduceReport, expected: set, records, with_mult: bool = False
+) -> None:
+    """Diff classified records against (degree, pairs) rows, or against
+    (degree, pairs, multiplicity) rows ``with_mult``.  A candidate with no
+    known construction is noted and left out of the rows."""
     got = set()
     for record in records:
         if record.existence == CANDIDATE:
@@ -292,22 +304,9 @@ def _diff_classified(report: ReproduceReport, expected: set, records) -> None:
                 f"known construction): {_pair_row_str(record.degree, record.newton)}"
             )
             continue
-        got.add((record.degree, record.newton))
+        row = (record.degree, record.newton)
+        got.add(row + (inv.format_multiplicity(record.mult),) if with_mult else row)
     _diff_pair_table(report, expected, got)
-
-
-def _reproduce_full_table(report, rows, pair_count, worker_count):
-    expected = {(d, pairs, mult) for d, pairs, mult in rows}
-    records = _sweep(pair_count, 30, worker_count)
-    got = {
-        (r.degree, r.newton, inv.format_multiplicity(r.mult)) for r in records
-    }
-    _diff_pair_table(
-        report,
-        expected,
-        got,
-        row_str=lambda d, p, m: f"d={d} {inv.format_newton(p)} [{m}]",
-    )
 
 
 def _reproduce_induct(report, worker_count):
@@ -315,16 +314,15 @@ def _reproduce_induct(report, worker_count):
         (d, m, step1, step2) for d, m, step1, step2 in REDUCTION_ROWS
     }
     got = set()
-    for record in _sweep(3, 30, worker_count):
-        status, chain = resolve_existence(record.degree, record.mult)
-        blocks = [s for s in chain if s.rule.startswith("block")]
+    for record in _classified(3, worker_count):
+        blocks = [s for s in record.reduction_chain if s.rule.startswith("block")]
         if not blocks:
             report.notes.append(
                 f"d={record.degree} [{inv.format_multiplicity(record.mult)}] "
-                f"resolved by {status} (not a block-reduction row)"
+                f"resolved by {record.existence} (not a block-reduction row)"
             )
             continue
-        if status != PROVED_REDUCTION:
+        if record.existence != PROVED_REDUCTION:
             report.mismatched.append(
                 f"d={record.degree} chain does not end in the base registry"
             )
@@ -399,17 +397,12 @@ def reproduce(identifier: str, worker_count: int = 1) -> ReproduceReport:
     against the embedded expected data."""
     report = ReproduceReport(identifier)
     start = time.monotonic()
-    if identifier == "threepairs":
-        _reproduce_full_table(report, THREE_PAIR_ROWS, 3, worker_count)
-    elif identifier == "fourpairs":
-        _reproduce_full_table(report, FOUR_PAIR_ROWS, 4, worker_count)
+    if identifier in _PAIR_COUNTS:
+        pair_count = _PAIR_COUNTS[identifier]
+        rows = set(expected_table(identifier).rows)
+        _diff_classified(report, rows, _classified(pair_count, worker_count), pair_count >= 3)
     elif identifier == "induct":
         _reproduce_induct(report, worker_count)
-    elif identifier in ("onepair", "twopairs"):
-        records = _sweep(1 if identifier == "onepair" else 2, 30, worker_count)
-        _diff_classified(
-            report, set(expected_table(identifier).rows), map(classify_record, records)
-        )
     elif identifier == "lct-kashiwara":
         _reproduce_lct(report, kashiwara_grid(*KASHIWARA_GRID))
     elif identifier == "lct-tono":

@@ -116,8 +116,8 @@ def test_criterion_04_invariant_spot_checks():
 def test_criterion_05_oracle_equivalence():
     start = time.monotonic()
     mismatches = []
-    for d in range(3, 17):
-        for k in range(1, min(3, max_pairs_bound(d)) + 1):
+    for d in range(3, 31):
+        for k in range(1, min(4, max_pairs_bound(d)) + 1):
             pruned = enumerate_candidates(SearchConfig(d, k, PRUNED))
             paranoid = enumerate_candidates(SearchConfig(d, k, PARANOID))
             if pruned != paranoid:
@@ -127,7 +127,7 @@ def test_criterion_05_oracle_equivalence():
     _report(
         5,
         ok,
-        "pruned and full-scan enumeration agree for degree <= 16, <= 3 pairs",
+        "pruned and full-scan enumeration agree for degree <= 30, <= 4 pairs",
         f"{elapsed:.2f}s" + (f", mismatches {mismatches}" if mismatches else ""),
     )
 

@@ -225,6 +225,10 @@ def test_lemma212_match_is_bounded_for_huge_degrees(capsys):
 def test_factorizations_command(capsys):
     code, out, _ = run(capsys, "factorizations", "--n", "12")
     assert code == 0 and out.strip() == "8"
+    # 10^8 = 2^8 5^8 must answer at once; the count depends only on the
+    # prime signature, and a scan over every d < n gives it for 2^8 3^8
+    code, out, _ = run(capsys, "factorizations", "--n", "100000000")
+    assert code == 0 and out.strip() == "34013312"
 
 
 def test_prime_scan_command(capsys):

@@ -9,7 +9,7 @@ from cuspidal.enumerate import (
     enumerate_candidates,
     max_pairs_bound,
 )
-from cuspidal.invariants import expand_runs, newton_to_puiseux
+from cuspidal.invariants import newton_to_puiseux
 
 
 def test_max_pairs_bound():
@@ -84,7 +84,7 @@ def test_emitted_records_satisfy_multiplicity_bounds():
     for d in (8, 12, 16, 24):
         for k in range(1, min(3, max_pairs_bound(d)) + 1):
             for record in enumerate_candidates(SearchConfig(d, k)):
-                seq = expand_runs(record.mult)
+                seq = [value for value, count in record.mult for _ in range(count)]
                 assert newton_to_puiseux(record.newton)[0][0] <= d - 1
                 m1 = seq[0]
                 m2 = seq[1] if len(seq) > 1 else 1

@@ -63,6 +63,11 @@ def test_ordered_factorizations():
     assert ordered_factorization_count(12) == 8
     assert ordered_factorization_count(7) == 1
     assert ordered_factorization_count(8) == 4
+    # the divisor-pair sum against the plain definition over proper divisors
+    plain = {1: 1}
+    for n in range(2, 501):
+        plain[n] = sum(plain[d] for d in range(1, n) if n % d == 0)
+        assert ordered_factorization_count(n) == plain[n], n
 
 
 def test_ams_count_matches_kalmar():

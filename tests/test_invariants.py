@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from cuspidal.invariants import (
     InvalidCuspData,
     characteristic_seq,
-    compress_runs,
     delta_from_multiplicities,
     delta_from_puiseux,
-    expand_runs,
     fibonacci,
     format_multiplicity,
     format_newton,
@@ -169,7 +167,7 @@ def test_delta_two_routes_exhaustive_small():
 @settings(max_examples=500)
 @given(newton_seqs())
 def test_multiplicity_shape(pairs):
-    seq = expand_runs(multiplicity_sequence(pairs))
+    seq = [value for value, count in multiplicity_sequence(pairs) for _ in range(count)]
     assert all(x >= y for x, y in zip(seq, seq[1:]))
     assert seq[0] == newton_to_puiseux(pairs)[0][0]
 
@@ -196,8 +194,6 @@ def test_characteristic_validation():
 
 
 def test_runs_helpers():
-    assert expand_runs(((4, 2), (2, 3))) == (4, 4, 2, 2, 2)
-    assert compress_runs((4, 4, 2, 2, 2)) == ((4, 2), (2, 3))
     assert normalize_runs(((3, 2), (3, 1), (1, 4))) == ((3, 3),)
 
 

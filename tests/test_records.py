@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -93,6 +95,17 @@ def test_csv_and_markdown_carry_identical_data(classified):
         cells = [c.strip() for c in line.strip("|").split("|")]
         flat = record_to_flat_dict(record)
         assert cells == [str(flat[c]).strip() for c in CSV_COLUMNS]
+
+
+def test_classify_range_40_renders_the_pinned_bytes():
+    # the digest the benchmark checks every run against; any change to a
+    # record's bytes at degree <= 40 shows here first
+    expected = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+    )["classify-d40"]["rendered_sha256"]
+    doc = OutputDocument(tuple(classify_range(40)), {})
+    rendered = "".join(doc.render(fmt) for fmt in ("json", "csv", "md"))
+    assert hashlib.sha256(rendered.encode()).hexdigest() == expected
 
 
 def test_document_sorted():

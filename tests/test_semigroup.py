@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,12 +130,6 @@ def test_counting_monotone_steps():
         previous = value
 
 
-def test_counts_below_matches_pointwise():
-    table = build_membership((8, 12, 34, 71), 130)
-    points = [0, 1, 13, 25, 49, 97, 110, 131]
-    assert table.counts_below(points) == [table.count_below(k) for k in points]
-
-
 def test_single_pair_gap_count():
     # for a single pair the number of gaps equals (a-1)(b-1)/2
     for a, b in [(2, 3), (3, 4), (4, 5), (2, 13), (3, 22), (6, 43)]:
@@ -156,8 +152,33 @@ def test_bl_check_examples():
 def test_bl_check_validation():
     with pytest.raises(ValueError, match="numerical semigroup"):
         bl_check_unicuspidal(5, (4, 6))
-    with pytest.raises(ValueError, match="bound"):
-        bl_check_unicuspidal(10, (2, 3), bound=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(2, 60), min_size=1, max_size=4).filter(
+        lambda gens: reduce(gcd, gens) == 1
+    ),
+    st.integers(2, 30),
+)
+def test_bl_check_matches_naive_count(generators, degree):
+    # the one-pass check against a plain count of every point, j = 0..d-2
+    members = naive_members(generators, (degree - 2) * degree + 1)
+    expect = (True, None, None, None)
+    for j in range(degree - 1):
+        count = sum(1 for m in members if m < j * degree + 1)
+        wanted = (j + 1) * (j + 2) // 2
+        if count != wanted:
+            expect = (False, j, count, wanted)
+            break
+    verdict = bl_check_unicuspidal(degree, tuple(generators))
+    assert verdict.degree == degree
+    assert (
+        verdict.passed,
+        verdict.first_failing_j,
+        verdict.failing_count,
+        verdict.failing_expected,
+    ) == expect
 
 
 def test_bl_accepts_all_listed_curves():
