@@ -15,9 +15,24 @@ a degree-d rational cuspidal curve, demands
 
 where R(k) counts semigroup elements in [0, k).  It is a necessary
 condition for a candidate cusp to be realized by a plane curve and is the
-main pruning filter of the enumerator.  The check walks the table once in
-ascending order, counting each stretch between consecutive points, and
-stops at the first failing j: most candidates fail at j = 1 or 2.
+main pruning filter of the enumerator.  The check builds only the
+membership bits it reads, and each saving is lossless:
+
+1. A table closed over [0, B] is exact on [0, B], so checking j <= J needs
+   only [0, J*d].  Stage one checks j <= 2, where most candidates fail, on
+   O(d) bits; only the survivors build a larger table.
+2. A plane-branch semigroup is symmetric (Kunz 1970).  When S is symmetric
+   with conductor (d-1)(d-2), i.e. delta equals the genus,
+   R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2, so the
+   first failing j is always <= floor((d-3)/2) and the table stops there.
+3. The generators of a plane branch are telescopic (Kirfel-Pellikaan
+   1995): every member is sum a_i w_i with 0 <= a_i < n_i for i >= 2, so
+   coefficients >= n_i add no new members and the closure under w_i stops
+   below n_i w_i.
+
+Symmetry and the conductor are not assumed: an O(k^2) test on the
+generators proves both, and any other input is checked over the full
+range.  No table over ``TABLE_BIT_CAP`` bits is built.
 """
 
 from __future__ import annotations
@@ -27,6 +42,8 @@ from functools import reduce
 from math import gcd
 
 from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
+
+TABLE_BIT_CAP = 1 << 30  # largest membership table the counting check builds
 
 
 def generators_from_newton(pairs: Pairs) -> tuple[int, ...]:
@@ -81,23 +98,79 @@ def _count_bit_range(data: bytes, lo: int, hi: int) -> int:
     return chunk.bit_count()
 
 
+def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
+    if not generators:
+        raise ValueError("need at least one generator")
+    if min(generators) < 1:
+        raise ValueError("generators must be positive")
+    return tuple(sorted(set(generators)))
+
+
+def _close(
+    generators: tuple[int, ...], bound: int, caps: list[int | None] | None = None
+) -> int:
+    """Bitset of the members of <generators> in [0, bound].
+
+    Closes {0} under addition of each generator g by shift-or with doubling
+    strides g, 2g, 4g, ...: after the strides up to 2^t g every multiple
+    m g with m < 2^(t+1) has been added.  The strides stop at the bound or,
+    where ``caps`` gives a cap for g, below it, which still adds every
+    m g < cap.  The table is exact on [0, bound] whatever the bound: a
+    member x <= bound is a sum whose partial sums all stay <= x, so the
+    mask never drops one that is needed.
+    """
+    mask = (1 << (bound + 1)) - 1
+    bits = 1
+    for g, cap in zip(generators, caps or (None,) * len(generators)):
+        limit = bound if cap is None else min(bound, cap - 1)
+        shift = g
+        while shift <= limit:
+            bits |= (bits << shift) & mask
+            shift <<= 1
+    return bits
+
+
 def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigroup:
     """Materialize membership over [0, bound] by closing {0} under addition
     of each generator (shift-or with doubling strides)."""
-    if not generators:
-        raise ValueError("need at least one generator")
-    if any(g < 1 for g in generators):
-        raise ValueError("generators must be positive")
+    gens = _sorted_generators(generators)
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    mask = (1 << (bound + 1)) - 1
-    bits = 1
-    for g in sorted(set(generators)):
-        shift = g
-        while shift <= bound:
-            bits |= (bits << shift) & mask
-            shift <<= 1
-    return NumericalSemigroup(tuple(sorted(set(generators))), bound, bits)
+    return NumericalSemigroup(gens, bound, _close(gens, bound))
+
+
+def _telescopic(
+    generators: tuple[int, ...],
+) -> tuple[int, list[int | None]] | None:
+    """Frobenius number and closure caps of a telescopic semigroup, or None.
+
+    For sorted generators w_1 < ... < w_k with gcd 1 let e_i = gcd(w_1..w_i)
+    and n_i = e_(i-1) / e_i.  The sequence is telescopic when n_i w_i lies
+    in <w_1..w_(i-1)> for every i >= 2, as the generators of a plane branch
+    do (Kirfel-Pellikaan 1995).  Then every member has exactly one
+    representation sum a_i w_i with a_1 >= 0 and 0 <= a_i < n_i for i >= 2,
+    the semigroup is symmetric, and its Frobenius number is
+    sum_(i>=2) (n_i - 1) w_i - w_1.  The test reads membership of n_i w_i off
+    that representation over the prefix, already known to be telescopic:
+    for l = i-1 down to 2, a_l is fixed mod n_l by x - a_l w_l = 0 (mod e_(l-1)),
+    and x is a member iff what is left for a_1 is >= 0.  O(k^2) steps.
+
+    The caps are n_i w_i for i >= 2 and None for w_1: by the representation,
+    coefficients a_i >= n_i add no new members.
+    """
+    e = [generators[0]]
+    n = [1]
+    for i, w in enumerate(generators[1:], 1):
+        e.append(gcd(e[-1], w))
+        n.append(e[-2] // e[-1])
+        x = n[i] * w
+        for l in range(i - 1, 0, -1):
+            x -= (x // e[l]) * pow(generators[l] // e[l], -1, n[l]) % n[l] * generators[l]
+        if x < 0:
+            return None
+    frobenius = sum((ni - 1) * w for ni, w in zip(n, generators)) - generators[0]
+    caps = [None] + [ni * w for ni, w in zip(n[1:], generators[1:])]
+    return frobenius, caps
 
 
 @dataclass(frozen=True)
@@ -114,23 +187,28 @@ class BLCheckResult:
         return self.passed
 
 
-def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
-    """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
+class TableTooLargeError(ValueError):
+    """The counting check would need a table of more than TABLE_BIT_CAP bits."""
 
-    One ascending pass over a membership table of [0, (d-2)*d + 1], the
-    largest argument probed: R(j*d + 1) is R((j-1)*d + 1) plus the members
-    in between, and the pass returns at the first failing j, which it
-    reports for diagnostics.
-    """
-    if degree < 2:
-        raise ValueError(f"degree must be >= 2, got {degree}")
-    if reduce(gcd, generators) != 1:
-        raise ValueError(f"generators {generators} do not generate a numerical semigroup")
-    bound = (degree - 2) * degree + 1
-    data = build_membership(generators, bound).bits.to_bytes(bound // 8 + 1, "little")
+
+def _walk(
+    degree: int,
+    generators: tuple[int, ...],
+    last_j: int,
+    caps: list[int | None] | None = None,
+) -> BLCheckResult:
+    # R(j*d + 1) for j = 0..last_j in one ascending pass over a table closed
+    # over [0, last_j*d], the bits below the largest point probed
+    bound = last_j * degree
+    if bound + 1 > TABLE_BIT_CAP:
+        raise TableTooLargeError(
+            f"the counting check at degree {degree} needs a {bound + 1}-bit table, "
+            f"over the cap of {TABLE_BIT_CAP} bits"
+        )
+    data = _close(generators, bound, caps).to_bytes(bound // 8 + 1, "little")
     count = 0
     prev = 0
-    for j in range(degree - 1):
+    for j in range(last_j + 1):
         point = j * degree + 1
         count += _count_bit_range(data, prev, point)
         prev = point
@@ -138,3 +216,49 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         if count != expected:
             return BLCheckResult(degree, False, j, count, expected)
     return BLCheckResult(degree, True)
+
+
+def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
+    """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
+
+    Reports the first failing j, with R and the expected count there.  The
+    check runs in two stages, each one ascending pass over a membership
+    table closed over [0, J*d], the bits below the largest point it probes:
+
+    1. J = min(d-2, 2).  Most candidates fail here, on O(d) bits.
+    2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
+       generators are telescopic (``_telescopic``) with Frobenius number
+       (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
+       Telescopic generators also let each closure stride stop below
+       n_i w_i.
+
+    Each saving is lossless, so the result equals, field for field, that of
+    one pass over the full table:
+
+    (1) a table closed over [0, B] is exact on [0, B] (``_close``);
+    (2) a telescopic semigroup is symmetric, so with conductor
+        c = (d-1)(d-2), R(c - x) = R(x) + c/2 - x for 0 <= x <= c, which
+        gives R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2:
+        j fails iff d-3-j does, j = d-2 always holds, and the first failing
+        j is at most floor((d-3)/2);
+    (3) every member of a telescopic semigroup is sum a_i w_i with
+        0 <= a_i < n_i for i >= 2, so larger coefficients add no members.
+
+    A table over TABLE_BIT_CAP bits raises ``TableTooLargeError`` (a
+    ``ValueError``), whichever stage needs it.
+    """
+    if degree < 2:
+        raise ValueError(f"degree must be >= 2, got {degree}")
+    gens = _sorted_generators(generators)
+    if reduce(gcd, gens) != 1:
+        raise ValueError(f"generators {generators} do not generate a numerical semigroup")
+    verdict = _walk(degree, gens, min(degree - 2, 2))
+    if not verdict.passed or degree <= 4:  # failed, or every j checked
+        return verdict
+    last_j, caps = degree - 2, None
+    telescopic = _telescopic(gens)
+    if telescopic is not None:
+        frobenius, caps = telescopic
+        if frobenius + 1 == (degree - 1) * (degree - 2):
+            last_j = (degree - 3) // 2
+    return _walk(degree, gens, last_j, caps)

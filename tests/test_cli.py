@@ -222,6 +222,25 @@ def test_lemma212_match_is_bounded_for_huge_degrees(capsys):
     assert time.monotonic() - start < 1.0
 
 
+def test_counting_table_is_bounded_for_huge_degrees(capsys):
+    # (2,3) fails at j = 1 on a table of 2d + 1 bits; (999999,1000000)
+    # passes j <= 2 and would need ~5 * 10^11 bits for the rest, over the
+    # table cap, so it exits 2 with a message instead of exhausting memory
+    import time
+
+    start = time.monotonic()
+    code, out, _ = run(capsys, "invariants", "--pairs", "(2,3)", "--degree", "1000000")
+    assert code == 0
+    assert json.loads(out)["metadata"]["bl_check"] == {"passed": False, "first_failing_j": 1}
+    code, out, err = run(
+        capsys, "invariants", "--pairs", "(999999,1000000)", "--degree", "1000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "degree 1000000" in err and "Traceback" not in err
+    assert time.monotonic() - start < 5.0
+
+
 def test_factorizations_command(capsys):
     code, out, _ = run(capsys, "factorizations", "--n", "12")
     assert code == 0 and out.strip() == "8"

@@ -5,7 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import invariants as inv
+from cuspidal.enumerate import _pruned_extend, max_pairs_bound
 from cuspidal.semigroup import (
+    BLCheckResult,
+    _close,
+    _count_bit_range,
+    _generators,
+    _telescopic,
     bl_check_unicuspidal,
     build_membership,
     generators_from_newton,
@@ -152,6 +159,10 @@ def test_bl_check_examples():
 def test_bl_check_validation():
     with pytest.raises(ValueError, match="numerical semigroup"):
         bl_check_unicuspidal(5, (4, 6))
+    with pytest.raises(ValueError, match="need at least one generator"):
+        bl_check_unicuspidal(5, ())
+    with pytest.raises(ValueError, match="must be positive"):
+        bl_check_unicuspidal(5, (0, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -187,3 +198,89 @@ def test_bl_accepts_all_listed_curves():
     for degree, pairs, _ in THREE_PAIR_ROWS + FOUR_PAIR_ROWS:
         gens = generators_from_newton(pairs)
         assert bl_check_unicuspidal(degree, gens).passed, (degree, pairs)
+
+
+def full_table_check(degree, generators):
+    """The one-pass check over the full table [0, (d-2)d + 1], kept as the
+    oracle of the staged kernel."""
+    bound = (degree - 2) * degree + 1
+    data = build_membership(generators, bound).bits.to_bytes(bound // 8 + 1, "little")
+    count = 0
+    prev = 0
+    for j in range(degree - 1):
+        point = j * degree + 1
+        count += _count_bit_range(data, prev, point)
+        prev = point
+        expected = (j + 1) * (j + 2) // 2
+        if count != expected:
+            return BLCheckResult(degree, False, j, count, expected)
+    return BLCheckResult(degree, True)
+
+
+def delta_solved_candidates(max_degree):
+    # every (degree, generators) the pruned search hands to the counting
+    # check, k <= min(4, bound)
+    for degree in range(3, max_degree + 1):
+        target = (degree - 1) * (degree - 2)
+        for k in range(1, min(4, max_pairs_bound(degree)) + 1):
+            for a in range(2, degree):
+                for _, bs in _pruned_extend(k, target, a, (), 0, a, 1):
+                    newton = inv.newton_from_characteristic(a, bs)
+                    yield degree, _generators(newton, inv._puiseux_from_newton(newton))
+
+
+def test_bl_check_matches_full_table_on_candidates():
+    inputs = list(delta_solved_candidates(30))
+    assert len(inputs) == 10_136
+    staged = 0
+    for degree, gens in inputs:
+        # delta = genus: telescopic with conductor (d-1)(d-2), so the
+        # half range and the capped closure are in play
+        frobenius, _ = _telescopic(gens)
+        assert frobenius + 1 == (degree - 1) * (degree - 2)
+        expect = full_table_check(degree, gens)
+        assert bl_check_unicuspidal(degree, gens) == expect, (degree, gens)
+        staged += expect.passed or expect.first_failing_j > 2
+    assert staged == 1_174  # candidates that reach stage two
+
+
+def test_bl_check_matches_full_table_on_two_generator_semigroups():
+    # every <a, b> is telescopic, with conductor (a-1)(b-1): most differ
+    # from (d-1)(d-2), and the staged kernel must keep the full range there
+    past_half = 0
+    for a in range(2, 41):
+        for b in range(a + 1, 41):
+            if gcd(a, b) == 1:
+                for degree in range(2, 21):
+                    expect = full_table_check(degree, (a, b))
+                    assert bl_check_unicuspidal(degree, (b, a)) == expect, (degree, a, b)
+                    past_half += not expect.passed and expect.first_failing_j > (degree - 3) // 2
+    # e.g. (5, 18) at d = 10, conductor 68 != 72, first fails at j = 6 > 3
+    assert full_table_check(10, (5, 18)).first_failing_j == 6
+    assert past_half > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 30), min_size=1, max_size=4).filter(
+        lambda gens: reduce(gcd, gens) == 1
+    )
+)
+def test_telescopic_matches_brute_force(generators):
+    gens = tuple(sorted(set(generators)))
+    bound = gens[0] * gens[-1]  # past the Frobenius number (Brauer)
+    members = naive_members(gens, bound)
+    gaps = [x for x in range(bound + 1) if x not in members]
+    caps = [None]
+    for i in range(1, len(gens)):
+        n = reduce(gcd, gens[:i]) // reduce(gcd, gens[: i + 1])
+        if n * gens[i] not in naive_members(gens[:i], n * gens[i]):
+            assert _telescopic(gens) is None
+            return
+        caps.append(n * gens[i])
+    frobenius, got_caps = _telescopic(gens)
+    assert got_caps == caps
+    assert frobenius == max(gaps, default=-1)
+    assert 2 * len(gaps) == frobenius + 1  # symmetric
+    # coefficients a_i >= n_i add no new members
+    assert _close(gens, bound, got_caps) == build_membership(gens, bound).bits
