@@ -9,7 +9,10 @@ data subject to:
 (ii)  the rationality equation: the delta invariant must equal
       (d-1)(d-2)/2, i.e. the bracket (P_1-1)(Q_1-1) + sum (P_j-1) Q_j
       must equal (d-1)(d-2);
-(iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`).
+(iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
+      run once per delta-solved candidate on semigroup generators read
+      straight off (a; b_1..b_k); only the survivors become Newton pairs
+      and records.
 
 These are the only filters: repeated identical pairs and unit exponents
 (q_j = 1 for j >= 2) are legal and occur in genuine curves, so no ad-hoc
@@ -50,7 +53,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _generators, bl_check_unicuspidal
+from .semigroup import _characteristic_generators, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -196,14 +199,19 @@ def _paranoid_extend(k, target, a, bs, partial, P, depth):
 
 
 def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
-    # The search's data is validated once, here; valid Newton pairs imply
-    # valid Puiseux pairs, so the generators come from the unvalidated
-    # cores.  The few candidates that pass the counting check are validated
-    # again, strictly, by curve_record.
-    newton = inv.newton_from_characteristic(a, bs)
-    generators = _generators(newton, inv._puiseux_from_newton(newton))
-    if not bl_check_unicuspidal(degree, generators).passed:
+    # The search's data is validated once, here, as a characteristic
+    # sequence, and its generators come straight from it in O(k).  Only the
+    # few candidates that pass the counting check are turned into Newton
+    # pairs and a strict record.  Skipping validate_newton_pairs for the
+    # rest loses nothing: a valid characteristic sequence has valid Newton
+    # pairs.  With e_0 = a and e_j = gcd(e_(j-1), b_j), p_j = e_(j-1)/e_j >= 2
+    # as the chain drops; q_j = (b_j - b_(j-1))/e_j >= 1 is coprime to p_j,
+    # as gcd(e_(j-1), b_j - b_(j-1)) = gcd(e_(j-1), b_j) = e_j; and
+    # q_1 = b_1/e_1 > a/e_1 = p_1.  The survivors are validated again.
+    inv.validate_characteristic(a, bs)
+    if not bl_check_unicuspidal(degree, _characteristic_generators(a, bs)).passed:
         return None
+    newton = inv.newton_from_characteristic(a, bs)
     record = curve_record(degree, newton, existence=CANDIDATE)
     runs = record.mult + ((1, 2),)  # the sequence goes on with 1s
     m1 = runs[0][0]
@@ -241,18 +249,18 @@ def _enumerate_task(args) -> list[CurveRecord]:
 
 
 def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
-    """Every candidate of degree <= max_degree over all admissible pair
-    counts (capped at 4), attributed and existence-resolved.
+    """Every candidate of degree <= max_degree over every admissible pair
+    count k = 1..max_pairs_bound(d), attributed and existence-resolved.
 
-    The output is proved complete for max_degree <= 30; records above 30
-    are flagged "frontier" (pair counts >= 5 first become possible at
-    degree 33 and are not searched).  Workers parallelize over the
-    (degree, pair count) grid; the merge preserves canonical order.
+    The candidate list is exhaustive at every degree.  Existence is proved
+    complete only for degrees <= 30; records above 30 are flagged
+    "frontier".  Workers parallelize over the (degree, pair count) grid;
+    the merge preserves canonical order.
     """
     tasks = [
         (d, k)
         for d in range(3, max_degree + 1)
-        for k in range(1, min(4, max_pairs_bound(d)) + 1)
+        for k in range(1, max_pairs_bound(d) + 1)
     ]
     merged = {
         (record.degree, record.newton): record

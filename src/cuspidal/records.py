@@ -107,7 +107,7 @@ def curve_record(
             raise inv.InvalidCuspData(
                 f"delta {delta} != genus {inv.genus_target(degree)} at degree {degree}"
             )
-        gens = _generators(newton, puiseux)
+        gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
         P1, Q1 = puiseux[0]
         lct_value = Fraction(1, P1) + Fraction(1, Q1)
         self_int = 3 * degree - 1 - P1 - sum(Q for _, Q in puiseux)

@@ -3,10 +3,12 @@
 The local intersection multiplicities of a cusp with other curve germs form
 a numerical semigroup.  Its minimal generators come from the Newton pairs by
 the recursion ``w_1 = P_1``, ``w_2 = Q_1``, ``w_j = p_{j-2} w_{j-1} +
-Q_{j-1}``.  Membership up to a bound is materialized as a bitset inside one
-Python integer (bit x set iff x is in the semigroup), which keeps the
-closure computation and the counting function at C speed even for bounds in
-the tens of millions.
+Q_{j-1}`` (``_generators``, shared by every caller).  The characteristic
+sequence (a; b_1..b_k) gives p_j and Q_j = b_j - b_{j-1} through its gcd
+chain, so the generators of a search candidate cost O(k).  Membership up to
+a bound is materialized as a bitset inside one Python integer (bit x set
+iff x is in the semigroup), which keeps the closure computation and the
+counting function at C speed even for bounds in the tens of millions.
 
 The Borodzik-Livingston counting criterion, specialized to a single cusp of
 a degree-d rational cuspidal curve, demands
@@ -20,7 +22,8 @@ membership bits it reads, and each saving is lossless:
 
 1. A table closed over [0, B] is exact on [0, B], so checking j <= J needs
    only [0, J*d].  Stage one checks j <= 2, where most candidates fail, on
-   O(d) bits; only the survivors build a larger table.
+   O(d) bits, with one popcount of the table int per j; only the survivors
+   build a larger table.
 2. A plane-branch semigroup is symmetric (Kunz 1970).  When S is symmetric
    with conductor (d-1)(d-2), i.e. delta equals the genus,
    R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2, so the
@@ -37,9 +40,10 @@ range.  No table over ``TABLE_BIT_CAP`` bits is built.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
 
@@ -55,15 +59,32 @@ def generators_from_newton(pairs: Pairs) -> tuple[int, ...]:
     if not pairs:
         return (1,)
     validate_newton_pairs(pairs)
-    return _generators(pairs, newton_to_puiseux(pairs))
+    puiseux = newton_to_puiseux(pairs)
+    return _generators([p for p, _ in pairs], [Q for _, Q in puiseux])
 
 
-def _generators(pairs: Pairs, puiseux: Pairs) -> tuple[int, ...]:
-    # unvalidated core of generators_from_newton
-    w = [puiseux[0][0], puiseux[0][1]]
-    for j in range(1, len(pairs)):
-        w.append(pairs[j - 1][0] * w[-1] + puiseux[j][1])
+def _generators(ps: Sequence[int], Qs: Sequence[int]) -> tuple[int, ...]:
+    """The generator recursion, unvalidated: from the Newton p_1..p_k and
+    the Puiseux Q_1..Q_k, w_1 = P_1 = p_1 ... p_k, w_2 = Q_1 and
+    w_(j+1) = p_(j-1) w_j + Q_j for j >= 2."""
+    w = [prod(ps), Qs[0]]
+    for p, Q in zip(ps, Qs[1:]):
+        w.append(p * w[-1] + Q)
     return tuple(w)
+
+
+def _characteristic_generators(a: int, bs: tuple[int, ...]) -> tuple[int, ...]:
+    """Generators of the characteristic sequence (a; b_1..b_k), unvalidated,
+    in O(k) (Zariski): the gcd chain e_0 = a, e_j = gcd(e_(j-1), b_j) gives
+    p_j = e_(j-1) / e_j, and Q_j = b_j - b_(j-1) with b_0 = 0."""
+    ps, Qs = [], []
+    e, prev = a, 0
+    for b in bs:
+        en = gcd(e, b)
+        ps.append(e // en)
+        Qs.append(b - prev)
+        e, prev = en, b
+    return _generators(ps, Qs)
 
 
 @dataclass(frozen=True)
@@ -191,6 +212,28 @@ class TableTooLargeError(ValueError):
     """The counting check would need a table of more than TABLE_BIT_CAP bits."""
 
 
+def _check_table_size(degree: int, bound: int) -> None:
+    if bound + 1 > TABLE_BIT_CAP:
+        raise TableTooLargeError(
+            f"the counting check at degree {degree} needs a {bound + 1}-bit table, "
+            f"over the cap of {TABLE_BIT_CAP} bits"
+        )
+
+
+def _stage_one(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
+    # R(j*d + 1) for j = 1..min(d-2, 2), each one popcount of the table closed
+    # over [0, min(d-2, 2)*d]; j = 0 always holds, as R(1) = 1
+    last_j = min(degree - 2, 2)
+    _check_table_size(degree, last_j * degree)
+    bits = _close(generators, last_j * degree)
+    for j in range(1, last_j + 1):
+        count = (bits & ((2 << j * degree) - 1)).bit_count()
+        expected = (j + 1) * (j + 2) // 2
+        if count != expected:
+            return BLCheckResult(degree, False, j, count, expected)
+    return BLCheckResult(degree, True)
+
+
 def _walk(
     degree: int,
     generators: tuple[int, ...],
@@ -200,11 +243,7 @@ def _walk(
     # R(j*d + 1) for j = 0..last_j in one ascending pass over a table closed
     # over [0, last_j*d], the bits below the largest point probed
     bound = last_j * degree
-    if bound + 1 > TABLE_BIT_CAP:
-        raise TableTooLargeError(
-            f"the counting check at degree {degree} needs a {bound + 1}-bit table, "
-            f"over the cap of {TABLE_BIT_CAP} bits"
-        )
+    _check_table_size(degree, bound)
     data = _close(generators, bound, caps).to_bytes(bound // 8 + 1, "little")
     count = 0
     prev = 0
@@ -222,15 +261,17 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
 
     Reports the first failing j, with R and the expected count there.  The
-    check runs in two stages, each one ascending pass over a membership
-    table closed over [0, J*d], the bits below the largest point it probes:
+    check runs in two stages, each on a membership table closed over
+    [0, J*d], the bits below the largest point it probes:
 
-    1. J = min(d-2, 2).  Most candidates fail here, on O(d) bits.
-    2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
-       generators are telescopic (``_telescopic``) with Frobenius number
-       (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
-       Telescopic generators also let each closure stride stop below
-       n_i w_i.
+    1. J = min(d-2, 2).  Most candidates fail here, on O(d) bits.  R(d+1)
+       and R(2d+1) are popcounts of the masked table int; j = 0 is not
+       probed, as R(1) = 1 always holds.
+    2. Only for a cusp that passes stage 1, one ascending pass over the
+       table's bytes: J = d-2, unless the sorted generators are telescopic
+       (``_telescopic``) with Frobenius number (d-1)(d-2) - 1, i.e. delta
+       equals the genus; then J = floor((d-3)/2).  Telescopic generators
+       also let each closure stride stop below n_i w_i.
 
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
@@ -245,14 +286,14 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         0 <= a_i < n_i for i >= 2, so larger coefficients add no members.
 
     A table over TABLE_BIT_CAP bits raises ``TableTooLargeError`` (a
-    ``ValueError``), whichever stage needs it.
+    ``ValueError``), whichever stage needs it, before any bit is built.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
     gens = _sorted_generators(generators)
     if reduce(gcd, gens) != 1:
         raise ValueError(f"generators {generators} do not generate a numerical semigroup")
-    verdict = _walk(degree, gens, min(degree - 2, 2))
+    verdict = _stage_one(degree, gens)
     if not verdict.passed or degree <= 4:  # failed, or every j checked
         return verdict
     last_j, caps = degree - 2, None

@@ -1,15 +1,18 @@
 import pytest
 
+from cuspidal import enumerate as search
 from cuspidal.enumerate import (
     PARANOID,
     PRUNED,
     PairCountBoundError,
     SearchConfig,
+    _pruned_extend,
     classify_range,
     enumerate_candidates,
     max_pairs_bound,
 )
 from cuspidal.invariants import newton_to_puiseux
+from cuspidal.records import record_to_flat_dict
 
 
 def test_max_pairs_bound():
@@ -169,3 +172,34 @@ def test_classify_range_flags_frontier_degrees():
     above = [r for r in records if r.degree == 31]
     assert above and all("frontier" in r.flags for r in above)
     assert all("frontier" not in r.flags for r in records if r.degree <= 30)
+
+
+def test_classify_range_searches_five_pairs():
+    # k = 5 first becomes possible at d = 33; the first five-pair cusp is
+    # the AMS member at d = 48
+    records = classify_range(48)
+    five = [r for r in records if len(r.newton) == 5]
+    assert [(r.degree, r.newton) for r in five] == [
+        (48, ((2, 3), (2, 5), (2, 3), (2, 3), (2, 3)))
+    ]
+    assert record_to_flat_dict(five[0])["family"] == "ams[3, 2, 2, 2, 2]"
+    assert five[0].existence == "proved-reduction"
+    assert "frontier" in five[0].flags
+
+
+def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
+    calls = []
+    check = search.bl_check_unicuspidal
+
+    def counted(degree, generators):
+        calls.append(degree)
+        return check(degree, generators)
+
+    monkeypatch.setattr(search, "bl_check_unicuspidal", counted)
+    solved = 0
+    for d in range(3, 31):
+        target = (d - 1) * (d - 2)
+        for k in range(1, min(4, max_pairs_bound(d)) + 1):
+            enumerate_candidates(SearchConfig(d, k))
+            solved += sum(1 for a in range(2, d) for _ in _pruned_extend(k, target, a, (), 0, a, 1))
+    assert len(calls) == solved == 10_136

@@ -1,17 +1,19 @@
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cuspidal import invariants as inv
+from cuspidal import semigroup
 from cuspidal.enumerate import _pruned_extend, max_pairs_bound
 from cuspidal.semigroup import (
     BLCheckResult,
+    TableTooLargeError,
+    _characteristic_generators,
     _close,
     _count_bit_range,
-    _generators,
     _telescopic,
     bl_check_unicuspidal,
     build_membership,
@@ -217,16 +219,65 @@ def full_table_check(degree, generators):
     return BLCheckResult(degree, True)
 
 
-def delta_solved_candidates(max_degree):
-    # every (degree, generators) the pruned search hands to the counting
-    # check, k <= min(4, bound)
+def delta_solved_sequences(max_degree):
+    # every (degree, a, bs) the pruned search hands to the counting check,
+    # k <= min(4, bound)
     for degree in range(3, max_degree + 1):
         target = (degree - 1) * (degree - 2)
         for k in range(1, min(4, max_pairs_bound(degree)) + 1):
             for a in range(2, degree):
                 for _, bs in _pruned_extend(k, target, a, (), 0, a, 1):
-                    newton = inv.newton_from_characteristic(a, bs)
-                    yield degree, _generators(newton, inv._puiseux_from_newton(newton))
+                    yield degree, a, bs
+
+
+def delta_solved_candidates(max_degree):
+    # the same candidates as (degree, generators), through the Newton pairs
+    for degree, a, bs in delta_solved_sequences(max_degree):
+        yield degree, generators_from_newton(inv.newton_from_characteristic(a, bs))
+
+
+def test_characteristic_generators_match_newton_path_on_candidates():
+    inputs = list(delta_solved_sequences(30))
+    assert len(inputs) == 10_136
+    for degree, a, bs in inputs:
+        expect = generators_from_newton(inv.newton_from_characteristic(a, bs))
+        assert _characteristic_generators(a, bs) == expect, (degree, a, bs)
+
+
+@st.composite
+def characteristic_sequences(draw):
+    # a valid (a; b_1..b_k): the gcd chain e_j = p_(j+1) ... p_k drops by
+    # p_j >= 2 at every b_j, and b_j - b_(j-1) = m_j e_j with m_j coprime to
+    # p_j (m_1 > p_1, so that b_1 > a)
+    ps = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))
+    e = [prod(ps[j:]) for j in range(len(ps) + 1)]
+    bs, prev = [], 0
+    for j, p in enumerate(ps):
+        m = draw(st.integers(p + 1 if j == 0 else 1, 40))
+        while gcd(m, p) != 1:
+            m += 1
+        prev += m * e[j + 1]
+        bs.append(prev)
+    return e[0], tuple(bs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(characteristic_sequences())
+def test_characteristic_generators_match_newton_path(sequence):
+    a, bs = sequence
+    inv.validate_characteristic(a, bs)
+    expect = generators_from_newton(inv.newton_from_characteristic(a, bs))
+    assert _characteristic_generators(a, bs) == expect
+
+
+def test_stage_one_cap_is_checked_before_any_table(monkeypatch):
+    # stage one at d = 2^29 + 1 needs 2d + 1 = 2^30 + 3 bits
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(semigroup, "_close", no_table)
+    with pytest.raises(TableTooLargeError, match="1073741827-bit table"):
+        bl_check_unicuspidal(2**29 + 1, (2, 3))
 
 
 def test_bl_check_matches_full_table_on_candidates():
