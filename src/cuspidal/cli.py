@@ -136,7 +136,7 @@ def _cmd_enumerate(args) -> int:
         records = enumerate_candidates(config)
     except PairCountBoundError as exc:
         if args.pairs > 4:
-            raise  # pair counts >= 5 are out of scope, not provably empty
+            raise  # past the bound, k >= 5 is an input error (exit 2), not an empty result
         records, note = [], f"provably empty: {exc}"
     if args.classify:
         records = [classify_record(r) for r in records]

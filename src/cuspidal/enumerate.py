@@ -11,8 +11,8 @@ data subject to:
       must equal (d-1)(d-2);
 (iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
       run once per delta-solved candidate on semigroup generators read
-      straight off (a; b_1..b_k); only the survivors become Newton pairs
-      and records.
+      straight off the gcd chain of (a; b_1..b_k); only the survivors
+      become Newton pairs and records.
 
 These are the only filters: repeated identical pairs and unit exponents
 (q_j = 1 for j >= 2) are legal and occur in genuine curves, so no ad-hoc
@@ -33,9 +33,9 @@ Two modes produce identical sets and cross-validate each other:
   delta bracket dominates the telescoped exponent differences) and the
   monotone budget break within each loop.
 
-Emitted records always satisfy a <= d - 1 and m_1 + m_2 <= d; the second
-is the tangent-line bound, applied as a post-filter rather than assumed
-during the search.
+Emitted records always satisfy a <= d - 1 and m_1 + m_2 <= d, the
+tangent-line bound.  Neither is a filter of its own: the counting
+criterion's j = 1 condition implies both (see ``_finalize``).
 
 The search is embarrassingly parallel over the leading multiplicity a:
 each a is one task, a single process pool hands the tasks out as workers
@@ -53,7 +53,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _characteristic_generators, bl_check_unicuspidal
+from .semigroup import _generators, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -199,26 +199,16 @@ def _paranoid_extend(k, target, a, bs, partial, P, depth):
 
 
 def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
-    # The search's data is validated once, here, as a characteristic
-    # sequence, and its generators come straight from it in O(k).  Only the
-    # few candidates that pass the counting check are turned into Newton
-    # pairs and a strict record.  Skipping validate_newton_pairs for the
-    # rest loses nothing: a valid characteristic sequence has valid Newton
-    # pairs.  With e_0 = a and e_j = gcd(e_(j-1), b_j), p_j = e_(j-1)/e_j >= 2
-    # as the chain drops; q_j = (b_j - b_(j-1))/e_j >= 1 is coprime to p_j,
-    # as gcd(e_(j-1), b_j - b_(j-1)) = gcd(e_(j-1), b_j) = e_j; and
-    # q_1 = b_1/e_1 > a/e_1 = p_1.  The survivors are validated again.
-    inv.validate_characteristic(a, bs)
-    if not bl_check_unicuspidal(degree, _characteristic_generators(a, bs)).passed:
+    # One gcd-chain walk validates the search's data and gives the
+    # generators; only survivors of the counting check become Newton pairs
+    # (validated again; a valid characteristic sequence has valid Newton
+    # pairs) and a record.  No tangent-line filter is needed: the three
+    # smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for d >= 3
+    # the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
+    generators = _generators(*inv.characteristic_chain(a, bs))
+    if not bl_check_unicuspidal(degree, generators).passed:
         return None
-    newton = inv.newton_from_characteristic(a, bs)
-    record = curve_record(degree, newton, existence=CANDIDATE)
-    runs = record.mult + ((1, 2),)  # the sequence goes on with 1s
-    m1 = runs[0][0]
-    m2 = m1 if runs[0][1] > 1 else runs[1][0]
-    if m1 + m2 > degree:  # tangent-line bound, post-filter
-        return None
-    return record
+    return curve_record(degree, inv.newton_from_characteristic(a, bs), existence=CANDIDATE)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +252,7 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
         for d in range(3, max_degree + 1)
         for k in range(1, max_pairs_bound(d) + 1)
     ]
-    merged = {
-        (record.degree, record.newton): record
-        for record in _run_tasks(_enumerate_task, tasks, worker_count)
-    }
-    return [
-        classify_record(record, frontier=record.degree > 30)
-        for record in sorted(merged.values(), key=CurveRecord.sort_key)
-    ]
+    # the tasks are distinct (d, k) and k = len(newton): no record repeats
+    records = _run_tasks(_enumerate_task, tasks, worker_count)
+    records.sort(key=CurveRecord.sort_key)
+    return [classify_record(record, frontier=record.degree > 30) for record in records]

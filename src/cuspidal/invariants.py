@@ -86,12 +86,16 @@ def validate_puiseux_pairs(pairs: Pairs) -> None:
             raise InvalidCuspData(f"pair {j + 1}: Q must be >= next P")
 
 
-def validate_characteristic(a: int, b: tuple[int, ...]) -> None:
-    """Check that (a; b_1, ..., b_k) is a valid characteristic sequence.
+def characteristic_chain(
+    a: int, b: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Validate (a; b_1, ..., b_k) as a characteristic sequence and return
+    its gcd chain as the Newton p_1..p_k and the Puiseux Q_1..Q_k.
 
-    Required: 1 < a < b_1, strictly increasing b, a does not divide b_1,
-    gcd(a, b_1, ..., b_k) = 1, and the gcd chain strictly decreases at
-    every listed exponent (each b_i is characteristic).
+    Required: 1 < a < b_1, strictly increasing b, gcd(a, b_1, ..., b_k) = 1,
+    and the gcd chain e_0 = a, e_j = gcd(e_(j-1), b_j) strictly decreases at
+    every listed exponent (each b_j is characteristic; so a does not divide
+    b_1).  Then p_j = e_(j-1) / e_j and Q_j = b_j - b_(j-1) with b_0 = 0.
     """
     if a < 2:
         raise InvalidCuspData(f"multiplicity a must be >= 2, got {a}")
@@ -99,6 +103,7 @@ def validate_characteristic(a: int, b: tuple[int, ...]) -> None:
         raise InvalidCuspData("characteristic sequence needs at least one exponent")
     if b[0] <= a:
         raise InvalidCuspData(f"b_1 must exceed a, got a={a}, b_1={b[0]}")
+    ps, Qs = [], []
     g = a
     prev = 0
     for i, bi in enumerate(b, start=1):
@@ -107,9 +112,12 @@ def validate_characteristic(a: int, b: tuple[int, ...]) -> None:
         gn = gcd(g, bi)
         if gn == g:
             raise InvalidCuspData(f"b_{i}={bi} is not characteristic (gcd does not drop)")
+        ps.append(g // gn)
+        Qs.append(bi - prev)
         g, prev = gn, bi
     if g != 1:
         raise InvalidCuspData(f"gcd(a, b_1, ..., b_k) = {g} != 1")
+    return tuple(ps), tuple(Qs)
 
 
 def validate_multiplicity(runs: MultRuns) -> None:
@@ -180,18 +188,15 @@ def characteristic_seq(pairs: Pairs) -> tuple[int, tuple[int, ...]]:
 
 
 def newton_from_characteristic(a: int, b: tuple[int, ...]) -> Pairs:
-    """Recover the Newton pairs from a characteristic sequence by running
-    the gcd chain P_{j+1} = gcd(P_j, b_j)."""
-    validate_characteristic(a, b)
-    P = [a]
-    for bi in b:
-        P.append(gcd(P[-1], bi))
+    """Recover the Newton pairs from a characteristic sequence, off its gcd
+    chain (:func:`characteristic_chain`): (p_j, q_j) = (p_j, Q_j / e_j),
+    where e_j = e_(j-1) / p_j divides b_j and b_(j-1)."""
+    ps, Qs = characteristic_chain(a, b)
     pairs = []
-    prev_b = 0
-    for j, bi in enumerate(b):
-        Q = bi - prev_b  # divisible by P[j+1], which divides b_j and b_{j-1}
-        pairs.append((P[j] // P[j + 1], Q // P[j + 1]))
-        prev_b = bi
+    e = a
+    for p, Q in zip(ps, Qs):
+        e //= p
+        pairs.append((p, Q // e))
     result = tuple(pairs)
     validate_newton_pairs(result)
     return result

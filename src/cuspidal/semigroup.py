@@ -3,12 +3,13 @@
 The local intersection multiplicities of a cusp with other curve germs form
 a numerical semigroup.  Its minimal generators come from the Newton pairs by
 the recursion ``w_1 = P_1``, ``w_2 = Q_1``, ``w_j = p_{j-2} w_{j-1} +
-Q_{j-1}`` (``_generators``, shared by every caller).  The characteristic
-sequence (a; b_1..b_k) gives p_j and Q_j = b_j - b_{j-1} through its gcd
-chain, so the generators of a search candidate cost O(k).  Membership up to
-a bound is materialized as a bitset inside one Python integer (bit x set
-iff x is in the semigroup), which keeps the closure computation and the
-counting function at C speed even for bounds in the tens of millions.
+Q_{j-1}`` (``_generators``, shared by every caller).  The gcd chain of a
+characteristic sequence (a; b_1..b_k) gives p_j and Q_j = b_j - b_{j-1}
+(``invariants.characteristic_chain``), so the generators of a search
+candidate cost O(k).  Membership up to a bound is materialized as a bitset
+inside one Python integer (bit x set iff x is in the semigroup), which
+keeps the closure computation and the counting function at C speed even
+for bounds in the tens of millions.
 
 The Borodzik-Livingston counting criterion, specialized to a single cusp of
 a degree-d rational cuspidal curve, demands
@@ -44,6 +45,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
 from math import gcd, prod
+from typing import NamedTuple
 
 from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
 
@@ -71,20 +73,6 @@ def _generators(ps: Sequence[int], Qs: Sequence[int]) -> tuple[int, ...]:
     for p, Q in zip(ps, Qs[1:]):
         w.append(p * w[-1] + Q)
     return tuple(w)
-
-
-def _characteristic_generators(a: int, bs: tuple[int, ...]) -> tuple[int, ...]:
-    """Generators of the characteristic sequence (a; b_1..b_k), unvalidated,
-    in O(k) (Zariski): the gcd chain e_0 = a, e_j = gcd(e_(j-1), b_j) gives
-    p_j = e_(j-1) / e_j, and Q_j = b_j - b_(j-1) with b_0 = 0."""
-    ps, Qs = [], []
-    e, prev = a, 0
-    for b in bs:
-        en = gcd(e, b)
-        ps.append(e // en)
-        Qs.append(b - prev)
-        e, prev = en, b
-    return _generators(ps, Qs)
 
 
 @dataclass(frozen=True)
@@ -194,15 +182,26 @@ def _telescopic(
     return frobenius, caps
 
 
-@dataclass(frozen=True)
-class BLCheckResult:
-    """Outcome of the unicuspidal counting criterion at one degree."""
+class BLCheckResult(NamedTuple):
+    """Outcome of the unicuspidal counting criterion at one degree.
+
+    Stores only what the check measured: the first failing j and R(j*d + 1)
+    there, both None when every j holds.  ``passed``, the expected count
+    (j+1)(j+2)/2 and truthiness follow from them.
+    """
 
     degree: int
-    passed: bool
     first_failing_j: int | None = None
     failing_count: int | None = None
-    failing_expected: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.first_failing_j is None
+
+    @property
+    def failing_expected(self) -> int | None:
+        j = self.first_failing_j
+        return None if j is None else (j + 1) * (j + 2) // 2
 
     def __bool__(self) -> bool:
         return self.passed
@@ -228,10 +227,9 @@ def _stage_one(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     bits = _close(generators, last_j * degree)
     for j in range(1, last_j + 1):
         count = (bits & ((2 << j * degree) - 1)).bit_count()
-        expected = (j + 1) * (j + 2) // 2
-        if count != expected:
-            return BLCheckResult(degree, False, j, count, expected)
-    return BLCheckResult(degree, True)
+        if count != (j + 1) * (j + 2) // 2:
+            return BLCheckResult(degree, j, count)
+    return BLCheckResult(degree)
 
 
 def _walk(
@@ -251,18 +249,18 @@ def _walk(
         point = j * degree + 1
         count += _count_bit_range(data, prev, point)
         prev = point
-        expected = (j + 1) * (j + 2) // 2
-        if count != expected:
-            return BLCheckResult(degree, False, j, count, expected)
-    return BLCheckResult(degree, True)
+        if count != (j + 1) * (j + 2) // 2:
+            return BLCheckResult(degree, j, count)
+    return BLCheckResult(degree)
 
 
 def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
 
-    Reports the first failing j, with R and the expected count there.  The
-    check runs in two stages, each on a membership table closed over
-    [0, J*d], the bits below the largest point it probes:
+    Returns a :class:`BLCheckResult` with the first failing j and R there,
+    from which the expected count and the verdict follow.  The check runs
+    in two stages, each on a membership table closed over [0, J*d], the
+    bits below the largest point it probes:
 
     1. J = min(d-2, 2).  Most candidates fail here, on O(d) bits.  R(d+1)
        and R(2d+1) are popcounts of the masked table int; j = 0 is not

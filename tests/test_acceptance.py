@@ -41,10 +41,10 @@ from cuspidal.records import FLAG_INCONSISTENT
 from cuspidal.semigroup import bl_check_unicuspidal
 from cuspidal.tables import reproduce
 
-# Above this degree the membership bitset for the counting criterion would
-# exceed memory (it needs ~d^2/8 bytes); only a handful of the largest
-# Kashiwara grid members are affected, and every invariant that does not
-# need the table is still checked for them.
+# Above this degree the counting criterion is not run: its membership
+# table takes ~d^2/16 bytes and passes TABLE_BIT_CAP above d ~ 46,000;
+# only a handful of the largest Kashiwara grid members are affected, and
+# every invariant that does not need the table is still checked for them.
 BL_DEGREE_CAP = 20_000
 
 

@@ -84,14 +84,21 @@ def test_classify_range_worker_count_does_not_change_output():
 
 
 def test_emitted_records_satisfy_multiplicity_bounds():
-    for d in (8, 12, 16, 24):
+    # nothing filters on a <= d - 1 or m_1 + m_2 <= d: the counting check's
+    # j = 1 condition implies both, also where the paranoid a range runs
+    # past d - 1
+    records = classify_range(40)
+    for d in range(3, 21):
         for k in range(1, min(3, max_pairs_bound(d)) + 1):
-            for record in enumerate_candidates(SearchConfig(d, k)):
-                seq = [value for value, count in record.mult for _ in range(count)]
-                assert newton_to_puiseux(record.newton)[0][0] <= d - 1
-                m1 = seq[0]
-                m2 = seq[1] if len(seq) > 1 else 1
-                assert m1 + m2 <= d
+            records += enumerate_candidates(SearchConfig(d, k, PARANOID))
+    assert len(records) > 227
+    for record in records:
+        d = record.degree
+        seq = [value for value, count in record.mult for _ in range(count)]
+        assert newton_to_puiseux(record.newton)[0][0] <= d - 1
+        m1 = seq[0]
+        m2 = seq[1] if len(seq) > 1 else 1
+        assert m1 + m2 <= d, (d, record.newton)
 
 
 def test_classify_range_to_degree_four():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspidal.invariants import (
     InvalidCuspData,
+    characteristic_chain,
     characteristic_seq,
     delta_from_multiplicities,
     delta_from_puiseux,
@@ -191,6 +192,22 @@ def test_characteristic_validation():
         newton_from_characteristic(4, (8, 9))
     with pytest.raises(InvalidCuspData, match="gcd"):
         newton_from_characteristic(4, (6,))
+    # one case per rejection branch of the chain walk
+    with pytest.raises(InvalidCuspData, match="a must be >= 2"):
+        characteristic_chain(1, (3,))
+    with pytest.raises(InvalidCuspData, match="at least one exponent"):
+        characteristic_chain(4, ())
+    with pytest.raises(InvalidCuspData, match="b_1 must exceed a"):
+        characteristic_chain(4, (4, 5))
+    with pytest.raises(InvalidCuspData, match="strictly increase"):
+        characteristic_chain(6, (9, 8))
+    with pytest.raises(InvalidCuspData, match="b_2=16 is not characteristic"):
+        characteristic_chain(8, (12, 16, 17))
+    with pytest.raises(InvalidCuspData, match=r"gcd\(a, b_1, ..., b_k\) = 2 != 1"):
+        characteristic_chain(4, (6,))
+    # e = 8, 4, 2, 1: p_j = 2, and Q_j = b_j - b_(j-1)
+    assert characteristic_chain(8, (12, 22, 25)) == ((2, 2, 2), (12, 10, 3))
+    assert newton_from_characteristic(8, (12, 22, 25)) == ((2, 3), (2, 5), (2, 3))
 
 
 def test_runs_helpers():
