@@ -18,38 +18,48 @@ a degree-d rational cuspidal curve, demands
 
 where R(k) counts semigroup elements in [0, k).  It is a necessary
 condition for a candidate cusp to be realized by a plane curve and is the
-main pruning filter of the enumerator.  The check builds only the
-membership bits it reads, and each saving is lossless:
+main pruning filter of the enumerator.  The check builds no membership
+bit it does not read, and each saving is lossless:
 
 1. A table closed over [0, B] is exact on [0, B], so checking j <= J needs
    only [0, J*d].  Stage one checks j <= 2, where most candidates fail, on
    O(d) bits, with one popcount of the table int per j; only the survivors
-   build a larger table.
+   go on to stage two.
 2. A plane-branch semigroup is symmetric (Kunz 1970).  When S is symmetric
    with conductor (d-1)(d-2), i.e. delta equals the genus,
    R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2, so the
-   first failing j is always <= floor((d-3)/2) and the table stops there.
+   first failing j is always <= floor((d-3)/2) and stage two stops there.
 3. The generators of a plane branch are telescopic (Kirfel-Pellikaan
-   1995): every member is sum a_i w_i with 0 <= a_i < n_i for i >= 2, so
-   coefficients >= n_i add no new members and the closure under w_i stops
-   below n_i w_i.
+   1995), and then stage two needs no table: it counts R off the Apery set
+   of w_1, the least member of each residue class mod w_1.  Every member
+   has exactly one representation sum a_i w_i with a_1 >= 0 and
+   0 <= a_i < n_i for i >= 2, so the box sums sum_(i>=2) a_i w_i are
+   pairwise incongruent mod w_1 (two in one class, r < r', would give r'
+   the second representation r + t w_1), there are prod n_i = w_1 of them,
+   and each is the least member of its class, since every member is
+   a_1 w_1 plus one of them.  The members <= M are then r + t w_1 for box
+   sums r <= M and 0 <= t <= (M - r)//w_1, which gives R(M + 1) in closed
+   form per box sum; one ascending sweep over the sorted box serves every
+   j at w_1 <= d sums.
 
-Symmetry and the conductor are not assumed: an O(k^2) test on the
-generators proves both, and any other input is checked over the full
-range.  No table over ``TABLE_BIT_CAP`` bits is built.
+Symmetry, the conductor and the telescopic order are not assumed: an
+O(k^2) test on the generators proves them, and any other input is checked
+on a table over the full range.  No stage whose largest probe passes
+``TABLE_BIT_CAP`` bits runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd, prod
 from typing import NamedTuple
 
 from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
 
-TABLE_BIT_CAP = 1 << 30  # largest membership table the counting check builds
+# Largest range [0, J*d] a counting-check stage covers, in bits: the size of
+# its membership table, or, for the table-free count, a bound on its work
+TABLE_BIT_CAP = 1 << 30
 
 
 def generators_from_newton(pairs: Pairs) -> tuple[int, ...]:
@@ -115,25 +125,20 @@ def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(generators)))
 
 
-def _close(
-    generators: tuple[int, ...], bound: int, caps: list[int | None] | None = None
-) -> int:
+def _close(generators: tuple[int, ...], bound: int) -> int:
     """Bitset of the members of <generators> in [0, bound].
 
     Closes {0} under addition of each generator g by shift-or with doubling
-    strides g, 2g, 4g, ...: after the strides up to 2^t g every multiple
-    m g with m < 2^(t+1) has been added.  The strides stop at the bound or,
-    where ``caps`` gives a cap for g, below it, which still adds every
-    m g < cap.  The table is exact on [0, bound] whatever the bound: a
-    member x <= bound is a sum whose partial sums all stay <= x, so the
-    mask never drops one that is needed.
+    strides g, 2g, 4g, ... up to the bound: after the strides up to 2^t g
+    every multiple m g with m < 2^(t+1) has been added.  The table is exact
+    on [0, bound] whatever the bound: a member x <= bound is a sum whose
+    partial sums all stay <= x, so the mask never drops one that is needed.
     """
     mask = (1 << (bound + 1)) - 1
     bits = 1
-    for g, cap in zip(generators, caps or (None,) * len(generators)):
-        limit = bound if cap is None else min(bound, cap - 1)
+    for g in generators:
         shift = g
-        while shift <= limit:
+        while shift <= bound:
             bits |= (bits << shift) & mask
             shift <<= 1
     return bits
@@ -151,7 +156,7 @@ def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigr
 def _telescopic(
     generators: tuple[int, ...],
 ) -> tuple[int, list[int | None]] | None:
-    """Frobenius number and closure caps of a telescopic semigroup, or None.
+    """Frobenius number and box caps of a telescopic semigroup, or None.
 
     For sorted generators w_1 < ... < w_k with gcd 1 let e_i = gcd(w_1..w_i)
     and n_i = e_(i-1) / e_i.  The sequence is telescopic when n_i w_i lies
@@ -165,7 +170,8 @@ def _telescopic(
     and x is a member iff what is left for a_1 is >= 0.  O(k^2) steps.
 
     The caps are n_i w_i for i >= 2 and None for w_1: by the representation,
-    coefficients a_i >= n_i add no new members.
+    coefficients a_i >= n_i add no new members, and the box below the caps
+    is the Apery set of w_1 (``_apery``).
     """
     e = [generators[0]]
     n = [1]
@@ -180,6 +186,17 @@ def _telescopic(
     frobenius = sum((ni - 1) * w for ni, w in zip(n, generators)) - generators[0]
     caps = [None] + [ni * w for ni, w in zip(n[1:], generators[1:])]
     return frobenius, caps
+
+
+def _apery(generators: tuple[int, ...], caps: list[int | None]) -> list[int]:
+    """Sorted Apery set of w_1 in a telescopic semigroup, the least member
+    of each residue class mod w_1: the w_1 box sums sum_(i>=2) a_i w_i with
+    0 <= a_i < n_i, where n_i w_i are the caps of ``_telescopic`` (item 3
+    of the module docstring says why)."""
+    sums = [0]
+    for w, cap in zip(generators[1:], caps[1:]):
+        sums = [s + t for t in range(0, cap, w) for s in sums]
+    return sorted(sums)
 
 
 class BLCheckResult(NamedTuple):
@@ -232,17 +249,11 @@ def _stage_one(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     return BLCheckResult(degree)
 
 
-def _walk(
-    degree: int,
-    generators: tuple[int, ...],
-    last_j: int,
-    caps: list[int | None] | None = None,
-) -> BLCheckResult:
+def _walk(degree: int, generators: tuple[int, ...], last_j: int) -> BLCheckResult:
     # R(j*d + 1) for j = 0..last_j in one ascending pass over a table closed
     # over [0, last_j*d], the bits below the largest point probed
     bound = last_j * degree
-    _check_table_size(degree, bound)
-    data = _close(generators, bound, caps).to_bytes(bound // 8 + 1, "little")
+    data = _close(generators, bound).to_bytes(bound // 8 + 1, "little")
     count = 0
     prev = 0
     for j in range(last_j + 1):
@@ -254,22 +265,45 @@ def _walk(
     return BLCheckResult(degree)
 
 
+def _apery_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
+    # R(j*d + 1) for j = 0..last_j off the sorted Apery set of w_1: with
+    # q, s = divmod(M, w_1), R(M + 1) = sum over r <= M of (M - r)//w_1 + 1
+    # = c(q + 1) - U - #{r <= M : r mod w_1 > s}, where c counts the r <= M
+    # and U sums their r//w_1.  One pointer adds each r once; the residues
+    # of the r added so far are the bits of a w_1-bit int.
+    c = u = residues = 0
+    for j in range(last_j + 1):
+        point = j * degree
+        while c < w1 and apery[c] <= point:
+            q_r, s_r = divmod(apery[c], w1)
+            u += q_r
+            residues |= 1 << s_r
+            c += 1
+        q, s = divmod(point, w1)
+        count = c * (q + 1) - u - (residues >> (s + 1)).bit_count()
+        if count != (j + 1) * (j + 2) // 2:
+            return BLCheckResult(degree, j, count)
+    return BLCheckResult(degree)
+
+
 def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
 
     Returns a :class:`BLCheckResult` with the first failing j and R there,
     from which the expected count and the verdict follow.  The check runs
-    in two stages, each on a membership table closed over [0, J*d], the
-    bits below the largest point it probes:
+    in two stages, each over j = 0..J:
 
-    1. J = min(d-2, 2).  Most candidates fail here, on O(d) bits.  R(d+1)
-       and R(2d+1) are popcounts of the masked table int; j = 0 is not
-       probed, as R(1) = 1 always holds.
-    2. Only for a cusp that passes stage 1, one ascending pass over the
-       table's bytes: J = d-2, unless the sorted generators are telescopic
-       (``_telescopic``) with Frobenius number (d-1)(d-2) - 1, i.e. delta
-       equals the genus; then J = floor((d-3)/2).  Telescopic generators
-       also let each closure stride stop below n_i w_i.
+    1. J = min(d-2, 2), on a membership table closed over [0, J*d], the
+       bits below the largest point it probes.  Most candidates fail here,
+       on O(d) bits.  R(d+1) and R(2d+1) are popcounts of the masked table
+       int; j = 0 is not probed, as R(1) = 1 always holds.
+    2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
+       generators are telescopic (``_telescopic``) with Frobenius number
+       (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
+       Telescopic generators are counted off the Apery set of w_1
+       (``_apery``, ``_apery_count``), with no table: R(d+1) = 3 puts w_1
+       <= d, so the sweep costs O(d) steps on w_1-bit ints.  Any other
+       input walks the bytes of a table closed over [0, J*d].
 
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
@@ -280,24 +314,26 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         gives R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2:
         j fails iff d-3-j does, j = d-2 always holds, and the first failing
         j is at most floor((d-3)/2);
-    (3) every member of a telescopic semigroup is sum a_i w_i with
-        0 <= a_i < n_i for i >= 2, so larger coefficients add no members.
+    (3) the members <= M of a numerical semigroup are r + t w_1 with r in
+        the Apery set of w_1, r <= M and 0 <= t <= (M - r)//w_1, each once.
 
-    A table over TABLE_BIT_CAP bits raises ``TableTooLargeError`` (a
-    ``ValueError``), whichever stage needs it, before any bit is built.
+    Any stage whose J*d + 1 passes TABLE_BIT_CAP raises
+    ``TableTooLargeError`` (a ``ValueError``) before any work is done; for
+    the table-free count the cap bounds the work, not the memory.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
     gens = _sorted_generators(generators)
-    if reduce(gcd, gens) != 1:
+    if gcd(*gens) != 1:
         raise ValueError(f"generators {generators} do not generate a numerical semigroup")
     verdict = _stage_one(degree, gens)
     if not verdict.passed or degree <= 4:  # failed, or every j checked
         return verdict
-    last_j, caps = degree - 2, None
+    last_j = degree - 2
     telescopic = _telescopic(gens)
-    if telescopic is not None:
-        frobenius, caps = telescopic
-        if frobenius + 1 == (degree - 1) * (degree - 2):
-            last_j = (degree - 3) // 2
-    return _walk(degree, gens, last_j, caps)
+    if telescopic is not None and telescopic[0] + 1 == (degree - 1) * (degree - 2):
+        last_j = (degree - 3) // 2
+    _check_table_size(degree, last_j * degree)
+    if telescopic is None:
+        return _walk(degree, gens, last_j)
+    return _apery_count(degree, gens[0], _apery(gens, telescopic[1]), last_j)

@@ -41,11 +41,14 @@ from cuspidal.records import FLAG_INCONSISTENT
 from cuspidal.semigroup import bl_check_unicuspidal
 from cuspidal.tables import reproduce
 
-# Above this degree the counting criterion is not run: its membership
-# table takes ~d^2/16 bytes and passes TABLE_BIT_CAP above d ~ 46,000;
-# only a handful of the largest Kashiwara grid members are affected, and
-# every invariant that does not need the table is still checked for them.
-BL_DEGREE_CAP = 20_000
+# Above this degree the counting criterion is not run: for delta = genus it
+# probes floor((d-3)/2)*d + 1 points, which passes TABLE_BIT_CAP from
+# d = 46,343 on, where the check raises TableTooLargeError.  Below it the
+# check builds no table over 2d + 1 bits (stage two counts off the Apery set
+# of w_1), so it takes milliseconds even at d ~ 36,000.  Only the
+# largest Kashiwara grid members are affected, and every invariant that
+# does not need the check is still checked for them.
+BL_DEGREE_CAP = 46_000
 
 
 def _report(num: int, ok: bool, description: str, detail: str = "") -> None:

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
@@ -8,10 +9,19 @@ from hypothesis import given, settings, strategies as st
 from cuspidal import invariants as inv
 from cuspidal import semigroup
 from cuspidal.enumerate import _pruned_extend, max_pairs_bound
+from cuspidal.families import (
+    FamilyParameterError,
+    ams_grid,
+    family_curve,
+    kashiwara_grid,
+    orevkov_grid,
+    tono_grid,
+)
+from cuspidal.records import FLAG_INCONSISTENT
 from cuspidal.semigroup import (
     BLCheckResult,
     TableTooLargeError,
-    _close,
+    _apery,
     _count_bit_range,
     _generators,
     _telescopic,
@@ -284,7 +294,7 @@ def test_bl_check_matches_full_table_on_candidates():
     staged = 0
     for degree, gens in inputs:
         # delta = genus: telescopic with conductor (d-1)(d-2), so the
-        # half range and the capped closure are in play
+        # half range and the table-free Apery count are in play
         frobenius, _ = _telescopic(gens)
         assert frobenius + 1 == (degree - 1) * (degree - 2)
         expect = full_table_check(degree, gens)
@@ -331,5 +341,64 @@ def test_telescopic_matches_brute_force(generators):
     assert got_caps == caps
     assert frobenius == max(gaps, default=-1)
     assert 2 * len(gaps) == frobenius + 1  # symmetric
-    # coefficients a_i >= n_i add no new members
-    assert _close(gens, bound, got_caps) == build_membership(gens, bound).bits
+    # the box sums below the caps are the least member of each class mod
+    # w_1; each least member is at most F + w_1 < w_1 w_k = bound
+    least = {}
+    for m in sorted(members):
+        least.setdefault(m % gens[0], m)
+    assert len(least) == gens[0]
+    assert _apery(gens, got_caps) == sorted(least.values())
+
+
+def family_members(max_degree):
+    # (degree, generators) of every unflagged member of the criterion-7
+    # grids up to max_degree
+    members = []
+    for grid in (ams_grid(30), kashiwara_grid(3, 2, 2), tono_grid(7, 4, 5), orevkov_grid(4)):
+        for spec in grid:
+            try:
+                record = family_curve(spec)
+            except FamilyParameterError:
+                continue
+            if FLAG_INCONSISTENT not in record.flags and record.degree <= max_degree:
+                members.append((record.degree, record.semigroup_generators))
+    return members
+
+
+def test_bl_check_matches_full_table_on_family_members():
+    members = family_members(8_000)
+    assert len(members) == 182
+    for degree, gens in members:
+        assert bl_check_unicuspidal(degree, gens) == full_table_check(degree, gens), degree
+
+
+def test_stage_two_of_telescopic_inputs_builds_no_table(monkeypatch):
+    # stage one closes at most [0, 2d]; the Apery count of stage two must
+    # not close anything, and still give the oracle's result
+    inputs = list(delta_solved_candidates(30)) + family_members(8_000)
+    expect = [full_table_check(degree, gens) for degree, gens in inputs]
+    close = semigroup._close
+    limit = 0
+
+    def small_close(generators, bound):
+        assert bound <= limit, f"a {bound + 1}-bit table was built"
+        return close(generators, bound)
+
+    monkeypatch.setattr(semigroup, "_close", small_close)
+    for (degree, gens), want in zip(inputs, expect):
+        assert _telescopic(gens) is not None
+        limit = 2 * degree
+        assert bl_check_unicuspidal(degree, gens) == want, (degree, gens)
+
+
+def test_large_degree_check_runs_in_little_memory():
+    # a stage-two table here has floor((d-3)/2)*d bits, ~19 MiB, and closing
+    # one peaked at ~95 MiB
+    tracemalloc.start()
+    try:
+        verdict = bl_check_unicuspidal(17_940, (6900, 46575, 186575, 12873744))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed
+    assert peak < 8 * 2**20, peak
