@@ -33,6 +33,7 @@ from .families import (
     ALL_KINDS,
     AMS,
     KASHIWARA_KINDS,
+    PARAM_NAMES,
     FamilyParameterError,
     family_curve,
     ordered_factorization_count,
@@ -195,26 +196,14 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise SystemExit(f"{what} must be a comma-separated integer list, got {text!r}")
 
 
-# the options that make up each family kind's params, in order; a
-# Kashiwara kind appends the optional --lambdas list to its --l
-_FAMILY_OPTIONS = {
-    AMS: ("factors",),
-    **dict.fromkeys(KASHIWARA_KINDS, ("l",)),
-    "tono-ia": ("a",),
-    "tono-ib": ("a", "s"),
-    "tono-iia": ("n",),
-    "tono-iib": ("n", "s"),
-    "orevkov": ("k",),
-    "orevkov-star": ("k",),
-}
-
-
 def _cmd_family(args) -> int:
     kind = args.kind
     start = time.monotonic()
-    if kind not in _FAMILY_OPTIONS:
+    if kind not in PARAM_NAMES:
         raise SystemExit(f"unknown family kind {kind!r}; choose from {', '.join(ALL_KINDS)}")
-    options = _FAMILY_OPTIONS[kind]
+    # one option per param name; a Kashiwara kind appends the optional
+    # --lambdas list to its --l
+    options = PARAM_NAMES[kind]
     params = tuple(getattr(args, option) for option in options)
     if None in params:
         raise SystemExit(f"{kind} needs {' and '.join('--' + o for o in options)}")

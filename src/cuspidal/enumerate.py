@@ -214,14 +214,17 @@ def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
 # ---------------------------------------------------------------------------
 # classification: attribution + existence resolution
 
-def classify_record(record: CurveRecord, frontier: bool = False) -> CurveRecord:
-    """Attach family attribution, Kodaira dimension and existence status."""
+def classify_record(record: CurveRecord) -> CurveRecord:
+    """Attach family attribution, Kodaira dimension and existence status.
+
+    Existence is proved complete only for degrees <= 30, so a record above
+    30 is flagged "frontier"."""
     spec = attribute_family(record.degree, record.newton)
     status, chain = resolve_existence(record.degree, record.mult)
     if status == CANDIDATE and spec is not None:
         status = PROVED_FAMILY
     flags = record.flags
-    if frontier and FLAG_FRONTIER not in flags:
+    if record.degree > 30 and FLAG_FRONTIER not in flags:
         flags = flags + (FLAG_FRONTIER,)
     return replace(
         record,
@@ -255,4 +258,4 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
     # the tasks are distinct (d, k) and k = len(newton): no record repeats
     records = _run_tasks(_enumerate_task, tasks, worker_count)
     records.sort(key=CurveRecord.sort_key)
-    return [classify_record(record, frontier=record.degree > 30) for record in records]
+    return [classify_record(record) for record in records]

@@ -283,17 +283,30 @@ def _orevkov_data(k: int, starred: bool) -> tuple[int, inv.Pairs]:
 # ---------------------------------------------------------------------------
 # the family table: kind -> data and Kodaira dimension; one record builder
 
-# kinds with a fixed number of params; Kashiwara takes l and the lambdas
-_PARAM_COUNT = {TONO_IA: 1, TONO_IIA: 1, OREVKOV: 1, OREVKOV_STAR: 1, TONO_IB: 2, TONO_IIB: 2}
+# the names of each family kind's params, in order: AMS takes any number
+# of factors, a Kashiwara kind takes l and then any number of lambdas, and
+# every other kind exactly the names listed
+PARAM_NAMES = {
+    AMS: ("factors",),
+    **dict.fromkeys(KASHIWARA_KINDS, ("l",)),
+    TONO_IA: ("a",),
+    TONO_IB: ("a", "s"),
+    TONO_IIA: ("n",),
+    TONO_IIB: ("n", "s"),
+    OREVKOV: ("k",),
+    OREVKOV_STAR: ("k",),
+}
 
 
 def _check_param_count(spec: FamilySpec) -> None:
     given = len(spec.params)
-    if spec.kind in KASHIWARA_KINDS and given < 1:
-        raise FamilyParameterError(f"{spec.kind} needs the parameter l")
-    expected = _PARAM_COUNT.get(spec.kind, given)
-    if given != expected:
-        raise FamilyParameterError(f"{spec.kind} takes {expected} parameter(s), got {given}")
+    if spec.kind in KASHIWARA_KINDS:
+        if given < 1:
+            raise FamilyParameterError(f"{spec.kind} needs the parameter l")
+    elif spec.kind != AMS and spec.kind in PARAM_NAMES:
+        expected = len(PARAM_NAMES[spec.kind])
+        if given != expected:
+            raise FamilyParameterError(f"{spec.kind} takes {expected} parameter(s), got {given}")
 
 
 def _family_data(spec: FamilySpec) -> tuple[int, inv.Pairs]:
@@ -372,13 +385,17 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
       and disagrees with the threshold computed from the published pairs
       for every s; it is returned verbatim here so the discrepancy stays
       visible, and records of that type carry an inconsistency flag.
+
+    The spec must lie in its family's domain (:func:`_family_data`), as for
+    :func:`family_curve`; the Kashiwara N-pair kinds read their n_i off the
+    pairs it gives.
     """
-    _check_param_count(spec)
     kind, params = spec.kind, spec.params
+    if kind == TONO_IIB and params[1:] == (1,):
+        raise FamilyParameterError("tono-iib threshold expression is singular at s = 1")
+    _, pairs = _family_data(spec)
     if kind == AMS:
         factors = params
-        if any(f < 2 for f in factors) or not factors:
-            raise FamilyParameterError(f"invalid factorization {factors}")
         d = prod(factors)
         if factors == (2,):
             return Fraction(1), 4
@@ -389,7 +406,6 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
         return lct, factors[-1]
     if kind in KASHIWARA_KINDS:
         l = params[0]
-        lambdas = params[1:]
         F = inv.fibonacci(2 * l + 3)
         if kind == KASHIWARA_II_GE:
             return Fraction(1, F * F) + Fraction(1, inv.fibonacci(2 * l + 5) ** 2), 0
@@ -398,7 +414,6 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
                 Fraction(1, inv.fibonacci(2 * l + 1)) + Fraction(1, inv.fibonacci(2 * l + 5)),
                 -1,
             )
-        _, pairs = _kashiwara_data(kind, l, lambdas)
         n = [p for p, _ in pairs[:-1]]
         lead = inv.fibonacci(2 * l + 5) if kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP) else inv.fibonacci(2 * l + 1)
         rest = prod(n[1:]) if len(n) > 1 else 1
@@ -416,28 +431,24 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
         return Fraction(1, n * (4 * n + 1)) + Fraction(1, (4 * n + 1) ** 2), -n
     if kind == TONO_IIB:
         n, s = params
-        if s == 1:
-            raise FamilyParameterError("tono-iib threshold expression is singular at s = 1")
         return (
             Fraction(1, n * (4 * n + 1) * (4 * s - 1))
             + Fraction(1, (4 * n + 1) ** 2 * (s - 1)),
             -n,
         )
-    if kind in (OREVKOV, OREVKOV_STAR):
-        (k,) = params
-        if k == 1:
-            return (
-                (Fraction(1, 6) + Fraction(1, 43), -2)
-                if kind == OREVKOV_STAR
-                else (Fraction(1, 3) + Fraction(1, 22), -2)
-            )
-        half = 2 if kind == OREVKOV_STAR else 1
+    (k,) = params  # OREVKOV, OREVKOV_STAR; _family_data rejects any other kind
+    if k == 1:
         return (
-            Fraction(1, half * inv.fibonacci(4 * k))
-            + Fraction(1, half * inv.fibonacci(4 * k + 4)),
-            -2,
+            (Fraction(1, 6) + Fraction(1, 43), -2)
+            if kind == OREVKOV_STAR
+            else (Fraction(1, 3) + Fraction(1, 22), -2)
         )
-    raise FamilyParameterError(f"unknown family kind {kind!r}")
+    half = 2 if kind == OREVKOV_STAR else 1
+    return (
+        Fraction(1, half * inv.fibonacci(4 * k))
+        + Fraction(1, half * inv.fibonacci(4 * k + 4)),
+        -2,
+    )
 
 
 def _specs_of_pairs(degree: int, newton: inv.Pairs):

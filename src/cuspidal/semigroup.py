@@ -21,44 +21,45 @@ condition for a candidate cusp to be realized by a plane curve and is the
 main pruning filter of the enumerator.  The check builds no membership
 bit it does not read, and each saving is lossless:
 
-1. A table closed over [0, B] is exact on [0, B], so checking j <= J needs
-   only [0, J*d].  Stage one checks j <= 2, where most candidates fail, on
+1. A table closed over [0, B] is exact on [0, B], so checking j <= 2 needs
+   only [0, 2d].  Stage one checks j <= 2, where most candidates fail, on
    O(d) bits, with one popcount of the table int per j; only the survivors
-   go on to stage two.
+   go on to stage two, which builds no table.
 2. A plane-branch semigroup is symmetric (Kunz 1970).  When S is symmetric
    with conductor (d-1)(d-2), i.e. delta equals the genus,
    R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2, so the
    first failing j is always <= floor((d-3)/2) and stage two stops there.
-3. The generators of a plane branch are telescopic (Kirfel-Pellikaan
-   1995), and then stage two needs no table: it counts R off the Apery set
-   of w_1, the least member of each residue class mod w_1.  Every member
+3. Stage two needs no table: it counts R off the Apery set of w_1, the
+   least member of each residue class mod w_1.  In any numerical semigroup
+   the members <= M are r + t w_1 for Apery members r <= M and
+   0 <= t <= (M - r)//w_1, each once, which gives R(M + 1) in closed form
+   per Apery member; one ascending sweep over the sorted set serves every
+   j at w_1 <= d members.  The generators of a plane branch are telescopic
+   (Kirfel-Pellikaan 1995), and then the Apery set is a box: every member
    has exactly one representation sum a_i w_i with a_1 >= 0 and
    0 <= a_i < n_i for i >= 2, so the box sums sum_(i>=2) a_i w_i are
    pairwise incongruent mod w_1 (two in one class, r < r', would give r'
    the second representation r + t w_1), there are prod n_i = w_1 of them,
    and each is the least member of its class, since every member is
-   a_1 w_1 plus one of them.  The members <= M are then r + t w_1 for box
-   sums r <= M and 0 <= t <= (M - r)//w_1, which gives R(M + 1) in closed
-   form per box sum; one ascending sweep over the sorted box serves every
-   j at w_1 <= d sums.
+   a_1 w_1 plus one of them.  Any other generators get their Apery set
+   from a round-robin pass (``_round_robin``).
 
 Symmetry, the conductor and the telescopic order are not assumed: an
-O(k^2) test on the generators proves them, and any other input is checked
-on a table over the full range.  No stage whose largest probe passes
-``TABLE_BIT_CAP`` bits runs.
+O(k^2) test on the generators proves them.  No stage whose largest probe
+passes ``TABLE_BIT_CAP`` bits runs.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd, inf, prod
 from typing import NamedTuple
 
 from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
 
 # Largest range [0, J*d] a counting-check stage covers, in bits: the size of
-# its membership table, or, for the table-free count, a bound on its work
+# stage one's membership table, and for stage two a bound on its work
 TABLE_BIT_CAP = 1 << 30
 
 
@@ -108,13 +109,6 @@ class NumericalSemigroup:
         if k > self.bound + 1:
             raise ValueError(f"R({k}) exceeds table bound {self.bound}")
         return (self.bits & ((1 << k) - 1)).bit_count()
-
-
-def _count_bit_range(data: bytes, lo: int, hi: int) -> int:
-    chunk = int.from_bytes(data[lo // 8 : hi // 8 + 1], "little")
-    chunk >>= lo - 8 * (lo // 8)
-    chunk &= (1 << (hi - lo)) - 1
-    return chunk.bit_count()
 
 
 def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,6 +193,32 @@ def _apery(generators: tuple[int, ...], caps: list[int | None]) -> list[int]:
     return sorted(sums)
 
 
+def _round_robin(generators: tuple[int, ...]) -> list[int]:
+    """Sorted Apery set of w_1 for any sorted generators with gcd 1, by the
+    round-robin algorithm (Boecker-Liptak 2007) in O(k w_1) steps.
+
+    least[r] is the least member of class r mod w_1 found so far, starting
+    from the members of <w_1>.  Adding a generator w to a semigroup with
+    least members L makes the least member of class r the minimum of
+    L[r - t w] + t w over 0 <= t < w_1/g, g = gcd(w, w_1) (t = w_1/g adds a
+    multiple of w_1).  Relaxing class r + w from class r walks one cycle of
+    r -> r + w (mod w_1), of length w_1/g; two laps from any start contain
+    every run of fewer than w_1/g consecutive steps, so every such minimum
+    is reached, and relaxing in place only lowers a class to another of its
+    members.
+    """
+    w1 = generators[0]
+    least = [0] + [inf] * (w1 - 1)
+    for w in generators[1:]:
+        g = gcd(w, w1)
+        for r in range(g):  # each cycle holds one class below g
+            for _ in range(2 * w1 // g):
+                nxt = (r + w) % w1
+                least[nxt] = min(least[nxt], least[r] + w)
+                r = nxt
+    return sorted(least)
+
+
 class BLCheckResult(NamedTuple):
     """Outcome of the unicuspidal counting criterion at one degree.
 
@@ -249,22 +269,6 @@ def _stage_one(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     return BLCheckResult(degree)
 
 
-def _walk(degree: int, generators: tuple[int, ...], last_j: int) -> BLCheckResult:
-    # R(j*d + 1) for j = 0..last_j in one ascending pass over a table closed
-    # over [0, last_j*d], the bits below the largest point probed
-    bound = last_j * degree
-    data = _close(generators, bound).to_bytes(bound // 8 + 1, "little")
-    count = 0
-    prev = 0
-    for j in range(last_j + 1):
-        point = j * degree + 1
-        count += _count_bit_range(data, prev, point)
-        prev = point
-        if count != (j + 1) * (j + 2) // 2:
-            return BLCheckResult(degree, j, count)
-    return BLCheckResult(degree)
-
-
 def _apery_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
     # R(j*d + 1) for j = 0..last_j off the sorted Apery set of w_1: with
     # q, s = divmod(M, w_1), R(M + 1) = sum over r <= M of (M - r)//w_1 + 1
@@ -300,10 +304,11 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
        generators are telescopic (``_telescopic``) with Frobenius number
        (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
-       Telescopic generators are counted off the Apery set of w_1
-       (``_apery``, ``_apery_count``), with no table: R(d+1) = 3 puts w_1
-       <= d, so the sweep costs O(d) steps on w_1-bit ints.  Any other
-       input walks the bytes of a table closed over [0, J*d].
+       R is counted off the Apery set of w_1 (``_apery_count``), with no
+       table: R(d+1) = 3 puts w_1 <= d, so the sweep costs O(d) steps on
+       w_1-bit ints.  Telescopic generators give the Apery set as a box
+       (``_apery``), any other input by round robin (``_round_robin``, O(k d)
+       steps).
 
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
@@ -318,8 +323,9 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         the Apery set of w_1, r <= M and 0 <= t <= (M - r)//w_1, each once.
 
     Any stage whose J*d + 1 passes TABLE_BIT_CAP raises
-    ``TableTooLargeError`` (a ``ValueError``) before any work is done; for
-    the table-free count the cap bounds the work, not the memory.
+    ``TableTooLargeError`` (a ``ValueError``) before any work is done.  Only
+    stage one builds a table; for stage two the cap bounds the work, not
+    the memory.
     """
     if degree < 2:
         raise ValueError(f"degree must be >= 2, got {degree}")
@@ -334,6 +340,5 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     if telescopic is not None and telescopic[0] + 1 == (degree - 1) * (degree - 2):
         last_j = (degree - 3) // 2
     _check_table_size(degree, last_j * degree)
-    if telescopic is None:
-        return _walk(degree, gens, last_j)
-    return _apery_count(degree, gens[0], _apery(gens, telescopic[1]), last_j)
+    apery = _round_robin(gens) if telescopic is None else _apery(gens, telescopic[1])
+    return _apery_count(degree, gens[0], apery, last_j)

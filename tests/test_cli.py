@@ -3,6 +3,8 @@ import json
 import pytest
 
 from cuspidal.cli import main
+from cuspidal.enumerate import classify_range
+from cuspidal.records import record_to_json_dict
 
 
 def run(capsys, *argv):
@@ -39,6 +41,18 @@ def test_enumerate_five_pairs_rejected(capsys):
     code, _, err = run(capsys, "enumerate", "--degree", "30", "--pairs", "5")
     assert code == 2
     assert "exceeds the bound" in err
+
+
+def test_enumerate_classify_flags_frontier_degrees(capsys):
+    # the same records as classify_range, frontier flags included: at d = 33
+    # one of them is the unproved candidate (8,33),(2,17)
+    code, out, _ = run(capsys, "enumerate", "--degree", "33", "--pairs", "2", "--classify")
+    assert code == 0
+    want = [r for r in classify_range(33) if r.degree == 33 and len(r.newton) == 2]
+    records = json.loads(out)["records"]
+    assert records == [record_to_json_dict(r) for r in want]
+    assert len(want) == 3 and all("frontier" in r.flags for r in want)
+    assert [[8, 33], [2, 17]] in [r["newton_pairs"] for r in records]
 
 
 def test_invariants_orevkov(capsys):

@@ -182,6 +182,23 @@ def test_closed_forms():
     assert (record.lct, record.self_intersection) == (lct, si) == (Fraction(14, 33), 3)
 
 
+def test_closed_forms_reject_specs_outside_the_domain():
+    # the first four once divided by zero, the last two returned a value
+    specs = (
+        FamilySpec("tono-ia", (1,)),
+        FamilySpec("tono-ib", (1, 1)),
+        FamilySpec("tono-iia", (0,)),
+        FamilySpec("orevkov", (0,)),
+        FamilySpec("tono-ia", (2,)),
+        FamilySpec("kashiwara-ii-sp", (0,)),
+    )
+    for spec in specs:
+        with pytest.raises(FamilyParameterError):
+            family_curve(spec)
+        with pytest.raises(FamilyParameterError):
+            invariant_closed_forms(spec)
+
+
 def test_attribution_examples():
     assert attribute_family(12, ((2, 3), (2, 5), (2, 3))) == FamilySpec("ams", (3, 2, 2))
     assert attribute_family(8, ((3, 22),)) == FamilySpec("orevkov", (1,))

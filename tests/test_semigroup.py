@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import gcd, prod
 
 import pytest
@@ -22,8 +23,8 @@ from cuspidal.semigroup import (
     BLCheckResult,
     TableTooLargeError,
     _apery,
-    _count_bit_range,
     _generators,
+    _round_robin,
     _telescopic,
     bl_check_unicuspidal,
     build_membership,
@@ -212,6 +213,13 @@ def test_bl_accepts_all_listed_curves():
         assert bl_check_unicuspidal(degree, gens).passed, (degree, pairs)
 
 
+def _count_bit_range(data: bytes, lo: int, hi: int) -> int:
+    chunk = int.from_bytes(data[lo // 8 : hi // 8 + 1], "little")
+    chunk >>= lo - 8 * (lo // 8)
+    chunk &= (1 << (hi - lo)) - 1
+    return chunk.bit_count()
+
+
 def full_table_check(degree, generators):
     """The one-pass check over the full table [0, (d-2)d + 1], kept as the
     oracle of the staged kernel."""
@@ -330,6 +338,13 @@ def test_telescopic_matches_brute_force(generators):
     bound = gens[0] * gens[-1]  # past the Frobenius number (Brauer)
     members = naive_members(gens, bound)
     gaps = [x for x in range(bound + 1) if x not in members]
+    # the least member of each class mod w_1, the Apery set, whatever the
+    # generators; each is at most F + w_1 < w_1 w_k = bound
+    least = {}
+    for m in sorted(members):
+        least.setdefault(m % gens[0], m)
+    assert len(least) == gens[0]
+    assert _round_robin(gens) == sorted(least.values())
     caps = [None]
     for i in range(1, len(gens)):
         n = reduce(gcd, gens[:i]) // reduce(gcd, gens[: i + 1])
@@ -341,12 +356,7 @@ def test_telescopic_matches_brute_force(generators):
     assert got_caps == caps
     assert frobenius == max(gaps, default=-1)
     assert 2 * len(gaps) == frobenius + 1  # symmetric
-    # the box sums below the caps are the least member of each class mod
-    # w_1; each least member is at most F + w_1 < w_1 w_k = bound
-    least = {}
-    for m in sorted(members):
-        least.setdefault(m % gens[0], m)
-    assert len(least) == gens[0]
+    # the box sums below the caps are the Apery set
     assert _apery(gens, got_caps) == sorted(least.values())
 
 
@@ -401,4 +411,43 @@ def test_large_degree_check_runs_in_little_memory():
     finally:
         tracemalloc.stop()
     assert verdict.passed
+    assert peak < 8 * 2**20, peak
+
+
+def test_stage_two_of_any_input_builds_no_table(monkeypatch):
+    # non-telescopic generator sets that reach stage two (every two-generator
+    # set is telescopic): the round-robin Apery set must not close anything
+    # past stage one's [0, 2d], and still give the oracle's result
+    staged = [
+        (degree, gens, want)
+        for size in (3, 4)
+        for gens in combinations(range(2, 26), size)
+        if gcd(*gens) == 1 and _telescopic(gens) is None
+        for degree in range(5, 21)
+        if (want := full_table_check(degree, gens)).passed or want.first_failing_j > 2
+    ]
+    assert len(staged) == 1_126
+    close = semigroup._close
+    limit = 0
+
+    def small_close(generators, bound):
+        assert bound <= limit, f"a {bound + 1}-bit table was built"
+        return close(generators, bound)
+
+    monkeypatch.setattr(semigroup, "_close", small_close)
+    for degree, gens, want in staged:
+        limit = 2 * degree
+        assert bl_check_unicuspidal(degree, gens) == want, (degree, gens)
+
+
+def test_non_telescopic_check_runs_in_little_memory():
+    # (19999, 20000, 40001) is not telescopic and fails at j = 3; a table
+    # over the full range [0, (d-2)d] has ~4e8 bits, ~48 MiB
+    tracemalloc.start()
+    try:
+        verdict = bl_check_unicuspidal(20_000, (19_999, 20_000, 40_001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == BLCheckResult(20_000, 3, 11)
     assert peak < 8 * 2**20, peak
