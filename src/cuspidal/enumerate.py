@@ -10,24 +10,37 @@ data subject to:
       (d-1)(d-2)/2, i.e. the bracket (P_1-1)(Q_1-1) + sum (P_j-1) Q_j
       must equal (d-1)(d-2);
 (iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
-      run once per delta-solved candidate on semigroup generators read
-      straight off the gcd chain of (a; b_1..b_k); only the survivors
-      become Newton pairs and records.
+      run once per delta-solved candidate that the cuts below leave, on
+      semigroup generators read straight off the gcd chain of
+      (a; b_1..b_k); only the survivors become Newton pairs and records.
 
 These are the only filters: repeated identical pairs and unit exponents
 (q_j = 1 for j >= 2) are legal and occur in genuine curves, so no ad-hoc
-exclusions are applied.
+exclusions are applied, and every cut below only skips candidates that
+one of the three would reject.
 
 Two modes produce identical sets and cross-validate each other:
 
 * ``pruned`` iterates only (a, b_1, ..., b_{k-1}) and solves the final
   exponent exactly from the delta residual, collapsing one loop dimension.
-  Its cuts: the leading multiplicity is capped at d - 1 (a >= d makes the
-  counting criterion fail at j = 1, since R(d+1) would be at most 2);
-  each b_j is capped by positivity of the remaining delta budget, since
-  every later stage contributes at least 1 to the bracket; and the gcd
-  chain value must keep at least as many prime factors as there are
-  stages left.
+  Its cuts:
+
+  - a runs over floor(d/3) + 1 .. d - 1 (Matsuoka-Sakai 1989): with
+    3a <= d the members 0, a, 2a, 3a put R(d+1) >= 4, and a >= d puts
+    R(d+1) <= 2, so (iii) fails at j = 1 either way;
+  - each b_j is capped by positivity of the remaining delta budget, since
+    every later stage contributes at least 1 to the bracket;
+  - the gcd chain value must keep at least as many prime factors as
+    there are stages left;
+  - the prefix cut: a node that has fixed (a; b_1..b_i) has fixed the
+    generators w_1..w_(i+1) of every candidate below it too, by w_2 = b_1
+    and w_(i+1) = p_(i-1) w_i + b_i - b_(i-1).  They span a sub-semigroup
+    T of each candidate's semigroup S, so R_S >= R_T; if
+    R_T(j*d + 1) > (j+1)(j+2)/2 for some j <= floor((d-3)/2), every
+    candidate below fails (iii) and the node is not entered
+    (``semigroup._span_overcounts``).  Only the leaves that survive it
+    reach the counting check.
+
 * ``paranoid`` scans the full characteristic box with only
   provably-lossless cuts: the budget bound b_j <= (d-1)(d-2) + 1 (the
   delta bracket dominates the telescoped exponent differences) and the
@@ -53,7 +66,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _generators, bl_check_unicuspidal
+from .semigroup import _generators, _span_overcounts, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -119,7 +132,8 @@ def _run_tasks(fn, tasks: list, worker_count: int) -> list:
 def _a_range(degree: int, mode: str) -> range:
     target = (degree - 1) * (degree - 2)
     if mode == PRUNED:
-        return range(2, degree)
+        # 3a <= d puts 0, a, 2a, 3a below d + 1: R(d+1) >= 4 fails j = 1
+        return range(degree // 3 + 1, degree)
     # budget-only cap: b_1 > a forces (a-1) a <= target
     return range(2, isqrt(target) + 2)
 
@@ -127,9 +141,11 @@ def _a_range(degree: int, mode: str) -> range:
 def _search_a(args) -> list[CurveRecord]:
     """The records with leading multiplicity a at (degree, k)."""
     degree, k, mode, a = args
-    target = (degree - 1) * (degree - 2)
-    extend = _pruned_extend if mode == PRUNED else _paranoid_extend
-    records = (_finalize(degree, a, bs) for _, bs in extend(k, target, a, (), 0, a, 1))
+    if mode == PRUNED:
+        leaves = _pruned_extend(degree, k, (), 0, a, (a,), 1)
+    else:
+        leaves = _paranoid_extend(k, (degree - 1) * (degree - 2), a, (), 0, a, 1)
+    records = (_finalize(degree, a, bs) for _, bs in leaves)
     return [record for record in records if record is not None]
 
 
@@ -149,8 +165,17 @@ def _omega_at_least(n: int, count: int) -> bool:
     return found >= count
 
 
-def _pruned_extend(k, target, a, bs, partial, P, depth):
-    """Yield (a, (b_1..b_k)) with the final exponent solved exactly."""
+def _pruned_extend(degree, k, bs, partial, P, gens, p):
+    """Yield (a, (b_1..b_k)) with the final exponent solved exactly.
+
+    The node has fixed bs = (b_1..b_i), the gcd P = P_(i+1) of a, b_1..b_i
+    and the generators gens = (w_1..w_(i+1)) of every leaf below it; p is
+    the Newton p_i = P_i/P_(i+1) that w_(i+2) needs (unused at the root).
+    A child whose generators already overcount (``_span_overcounts``) is
+    not entered.
+    """
+    a, depth = gens[0], len(bs) + 1
+    target = (degree - 1) * (degree - 2)
     if depth == k:
         rem = target - partial
         if depth == 1:
@@ -177,7 +202,10 @@ def _pruned_extend(k, target, a, bs, partial, P, depth):
             return
         Pn = gcd(P, b)
         if 2 <= Pn < P and _omega_at_least(Pn, k - depth):
-            yield from _pruned_extend(k, target, a, bs + (b,), partial + term, Pn, depth + 1)
+            # w_2 = b_1, w_(i+1) = p_(i-1) w_i + b_i - b_(i-1)
+            child = gens + ((b if depth == 1 else p * gens[-1] + b - prev),)
+            if not _span_overcounts(degree, child, Pn):
+                yield from _pruned_extend(degree, k, bs + (b,), partial + term, Pn, child, P // Pn)
         b += 1
 
 

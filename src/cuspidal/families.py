@@ -362,11 +362,15 @@ def family_curve(spec: FamilySpec) -> CurveRecord:
             strict=not inconsistent,
         )
     except inv.InvalidCuspData as exc:
-        if spec.kind in KASHIWARA_KINDS:
-            label = f"{spec.kind}(l={spec.params[0]}, lambdas={spec.params[1:]})"
-        else:
-            label = spec.describe()
-        raise FamilyParameterError(f"{label}: {exc}") from exc
+        raise _family_error(spec, exc) from exc
+
+
+def _family_error(spec: FamilySpec, exc: inv.InvalidCuspData) -> FamilyParameterError:
+    if spec.kind in KASHIWARA_KINDS:
+        label = f"{spec.kind}(l={spec.params[0]}, lambdas={spec.params[1:]})"
+    else:
+        label = spec.describe()
+    return FamilyParameterError(f"{label}: {exc}")
 
 
 def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
@@ -386,14 +390,25 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
       for every s; it is returned verbatim here so the discrepancy stays
       visible, and records of that type carry an inconsistency flag.
 
-    The spec must lie in its family's domain (:func:`_family_data`), as for
-    :func:`family_curve`; the Kashiwara N-pair kinds read their n_i off the
-    pairs it gives.
+    Exactly the specs that :func:`family_curve` rejects raise
+    :class:`FamilyParameterError`: those outside the family's domain
+    (:func:`_family_data`) and, for every kind but tono-iib, those whose
+    pairs fail the checks of a strict record (the Newton-pair invariants and
+    delta = genus), such as every Kashiwara "minus" spec.  The Kashiwara
+    N-pair kinds read their n_i off the pairs.
     """
     kind, params = spec.kind, spec.params
     if kind == TONO_IIB and params[1:] == (1,):
         raise FamilyParameterError("tono-iib threshold expression is singular at s = 1")
-    _, pairs = _family_data(spec)
+    degree, pairs = _family_data(spec)
+    if pairs and kind != TONO_IIB:
+        try:
+            inv.validate_newton_pairs(pairs)
+            delta = inv._delta_bracket_halved(inv._puiseux_from_newton(pairs))
+            if delta != inv.genus_target(degree):
+                raise inv.InvalidCuspData(f"delta {delta} != genus at degree {degree}")
+        except inv.InvalidCuspData as exc:
+            raise _family_error(spec, exc) from exc
     if kind == AMS:
         factors = params
         d = prod(factors)

@@ -138,6 +138,32 @@ def _close(generators: tuple[int, ...], bound: int) -> int:
     return bits
 
 
+def _span_overcounts(degree: int, generators: tuple[int, ...], e: int) -> bool:
+    """Whether the span T of ``generators``, all multiples of their gcd e,
+    has R_T(j*d + 1) > (j+1)(j+2)/2 for some j in 1..floor((d-3)/2).
+
+    Used to cut the search tree: if T lies in the semigroup S of a
+    candidate, S fails the counting criterion.  Lossless, since
+    T <= S gives R_S(x) >= R_T(x) for every x, and the criterion asks
+    R_S(j*d + 1) = (j+1)(j+2)/2 at every j <= d-2.
+
+    T = e T' with T' = <w/e> a numerical semigroup, and a member t <= M
+    of T is e t' with t' <= M//e, so R_T(M + 1) = R_T'(M//e + 1): one
+    table of T' closed over [0, J*d//e] (exact there, ``_close``) gives
+    every count by a popcount.  J is the largest j <= floor((d-3)/2) whose
+    table fits under ``TABLE_BIT_CAP``; fewer j cut less and stay
+    lossless, so the cut never raises.
+    """
+    last_j = min((degree - 3) // 2, (TABLE_BIT_CAP * e - 1) // degree)
+    if last_j < 1:
+        return False
+    bits = _close(tuple(w // e for w in generators), last_j * degree // e)
+    return any(
+        (bits & ((2 << j * degree // e) - 1)).bit_count() > (j + 1) * (j + 2) // 2
+        for j in range(1, last_j + 1)
+    )
+
+
 def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigroup:
     """Materialize membership over [0, bound] by closing {0} under addition
     of each generator (shift-or with doubling strides)."""

@@ -6,13 +6,15 @@ from cuspidal.enumerate import (
     PRUNED,
     PairCountBoundError,
     SearchConfig,
+    _a_range,
     _pruned_extend,
     classify_range,
     enumerate_candidates,
     max_pairs_bound,
 )
 from cuspidal.invariants import newton_to_puiseux
-from cuspidal.records import record_to_flat_dict
+from cuspidal.records import CurveRecord, record_to_flat_dict
+from uncut_search import uncut_leaves
 
 
 def test_max_pairs_bound():
@@ -203,10 +205,36 @@ def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
         return check(degree, generators)
 
     monkeypatch.setattr(search, "bl_check_unicuspidal", counted)
-    solved = 0
+    leaves = uncut = 0
     for d in range(3, 31):
-        target = (d - 1) * (d - 2)
         for k in range(1, min(4, max_pairs_bound(d)) + 1):
             enumerate_candidates(SearchConfig(d, k))
-            solved += sum(1 for a in range(2, d) for _ in _pruned_extend(k, target, a, (), 0, a, 1))
-    assert len(calls) == solved == 10_136
+            leaves += sum(
+                1 for a in _a_range(d, PRUNED) for _ in _pruned_extend(d, k, (), 0, a, (a,), 1)
+            )
+            uncut += sum(1 for _ in uncut_leaves(d, k))
+    # the prefix cut leaves 416 of the 10,136 delta-solved candidates
+    assert len(calls) == leaves == 416
+    assert uncut == 10_136
+
+
+def test_prefix_cut_is_lossless(monkeypatch):
+    # the cut tree from a = d//3 + 1 gives the records of the uncut walk
+    # over a = 2..d-1, and the cut fires
+    cuts = []
+    overcounts = search._span_overcounts
+
+    def counted(degree, generators, e):
+        cuts.append(overcounts(degree, generators, e))
+        return cuts[-1]
+
+    monkeypatch.setattr(search, "_span_overcounts", counted)
+    leaves = 0
+    for d in range(3, 46):
+        for k in range(1, max_pairs_bound(d) + 1):
+            uncut = [search._finalize(d, a, bs) for a, bs in uncut_leaves(d, k)]
+            leaves += len(uncut)
+            expect = sorted((r for r in uncut if r is not None), key=CurveRecord.sort_key)
+            assert enumerate_candidates(SearchConfig(d, k)) == expect, (d, k)
+    assert leaves == 145_322
+    assert any(cuts)

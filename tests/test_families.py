@@ -127,6 +127,25 @@ def test_kashiwara_minus_always_rejected():
     assert generated == 0 and rejected > 0
 
 
+def test_closed_forms_reject_exactly_what_family_curve_rejects():
+    # 96 minus specs, 84 of which once got closed forms, e.g.
+    # kashiwara-iiminus-ge (0, 1) gave (3/10, 0)
+    rejected = []
+    for spec in kashiwara_grid(3, 2, 2):
+        outcomes = []
+        for function in (family_curve, invariant_closed_forms):
+            try:
+                function(spec)
+                outcomes.append(False)
+            except FamilyParameterError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], spec
+        rejected.append(outcomes[0])
+    assert sum(rejected) == 109
+    with pytest.raises(FamilyParameterError, match="q must exceed p"):
+        invariant_closed_forms(FamilySpec("kashiwara-iiminus-ge", (0, 1)))
+
+
 def test_tono_examples():
     record = tono_curve("tono-ib", (3, 2))
     assert record.degree == 19

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuspidal import invariants as inv
 from cuspidal import semigroup
-from cuspidal.enumerate import _pruned_extend, max_pairs_bound
+from cuspidal.enumerate import max_pairs_bound
 from cuspidal.families import (
     FamilyParameterError,
     ams_grid,
@@ -25,11 +25,13 @@ from cuspidal.semigroup import (
     _apery,
     _generators,
     _round_robin,
+    _span_overcounts,
     _telescopic,
     bl_check_unicuspidal,
     build_membership,
     generators_from_newton,
 )
+from uncut_search import uncut_leaves
 
 
 def naive_members(generators, bound):
@@ -237,14 +239,12 @@ def full_table_check(degree, generators):
 
 
 def delta_solved_sequences(max_degree):
-    # every (degree, a, bs) the pruned search hands to the counting check,
-    # k <= min(4, bound)
+    # every (degree, a, bs) the pruned search would hand to the counting
+    # check without its prefix cut, k <= min(4, bound)
     for degree in range(3, max_degree + 1):
-        target = (degree - 1) * (degree - 2)
         for k in range(1, min(4, max_pairs_bound(degree)) + 1):
-            for a in range(2, degree):
-                for _, bs in _pruned_extend(k, target, a, (), 0, a, 1):
-                    yield degree, a, bs
+            for a, bs in uncut_leaves(degree, k):
+                yield degree, a, bs
 
 
 def delta_solved_candidates(max_degree):
@@ -294,6 +294,24 @@ def test_stage_one_cap_is_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(semigroup, "_close", no_table)
     with pytest.raises(TableTooLargeError, match="1073741827-bit table"):
         bl_check_unicuspidal(2**29 + 1, (2, 3))
+
+
+def test_span_cut_stays_under_the_table_cap(monkeypatch):
+    # with a 64-bit cap only j <= 2 fit at d = 30 (2 * 30 + 1 bits), and
+    # <2, 3> already breaks j = 1: R(31) = 30
+    close = semigroup._close
+
+    def capped(generators, bound):
+        assert bound + 1 <= 64
+        return close(generators, bound)
+
+    monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 64)
+    monkeypatch.setattr(semigroup, "_close", capped)
+    assert _span_overcounts(30, (2, 3), 1)
+    assert _span_overcounts(30, (4, 6), 2)
+    assert not _span_overcounts(30, (29, 30), 1)
+    # no j fits: nothing is checked, nothing raises
+    assert not _span_overcounts(100, (2, 3), 1)
 
 
 def test_bl_check_matches_full_table_on_candidates():

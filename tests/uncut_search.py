@@ -1,0 +1,50 @@
+"""The pruned search walk without the prefix-semigroup cut, as an oracle.
+
+``uncut_leaves`` yields every delta-solved candidate the pruned search
+would hand to the counting check if no inner node were cut and the
+leading multiplicity ran over 2..d-1.  The full-table and naive-count
+oracles and the losslessness test of the cut read their inputs from it.
+"""
+
+from math import gcd
+
+from cuspidal.enumerate import _omega_at_least
+
+
+def _uncut_extend(k, target, a, bs, partial, P, depth):
+    """Yield (a, (b_1..b_k)) with the final exponent solved exactly."""
+    if depth == k:
+        rem = target - partial
+        if depth == 1:
+            if rem <= 0 or rem % (a - 1):
+                return
+            b = rem // (a - 1) + 1
+            if b <= a or gcd(a, b) != 1:
+                return
+            yield a, (b,)
+        else:
+            if rem < P - 1 or rem % (P - 1):
+                return
+            Q = rem // (P - 1)
+            if gcd(P, Q) != 1:
+                return
+            yield a, bs + (bs[-1] + Q,)
+        return
+    min_future = k - depth  # each later stage adds at least 1 to the bracket
+    prev = bs[-1] if bs else 0
+    b = (a if depth == 1 else prev) + 1
+    while True:
+        term = (a - 1) * (b - 1) if depth == 1 else (P - 1) * (b - prev)
+        if partial + term + min_future > target:
+            return
+        Pn = gcd(P, b)
+        if 2 <= Pn < P and _omega_at_least(Pn, k - depth):
+            yield from _uncut_extend(k, target, a, bs + (b,), partial + term, Pn, depth + 1)
+        b += 1
+
+
+def uncut_leaves(degree, k):
+    """Every (a, (b_1..b_k)) of the uncut walk at (degree, k), a = 2..d-1."""
+    target = (degree - 1) * (degree - 2)
+    for a in range(2, degree):
+        yield from _uncut_extend(k, target, a, (), 0, a, 1)
