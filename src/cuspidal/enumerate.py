@@ -32,14 +32,18 @@ Two modes produce identical sets and cross-validate each other:
     every later stage contributes at least 1 to the bracket;
   - the gcd chain value must keep at least as many prime factors as
     there are stages left;
-  - the prefix cut: a node that has fixed (a; b_1..b_i) has fixed the
-    generators w_1..w_(i+1) of every candidate below it too, by w_2 = b_1
-    and w_(i+1) = p_(i-1) w_i + b_i - b_(i-1).  They span a sub-semigroup
-    T of each candidate's semigroup S, so R_S >= R_T; if
-    R_T(j*d + 1) > (j+1)(j+2)/2 for some j <= floor((d-3)/2), every
-    candidate below fails (iii) and the node is not entered
-    (``semigroup._span_overcounts``).  Only the leaves that survive it
-    reach the counting check.
+  - the prefix cut, two-sided: a node that has fixed (a; b_1..b_i) has
+    fixed the generators w_1..w_(i+1) of every candidate below it too, by
+    w_2 = b_1 and w_(i+1) = p_(i-1) w_i + b_i - b_(i-1).  They span a
+    sub-semigroup T of each candidate's semigroup S, so R_S >= R_T; and
+    every later generator is at least p_i w_(i+1) + 1, so S and T have
+    the same members up to p_i w_(i+1).  If, for some
+    j <= J = floor((d-3)/2), R_T(j*d + 1) > (j+1)(j+2)/2, or
+    j*d <= p_i w_(i+1) and R_T(j*d + 1) != (j+1)(j+2)/2, every candidate
+    below fails (iii) and the node is not entered
+    (``semigroup._prefix_cut``; J is lowered where the tables would pass
+    ``TABLE_BIT_CAP``, which only cuts less).  Only the leaves that
+    survive it reach the counting check.
 
 * ``paranoid`` scans the full characteristic box with only
   provably-lossless cuts: the budget bound b_j <= (d-1)(d-2) + 1 (the
@@ -66,7 +70,13 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _generators, _span_overcounts, bl_check_unicuspidal
+from .semigroup import (
+    _close,
+    _generators,
+    _prefix_cut,
+    _prefix_last_j,
+    bl_check_unicuspidal,
+)
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -171,8 +181,17 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
     The node has fixed bs = (b_1..b_i), the gcd P = P_(i+1) of a, b_1..b_i
     and the generators gens = (w_1..w_(i+1)) of every leaf below it; p is
     the Newton p_i = P_i/P_(i+1) that w_(i+2) needs (unused at the root).
-    A child whose generators already overcount (``_span_overcounts``) is
-    not entered.
+
+    The children are grouped by their gcd g = gcd(P, b_(i+1)): for each
+    proper divisor g of P with enough prime factors, the span of gens/g is
+    closed once into a base table, and each b with gcd(P, b) = g adds only
+    its generator w/g to it (``_prefix_cut``).  Such a child has Newton
+    p' = P/g, and every later generator of a leaf below it is at least
+    p' w + 1: w_(m+1) = p_m w_m + Q_m with Q_m >= 1, and the generators
+    increase.  So each leaf's semigroup contains the child's span and
+    agrees with it below that floor, and a child whose span has too many
+    members below some j*d + 1, or a count other than (j+1)(j+2)/2 below
+    the floor, is not entered.
     """
     a, depth = gens[0], len(bs) + 1
     target = (degree - 1) * (degree - 2)
@@ -193,20 +212,26 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
                 return
             yield a, bs + (bs[-1] + Q,)
         return
-    min_future = k - depth  # each later stage adds at least 1 to the bracket
+    # the budget: each later stage adds at least 1 to the bracket, so the
+    # term of b, increasing in b, may use at most `room`
+    room = target - partial - (k - depth)
     prev = bs[-1] if bs else 0
-    b = (a if depth == 1 else prev) + 1
-    while True:
-        term = (a - 1) * (b - 1) if depth == 1 else (P - 1) * (b - prev)
-        if partial + term + min_future > target:
-            return
-        Pn = gcd(P, b)
-        if 2 <= Pn < P and _omega_at_least(Pn, k - depth):
+    lo = (a if depth == 1 else prev) + 1
+    hi = room // (a - 1) + 1 if depth == 1 else prev + room // (P - 1)
+    last_j = _prefix_last_j(degree, k)
+    for g in range(2, P // 2 + 1):
+        if P % g or not _omega_at_least(g, k - depth):
+            continue
+        base = _close(tuple(w // g for w in gens), last_j * degree // g)
+        for b in range(-(-lo // g) * g, hi + 1, g):
+            if gcd(P, b) != g:
+                continue
             # w_2 = b_1, w_(i+1) = p_(i-1) w_i + b_i - b_(i-1)
-            child = gens + ((b if depth == 1 else p * gens[-1] + b - prev),)
-            if not _span_overcounts(degree, child, Pn):
-                yield from _pruned_extend(degree, k, bs + (b,), partial + term, Pn, child, P // Pn)
-        b += 1
+            w = b if depth == 1 else p * gens[-1] + b - prev
+            if _prefix_cut(degree, base, w // g, g, last_j, P // g * w + 1):
+                continue
+            term = (a - 1) * (b - 1) if depth == 1 else (P - 1) * (b - prev)
+            yield from _pruned_extend(degree, k, bs + (b,), partial + term, g, gens + (w,), P // g)
 
 
 def _paranoid_extend(k, target, a, bs, partial, P, depth):

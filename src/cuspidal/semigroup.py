@@ -59,7 +59,8 @@ from typing import NamedTuple
 from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
 
 # Largest range [0, J*d] a counting-check stage covers, in bits: the size of
-# stage one's membership table, and for stage two a bound on its work
+# stage one's membership table, and for stage two a bound on its work; also
+# a bound on the prefix-cut tables alive on one path of the search tree
 TABLE_BIT_CAP = 1 << 30
 
 
@@ -119,17 +120,18 @@ def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(generators)))
 
 
-def _close(generators: tuple[int, ...], bound: int) -> int:
-    """Bitset of the members of <generators> in [0, bound].
+def _close(generators: tuple[int, ...], bound: int, bits: int = 1) -> int:
+    """Bitset of the members of <B, generators> in [0, bound], where
+    ``bits`` is the table of a semigroup B over [0, bound] ({0} by default).
 
-    Closes {0} under addition of each generator g by shift-or with doubling
-    strides g, 2g, 4g, ... up to the bound: after the strides up to 2^t g
-    every multiple m g with m < 2^(t+1) has been added.  The table is exact
-    on [0, bound] whatever the bound: a member x <= bound is a sum whose
-    partial sums all stay <= x, so the mask never drops one that is needed.
+    Closes the table under addition of each generator g by shift-or with
+    doubling strides g, 2g, 4g, ... up to the bound: after the strides up to
+    2^t g every multiple m g with m < 2^(t+1) has been added.  The table is
+    exact on [0, bound] whatever the bound: a member x <= bound is a member
+    of B plus a sum of generators, whose partial sums all stay <= x, so the
+    mask never drops one that is needed.
     """
     mask = (1 << (bound + 1)) - 1
-    bits = 1
     for g in generators:
         shift = g
         while shift <= bound:
@@ -138,30 +140,48 @@ def _close(generators: tuple[int, ...], bound: int) -> int:
     return bits
 
 
-def _span_overcounts(degree: int, generators: tuple[int, ...], e: int) -> bool:
-    """Whether the span T of ``generators``, all multiples of their gcd e,
-    has R_T(j*d + 1) > (j+1)(j+2)/2 for some j in 1..floor((d-3)/2).
+def _prefix_last_j(degree: int, pair_count: int) -> int:
+    """The last j the search's prefix cut (``_prefix_cut``) checks:
+    floor((d-3)/2), lowered so that the tables alive on one root-to-leaf
+    path of a k-pair search stay under ``TABLE_BIT_CAP`` bits.
 
-    Used to cut the search tree: if T lies in the semigroup S of a
-    candidate, S fails the counting criterion.  Lossless, since
-    T <= S gives R_S(x) >= R_T(x) for every x, and the criterion asks
-    R_S(j*d + 1) = (j+1)(j+2)/2 at every j <= d-2.
-
-    T = e T' with T' = <w/e> a numerical semigroup, and a member t <= M
-    of T is e t' with t' <= M//e, so R_T(M + 1) = R_T'(M//e + 1): one
-    table of T' closed over [0, J*d//e] (exact there, ``_close``) gives
-    every count by a popcount.  J is the largest j <= floor((d-3)/2) whose
-    table fits under ``TABLE_BIT_CAP``; fewer j cut less and stay
-    lossless, so the cut never raises.
+    A node at depth l < k (one that has fixed b_1..b_(l-1)) holds one base
+    table and one child table at a time, each over [0, J*d//g] for a child
+    gcd g with at least k - l prime factors, so g >= 2^(k-l) and the two
+    hold at most 2 (J*d/2^(k-l) + 1) bits.  Summed over l = 1..k-1 that is
+    below 2 (J*d + k).  Fewer j cut less, so a lowered J stays lossless.
     """
-    last_j = min((degree - 3) // 2, (TABLE_BIT_CAP * e - 1) // degree)
-    if last_j < 1:
-        return False
-    bits = _close(tuple(w // e for w in generators), last_j * degree // e)
-    return any(
-        (bits & ((2 << j * degree // e) - 1)).bit_count() > (j + 1) * (j + 2) // 2
-        for j in range(1, last_j + 1)
-    )
+    return max(0, min((degree - 3) // 2, (TABLE_BIT_CAP // 2 - pair_count) // degree))
+
+
+def _prefix_cut(degree: int, base: int, step: int, e: int, last_j: int, floor: int) -> bool:
+    """Whether every semigroup S that contains T = e <B, step> and has the
+    same members below ``floor`` fails the counting criterion, so that a
+    search node spanning T can be cut.
+
+    ``base`` is the table of the numerical semigroup B over
+    [0, last_j*d//e].  Every candidate below the node has such an S, as its
+    later generators are all >= floor.  The node is cut if, for some j in
+    1..last_j,
+
+    - R_T(j*d + 1) > (j+1)(j+2)/2: T <= S gives R_S(x) >= R_T(x); or
+    - j*d < floor and R_T(j*d + 1) != (j+1)(j+2)/2: S and T have the same
+      members in [0, j*d], so R_S(j*d + 1) = R_T(j*d + 1).
+
+    Either way S breaks R_S(j*d + 1) = (j+1)(j+2)/2, which the criterion
+    asks at every j <= d-2, so the cut is lossless.  A member t <= M of T
+    is e t' with t' <= M//e in <B, step>, so one table of <B, step>, closed
+    from ``base`` by ``_close`` and exact on [0, last_j*d//e], gives every
+    count by a popcount.
+    """
+    bits = _close((step,), last_j * degree // e, base)
+    for j in range(1, last_j + 1):
+        point = j * degree
+        count = (bits & ((2 << point // e) - 1)).bit_count()
+        expected = (j + 1) * (j + 2) // 2
+        if count > expected or (count < expected and point < floor):
+            return True
+    return False
 
 
 def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigroup:

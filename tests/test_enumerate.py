@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from cuspidal import enumerate as search
@@ -13,7 +16,7 @@ from cuspidal.enumerate import (
     max_pairs_bound,
 )
 from cuspidal.invariants import newton_to_puiseux
-from cuspidal.records import CurveRecord, record_to_flat_dict
+from cuspidal.records import CurveRecord, OutputDocument, record_to_flat_dict
 from uncut_search import uncut_leaves
 
 
@@ -196,7 +199,8 @@ def test_classify_range_searches_five_pairs():
     assert "frontier" in five[0].flags
 
 
-def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
+def _counted_checks(monkeypatch):
+    # the degree of every counting check the search runs from here on
     calls = []
     check = search.bl_check_unicuspidal
 
@@ -205,6 +209,11 @@ def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
         return check(degree, generators)
 
     monkeypatch.setattr(search, "bl_check_unicuspidal", counted)
+    return calls
+
+
+def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
+    calls = _counted_checks(monkeypatch)
     leaves = uncut = 0
     for d in range(3, 31):
         for k in range(1, min(4, max_pairs_bound(d)) + 1):
@@ -213,22 +222,26 @@ def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
                 1 for a in _a_range(d, PRUNED) for _ in _pruned_extend(d, k, (), 0, a, (a,), 1)
             )
             uncut += sum(1 for _ in uncut_leaves(d, k))
-    # the prefix cut leaves 416 of the 10,136 delta-solved candidates
-    assert len(calls) == leaves == 416
+    # the two-sided prefix cut leaves 180 of the 10,136 delta-solved
+    # candidates
+    assert len(calls) == leaves == 180
     assert uncut == 10_136
 
 
 def test_prefix_cut_is_lossless(monkeypatch):
     # the cut tree from a = d//3 + 1 gives the records of the uncut walk
-    # over a = 2..d-1, and the cut fires
+    # over a = 2..d-1, and each side of the cut fires: the over-count side,
+    # and the exact side where the over-count side alone keeps the node
     cuts = []
-    overcounts = search._span_overcounts
+    prefix_cut = search._prefix_cut
 
-    def counted(degree, generators, e):
-        cuts.append(overcounts(degree, generators, e))
-        return cuts[-1]
+    def counted(degree, base, step, e, last_j, floor):
+        cut = prefix_cut(degree, base, step, e, last_j, floor)
+        # a floor of 0 leaves only the over-count side
+        cuts.append((cut, prefix_cut(degree, base, step, e, last_j, 0)))
+        return cut
 
-    monkeypatch.setattr(search, "_span_overcounts", counted)
+    monkeypatch.setattr(search, "_prefix_cut", counted)
     leaves = 0
     for d in range(3, 46):
         for k in range(1, max_pairs_bound(d) + 1):
@@ -237,4 +250,26 @@ def test_prefix_cut_is_lossless(monkeypatch):
             expect = sorted((r for r in uncut if r is not None), key=CurveRecord.sort_key)
             assert enumerate_candidates(SearchConfig(d, k)) == expect, (d, k)
     assert leaves == 145_322
-    assert any(cuts)
+    assert any(over for _, over in cuts)
+    assert any(cut and not over for cut, over in cuts)
+
+
+def test_classify_range_to_degree_100_is_pinned(monkeypatch):
+    # the SHA-256 of the JSON pins every record's bytes; 1,321 counting
+    # checks give the 1,043 records
+    calls = _counted_checks(monkeypatch)
+    records = classify_range(100)
+    assert len(calls) == 1_321
+    assert len(records) == 1_043
+    assert Counter(r.existence for r in records) == {
+        "candidate": 52,
+        "proved-reduction": 574,
+        "proved-family": 385,
+        "proved-lemma212": 26,
+        "proved-base": 6,
+    }
+    text = OutputDocument(tuple(records), {}).to_json()
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "523b3758bbc37765c117e165e83c354d04170ba8399d1b128399ccb3091d01d3"
+    )

@@ -7,6 +7,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import enumerate as search
 from cuspidal import invariants as inv
 from cuspidal import semigroup
 from cuspidal.enumerate import max_pairs_bound
@@ -25,7 +26,8 @@ from cuspidal.semigroup import (
     _apery,
     _generators,
     _round_robin,
-    _span_overcounts,
+    _prefix_cut,
+    _prefix_last_j,
     _telescopic,
     bl_check_unicuspidal,
     build_membership,
@@ -297,21 +299,73 @@ def test_stage_one_cap_is_checked_before_any_table(monkeypatch):
 
 
 def test_span_cut_stays_under_the_table_cap(monkeypatch):
-    # with a 64-bit cap only j <= 2 fit at d = 30 (2 * 30 + 1 bits), and
-    # <2, 3> already breaks j = 1: R(31) = 30
+    # the tables on one root-to-leaf path hold under 2 (J*d + k) bits: a
+    # 256-bit cap leaves J = 4 of 13 at d = 30, k = 3, and every table has
+    # at most J*d/2 + 1 bits; fewer j cut less, so only leaves that fail
+    # the counting check are added
+    def leaves():
+        return {
+            leaf
+            for a in search._a_range(30, search.PRUNED)
+            for leaf in search._pruned_extend(30, 3, (), 0, a, (a,), 1)
+        }
+
+    full = leaves()
     close = semigroup._close
+    built = []
 
-    def capped(generators, bound):
-        assert bound + 1 <= 64
-        return close(generators, bound)
+    def recorded(generators, bound, bits=1):
+        built.append(bound + 1)
+        return close(generators, bound, bits)
 
+    monkeypatch.setattr(semigroup, "_close", recorded)
+    monkeypatch.setattr(search, "_close", recorded)
+    monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 256)
+    assert _prefix_last_j(30, 3) == 4
+    capped = leaves()
+    assert built and max(built) <= 4 * 30 // 2 + 1
+    # no j fits: only one-bit tables, nothing is checked, nothing raises
     monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 64)
-    monkeypatch.setattr(semigroup, "_close", capped)
-    assert _span_overcounts(30, (2, 3), 1)
-    assert _span_overcounts(30, (4, 6), 2)
-    assert not _span_overcounts(30, (29, 30), 1)
-    # no j fits: nothing is checked, nothing raises
-    assert not _span_overcounts(100, (2, 3), 1)
+    assert _prefix_last_j(30, 3) == 0
+    built.clear()
+    uncapped = leaves()
+    assert set(built) == {1}
+    assert uncapped == {(a, bs) for a, bs in uncut_leaves(30, 3) if a > 10}
+    monkeypatch.undo()
+    assert full < capped < uncapped
+    assert all(search._finalize(30, a, bs) is None for a, bs in uncapped - full)
+
+
+def test_prefix_cut_exact_side():
+    # d = 10, the node a = 6, b_1 = 14: T = <6, 14> = 2 <3, 7>, p' = 6/2 = 3,
+    # so every later generator is at least 3 * 14 + 1 = 43.  R_T(11) = 2
+    # counts {0, 6} where the criterion asks 3, and T has no more members
+    # than asked at j = 2, 3, so only the exact side cuts it
+    base = semigroup._close((3,), 3 * 10 // 2)
+    assert _prefix_cut(10, base, 7, 2, 3, 43)
+    assert not _prefix_cut(10, base, 7, 2, 3, 0)
+    # and indeed every candidate below that node fails the check
+    below = [bs for a, bs in uncut_leaves(10, 2) if a == 6 and bs[0] == 14]
+    assert below
+    assert all(search._finalize(10, 6, bs) is None for bs in below)
+
+
+def test_prefix_cut_keeps_the_prefixes_of_a_record():
+    # d = 12, (2,3),(2,5),(2,3): a = 8, b = (12, 22, 25), generators
+    # (8, 12, 34, 71); the child fixing w_(i+1) has gcd P_(i+1) and floor
+    # p_i w_(i+1) + 1
+    degree, newton = 12, ((2, 3), (2, 5), (2, 3))
+    a, bs = inv.characteristic_seq(newton)
+    ps, Qs = inv.characteristic_chain(a, bs)
+    gens = _generators(ps, Qs)
+    last_j = _prefix_last_j(degree, len(newton))
+    P = a
+    for i in range(1, len(newton)):
+        g = P // ps[i - 1]
+        base = semigroup._close(tuple(w // g for w in gens[:i]), last_j * degree // g)
+        floor = ps[i - 1] * gens[i] + 1
+        assert not _prefix_cut(degree, base, gens[i] // g, g, last_j, floor), i
+        P = g
 
 
 def test_bl_check_matches_full_table_on_candidates():
