@@ -34,16 +34,16 @@ Two modes produce identical sets and cross-validate each other:
     there are stages left;
   - the prefix cut, two-sided: a node that has fixed (a; b_1..b_i) has
     fixed the generators w_1..w_(i+1) of every candidate below it too, by
-    w_2 = b_1 and w_(i+1) = p_(i-1) w_i + b_i - b_(i-1).  They span a
-    sub-semigroup T of each candidate's semigroup S, so R_S >= R_T; and
-    every later generator is at least p_i w_(i+1) + 1, so S and T have
-    the same members up to p_i w_(i+1).  If, for some
+    w_1 = a and w_(i+1) = p_(i-1) w_i + b_i - b_(i-1) with b_0 = 0 and
+    p_0 = 0.  They span a sub-semigroup T of each candidate's semigroup S,
+    so R_S >= R_T; and every later generator is at least p_i w_(i+1) + 1,
+    so S and T have the same members up to p_i w_(i+1).  If, for some
     j <= J = floor((d-3)/2), R_T(j*d + 1) > (j+1)(j+2)/2, or
     j*d <= p_i w_(i+1) and R_T(j*d + 1) != (j+1)(j+2)/2, every candidate
-    below fails (iii) and the node is not entered
-    (``semigroup._prefix_cut``; J is lowered where the tables would pass
-    ``TABLE_BIT_CAP``, which only cuts less).  Only the leaves that
-    survive it reach the counting check.
+    below fails (iii) and the node is not entered.  ``semigroup._span_miss``
+    owns the tables and the count, one counter per child gcd; J is lowered
+    where the tables would pass ``TABLE_BIT_CAP``, which only cuts less.
+    Only the leaves that survive it reach the counting check.
 
 * ``paranoid`` scans the full characteristic box with only
   provably-lossless cuts: the budget bound b_j <= (d-1)(d-2) + 1 (the
@@ -70,13 +70,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import (
-    _close,
-    _generators,
-    _prefix_cut,
-    _prefix_last_j,
-    bl_check_unicuspidal,
-)
+from .semigroup import _generators, _prefix_last_j, _span_miss, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -152,7 +146,7 @@ def _search_a(args) -> list[CurveRecord]:
     """The records with leading multiplicity a at (degree, k)."""
     degree, k, mode, a = args
     if mode == PRUNED:
-        leaves = _pruned_extend(degree, k, (), 0, a, (a,), 1)
+        leaves = _pruned_extend(degree, k, (), 1 - a, a, (a,), 0)
     else:
         leaves = _paranoid_extend(k, (degree - 1) * (degree - 2), a, (), 0, a, 1)
     records = (_finalize(degree, a, bs) for _, bs in leaves)
@@ -178,59 +172,50 @@ def _omega_at_least(n: int, count: int) -> bool:
 def _pruned_extend(degree, k, bs, partial, P, gens, p):
     """Yield (a, (b_1..b_k)) with the final exponent solved exactly.
 
-    The node has fixed bs = (b_1..b_i), the gcd P = P_(i+1) of a, b_1..b_i
-    and the generators gens = (w_1..w_(i+1)) of every leaf below it; p is
-    the Newton p_i = P_i/P_(i+1) that w_(i+2) needs (unused at the root).
+    The node has fixed bs = (b_1..b_i), the gcd P = P_(i+1) of a, b_1..b_i,
+    the delta bracket ``partial`` of those stages and the generators
+    gens = (w_1..w_(i+1)) of every leaf below it; p is the Newton
+    p_i = P_i/P_(i+1) that w_(i+2) needs.  The root is the node i = 0 with
+    b_0 = 0, p_0 = 0 and partial = 1 - a: the first stage's
+    (a-1)(b_1-1) = (a-1)(b_1 - b_0) + 1 - a, so every stage adds
+    (P-1)(b - prev), w_2 = p_0 w_1 + b_1 - b_0 = b_1, and one rule serves
+    every depth.  Every b exceeds max(prev, a).
 
     The children are grouped by their gcd g = gcd(P, b_(i+1)): for each
-    proper divisor g of P with enough prime factors, the span of gens/g is
-    closed once into a base table, and each b with gcd(P, b) = g adds only
-    its generator w/g to it (``_prefix_cut``).  Such a child has Newton
-    p' = P/g, and every later generator of a leaf below it is at least
-    p' w + 1: w_(m+1) = p_m w_m + Q_m with Q_m >= 1, and the generators
-    increase.  So each leaf's semigroup contains the child's span and
-    agrees with it below that floor, and a child whose span has too many
-    members below some j*d + 1, or a count other than (j+1)(j+2)/2 below
-    the floor, is not entered.
+    proper divisor g of P with enough prime factors, ``_span_miss`` closes
+    the span of gens/g once, and each b with gcd(P, b) = g adds only its
+    generator w/g to it.  Such a child has Newton p' = P/g, and every later
+    generator of a leaf below it is at least p' w + 1: w_(m+1) = p_m w_m +
+    Q_m with Q_m >= 1, and the generators increase.  So each leaf's
+    semigroup contains the child's span and agrees with it below that
+    floor, and a child whose span misses the criterion there is not
+    entered.
     """
-    a, depth = gens[0], len(bs) + 1
+    depth = len(bs) + 1
     target = (degree - 1) * (degree - 2)
+    prev = bs[-1] if bs else 0
+    low = max(prev, gens[0])
     if depth == k:
-        rem = target - partial
-        if depth == 1:
-            if rem <= 0 or rem % (a - 1):
-                return
-            b = rem // (a - 1) + 1
-            if b <= a or gcd(a, b) != 1:
-                return
-            yield a, (b,)
-        else:
-            if rem < P - 1 or rem % (P - 1):
-                return
-            Q = rem // (P - 1)
-            if gcd(P, Q) != 1:
-                return
-            yield a, bs + (bs[-1] + Q,)
+        Q, r = divmod(target - partial, P - 1)
+        if r == 0 and prev + Q > low and gcd(P, Q) == 1:
+            yield gens[0], bs + (prev + Q,)
         return
     # the budget: each later stage adds at least 1 to the bracket, so the
     # term of b, increasing in b, may use at most `room`
     room = target - partial - (k - depth)
-    prev = bs[-1] if bs else 0
-    lo = (a if depth == 1 else prev) + 1
-    hi = room // (a - 1) + 1 if depth == 1 else prev + room // (P - 1)
     last_j = _prefix_last_j(degree, k)
     for g in range(2, P // 2 + 1):
         if P % g or not _omega_at_least(g, k - depth):
             continue
-        base = _close(tuple(w // g for w in gens), last_j * degree // g)
-        for b in range(-(-lo // g) * g, hi + 1, g):
+        miss = _span_miss(degree, last_j, gens, g)
+        for b in range(low // g * g + g, prev + room // (P - 1) + 1, g):
             if gcd(P, b) != g:
                 continue
-            # w_2 = b_1, w_(i+1) = p_(i-1) w_i + b_i - b_(i-1)
-            w = b if depth == 1 else p * gens[-1] + b - prev
-            if _prefix_cut(degree, base, w // g, g, last_j, P // g * w + 1):
+            # w_(i+2) = p_i w_(i+1) + b_(i+1) - b_i
+            w = p * gens[-1] + b - prev
+            if miss(w, P // g * w + 1):
                 continue
-            term = (a - 1) * (b - 1) if depth == 1 else (P - 1) * (b - prev)
+            term = (P - 1) * (b - prev)
             yield from _pruned_extend(degree, k, bs + (b,), partial + term, g, gens + (w,), P // g)
 
 

@@ -128,6 +128,8 @@ def resolve_existence(degree: int, runs: MultRuns) -> tuple[str, tuple[Reduction
     one of the proved-* statuses with the full chain, or ("candidate", chain
     of attempted steps).
     """
+    if degree < 1:
+        raise ValueError(f"degree must be >= 1, got {degree}")
     chain: list[ReductionStep] = []
     d, m = degree, normalize_runs(runs)
     while True:

@@ -24,7 +24,9 @@ bit it does not read, and each saving is lossless:
 1. A table closed over [0, B] is exact on [0, B], so checking j <= 2 needs
    only [0, 2d].  Stage one checks j <= 2, where most candidates fail, on
    O(d) bits, with one popcount of the table int per j; only the survivors
-   go on to stage two, which builds no table.
+   go on to stage two, which builds no table.  Stage one is the span
+   counter ``_span_miss`` with no floor, the same popcount loop that the
+   search's prefix cut runs on the span of each node's generators.
 2. A plane-branch semigroup is symmetric (Kunz 1970).  When S is symmetric
    with conductor (d-1)(d-2), i.e. delta equals the genus,
    R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2, so the
@@ -51,7 +53,7 @@ passes ``TABLE_BIT_CAP`` bits runs.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from math import gcd, inf, prod
 from typing import NamedTuple
@@ -120,7 +122,7 @@ def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(generators)))
 
 
-def _close(generators: tuple[int, ...], bound: int, bits: int = 1) -> int:
+def _close(generators: Sequence[int], bound: int, bits: int = 1) -> int:
     """Bitset of the members of <B, generators> in [0, bound], where
     ``bits`` is the table of a semigroup B over [0, bound] ({0} by default).
 
@@ -141,7 +143,7 @@ def _close(generators: tuple[int, ...], bound: int, bits: int = 1) -> int:
 
 
 def _prefix_last_j(degree: int, pair_count: int) -> int:
-    """The last j the search's prefix cut (``_prefix_cut``) checks:
+    """The last j the search's prefix cut (``_span_miss``) checks:
     floor((d-3)/2), lowered so that the tables alive on one root-to-leaf
     path of a k-pair search stay under ``TABLE_BIT_CAP`` bits.
 
@@ -154,34 +156,45 @@ def _prefix_last_j(degree: int, pair_count: int) -> int:
     return max(0, min((degree - 3) // 2, (TABLE_BIT_CAP // 2 - pair_count) // degree))
 
 
-def _prefix_cut(degree: int, base: int, step: int, e: int, last_j: int, floor: int) -> bool:
-    """Whether every semigroup S that contains T = e <B, step> and has the
-    same members below ``floor`` fails the counting criterion, so that a
-    search node spanning T can be cut.
+def _span_miss(
+    degree: int, last_j: int, gens: tuple[int, ...], e: int
+) -> Callable[[int, float], tuple[int, int] | None]:
+    """The counter of the spans T = <gens, w> for one ``gens`` and gcd e.
 
-    ``base`` is the table of the numerical semigroup B over
-    [0, last_j*d//e].  Every candidate below the node has such an S, as its
-    later generators are all >= floor.  The node is cut if, for some j in
-    1..last_j,
+    Closes B = <gens/e> once over [0, last_j*d//e] and returns
+    ``miss(w, floor)``: the first (j, R_T(j*d + 1)), j in 1..last_j, with
 
-    - R_T(j*d + 1) > (j+1)(j+2)/2: T <= S gives R_S(x) >= R_T(x); or
-    - j*d < floor and R_T(j*d + 1) != (j+1)(j+2)/2: S and T have the same
-      members in [0, j*d], so R_S(j*d + 1) = R_T(j*d + 1).
+    - R_T(j*d + 1) > (j+1)(j+2)/2, or
+    - j*d < floor and R_T(j*d + 1) != (j+1)(j+2)/2,
 
-    Either way S breaks R_S(j*d + 1) = (j+1)(j+2)/2, which the criterion
-    asks at every j <= d-2, so the cut is lossless.  A member t <= M of T
-    is e t' with t' <= M//e in <B, step>, so one table of <B, step>, closed
-    from ``base`` by ``_close`` and exact on [0, last_j*d//e], gives every
-    count by a popcount.
+    or None if there is none.  e divides every generator, and a member
+    t <= M of T is e t' with t' <= M//e in <B, w/e>, so one shift-or of
+    w/e into the table of B (``_close``, exact on [0, last_j*d//e]) gives
+    every count by a popcount.
+
+    A miss means that every semigroup S which contains T and has the same
+    members below ``floor`` fails the counting criterion, which asks
+    R_S(j*d + 1) = (j+1)(j+2)/2 at every j <= d-2: T <= S gives
+    R_S(x) >= R_T(x), and S and T agree on [0, j*d] when j*d < floor, so
+    R_S(j*d + 1) = R_T(j*d + 1).  So a search node whose candidates all
+    have such an S, because their later generators are all >= floor, is
+    cut losslessly.  With no floor (floor = inf, S = T) the miss is the
+    first failing j of T itself: stage one of the counting check.
     """
-    bits = _close((step,), last_j * degree // e, base)
-    for j in range(1, last_j + 1):
-        point = j * degree
-        count = (bits & ((2 << point // e) - 1)).bit_count()
-        expected = (j + 1) * (j + 2) // 2
-        if count > expected or (count < expected and point < floor):
-            return True
-    return False
+    bound = last_j * degree // e
+    base = _close([w // e for w in gens], bound)
+
+    def miss(w: int, floor: float) -> tuple[int, int] | None:
+        bits = _close((w // e,), bound, base)
+        for j in range(1, last_j + 1):
+            point = j * degree
+            count = (bits & ((2 << point // e) - 1)).bit_count()
+            expected = (j + 1) * (j + 2) // 2
+            if count > expected or (count != expected and point < floor):
+                return j, count
+        return None
+
+    return miss
 
 
 def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigroup:
@@ -302,19 +315,6 @@ def _check_table_size(degree: int, bound: int) -> None:
         )
 
 
-def _stage_one(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
-    # R(j*d + 1) for j = 1..min(d-2, 2), each one popcount of the table closed
-    # over [0, min(d-2, 2)*d]; j = 0 always holds, as R(1) = 1
-    last_j = min(degree - 2, 2)
-    _check_table_size(degree, last_j * degree)
-    bits = _close(generators, last_j * degree)
-    for j in range(1, last_j + 1):
-        count = (bits & ((2 << j * degree) - 1)).bit_count()
-        if count != (j + 1) * (j + 2) // 2:
-            return BLCheckResult(degree, j, count)
-    return BLCheckResult(degree)
-
-
 def _apery_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
     # R(j*d + 1) for j = 0..last_j off the sorted Apery set of w_1: with
     # q, s = divmod(M, w_1), R(M + 1) = sum over r <= M of (M - r)//w_1 + 1
@@ -346,7 +346,8 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     1. J = min(d-2, 2), on a membership table closed over [0, J*d], the
        bits below the largest point it probes.  Most candidates fail here,
        on O(d) bits.  R(d+1) and R(2d+1) are popcounts of the masked table
-       int; j = 0 is not probed, as R(1) = 1 always holds.
+       int (``_span_miss`` with no floor); j = 0 is not probed, as
+       R(1) = 1 always holds.
     2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
        generators are telescopic (``_telescopic``) with Frobenius number
        (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
@@ -378,9 +379,14 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     gens = _sorted_generators(generators)
     if gcd(*gens) != 1:
         raise ValueError(f"generators {generators} do not generate a numerical semigroup")
-    verdict = _stage_one(degree, gens)
-    if not verdict.passed or degree <= 4:  # failed, or every j checked
-        return verdict
+    # stage one: j <= min(d-2, 2) on a table over [0, J*d]
+    last_j = min(degree - 2, 2)
+    _check_table_size(degree, last_j * degree)
+    miss = _span_miss(degree, last_j, gens[:-1], 1)(gens[-1], inf)
+    if miss is not None:
+        return BLCheckResult(degree, *miss)
+    if degree <= 4:  # every j checked
+        return BLCheckResult(degree)
     last_j = degree - 2
     telescopic = _telescopic(gens)
     if telescopic is not None and telescopic[0] + 1 == (degree - 1) * (degree - 2):

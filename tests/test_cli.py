@@ -207,6 +207,14 @@ def test_reduce_command(capsys):
     assert json.loads(out)["status"] == "proved-reduction"
 
 
+def test_reduce_rejects_degrees_below_one(capsys):
+    # like every other subcommand, with exit 2 and the genus_target wording
+    for degree in ("0", "-3"):
+        code, out, err = run(capsys, "reduce", "--degree", degree, "--mult", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: degree must be >= 1, got {degree}\n"
+
+
 def test_huge_run_counts_stay_bounded(capsys):
     # multiplicities are kept as runs end to end: a count of 10^10 would
     # need well over 100 GB if any step expanded it entry by entry

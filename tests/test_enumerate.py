@@ -9,15 +9,13 @@ from cuspidal.enumerate import (
     PRUNED,
     PairCountBoundError,
     SearchConfig,
-    _a_range,
-    _pruned_extend,
     classify_range,
     enumerate_candidates,
     max_pairs_bound,
 )
 from cuspidal.invariants import newton_to_puiseux
 from cuspidal.records import CurveRecord, OutputDocument, record_to_flat_dict
-from uncut_search import uncut_leaves
+from uncut_search import pruned_leaves, uncut_leaves
 
 
 def test_max_pairs_bound():
@@ -218,9 +216,7 @@ def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
     for d in range(3, 31):
         for k in range(1, min(4, max_pairs_bound(d)) + 1):
             enumerate_candidates(SearchConfig(d, k))
-            leaves += sum(
-                1 for a in _a_range(d, PRUNED) for _ in _pruned_extend(d, k, (), 0, a, (a,), 1)
-            )
+            leaves += sum(1 for _ in pruned_leaves(d, k))
             uncut += sum(1 for _ in uncut_leaves(d, k))
     # the two-sided prefix cut leaves 180 of the 10,136 delta-solved
     # candidates
@@ -233,15 +229,20 @@ def test_prefix_cut_is_lossless(monkeypatch):
     # over a = 2..d-1, and each side of the cut fires: the over-count side,
     # and the exact side where the over-count side alone keeps the node
     cuts = []
-    prefix_cut = search._prefix_cut
+    span_miss = search._span_miss
 
-    def counted(degree, base, step, e, last_j, floor):
-        cut = prefix_cut(degree, base, step, e, last_j, floor)
-        # a floor of 0 leaves only the over-count side
-        cuts.append((cut, prefix_cut(degree, base, step, e, last_j, 0)))
-        return cut
+    def counted(degree, last_j, gens, e):
+        miss = span_miss(degree, last_j, gens, e)
 
-    monkeypatch.setattr(search, "_prefix_cut", counted)
+        def counted_miss(w, floor):
+            cut = miss(w, floor)
+            # a floor of 0 leaves only the over-count side
+            cuts.append((cut is not None, miss(w, 0) is not None))
+            return cut
+
+        return counted_miss
+
+    monkeypatch.setattr(search, "_span_miss", counted)
     leaves = 0
     for d in range(3, 46):
         for k in range(1, max_pairs_bound(d) + 1):

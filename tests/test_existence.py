@@ -98,6 +98,12 @@ def test_resolve_chains():
     assert chain == ()
 
 
+def test_resolve_rejects_degrees_below_one():
+    for degree in (0, -3):
+        with pytest.raises(ValueError, match=f"degree must be >= 1, got {degree}"):
+            resolve_existence(degree, parse_multiplicity("2"))
+
+
 def test_reduction_preserves_rationality():
     # if delta(m) is the genus at degree d, the stripped remainder has the
     # genus at the reduced degree -- checked on every listed curve

@@ -26,14 +26,14 @@ from cuspidal.semigroup import (
     _apery,
     _generators,
     _round_robin,
-    _prefix_cut,
     _prefix_last_j,
+    _span_miss,
     _telescopic,
     bl_check_unicuspidal,
     build_membership,
     generators_from_newton,
 )
-from uncut_search import uncut_leaves
+from uncut_search import pruned_leaves, uncut_leaves
 
 
 def naive_members(generators, bound):
@@ -184,7 +184,7 @@ def test_bl_check_validation():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.integers(2, 60), min_size=1, max_size=4).filter(
+    st.lists(st.integers(1, 60), min_size=1, max_size=4).filter(
         lambda gens: reduce(gcd, gens) == 1
     ),
     st.integers(2, 30),
@@ -304,11 +304,7 @@ def test_span_cut_stays_under_the_table_cap(monkeypatch):
     # at most J*d/2 + 1 bits; fewer j cut less, so only leaves that fail
     # the counting check are added
     def leaves():
-        return {
-            leaf
-            for a in search._a_range(30, search.PRUNED)
-            for leaf in search._pruned_extend(30, 3, (), 0, a, (a,), 1)
-        }
+        return set(pruned_leaves(30, 3))
 
     full = leaves()
     close = semigroup._close
@@ -318,8 +314,9 @@ def test_span_cut_stays_under_the_table_cap(monkeypatch):
         built.append(bound + 1)
         return close(generators, bound, bits)
 
+    # the search builds its tables only through semigroup
+    assert not hasattr(search, "_close")
     monkeypatch.setattr(semigroup, "_close", recorded)
-    monkeypatch.setattr(search, "_close", recorded)
     monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 256)
     assert _prefix_last_j(30, 3) == 4
     capped = leaves()
@@ -341,9 +338,9 @@ def test_prefix_cut_exact_side():
     # so every later generator is at least 3 * 14 + 1 = 43.  R_T(11) = 2
     # counts {0, 6} where the criterion asks 3, and T has no more members
     # than asked at j = 2, 3, so only the exact side cuts it
-    base = semigroup._close((3,), 3 * 10 // 2)
-    assert _prefix_cut(10, base, 7, 2, 3, 43)
-    assert not _prefix_cut(10, base, 7, 2, 3, 0)
+    miss = _span_miss(10, 3, (6,), 2)
+    assert miss(14, 43) == (1, 2)
+    assert miss(14, 0) is None
     # and indeed every candidate below that node fails the check
     below = [bs for a, bs in uncut_leaves(10, 2) if a == 6 and bs[0] == 14]
     assert below
@@ -362,9 +359,8 @@ def test_prefix_cut_keeps_the_prefixes_of_a_record():
     P = a
     for i in range(1, len(newton)):
         g = P // ps[i - 1]
-        base = semigroup._close(tuple(w // g for w in gens[:i]), last_j * degree // g)
         floor = ps[i - 1] * gens[i] + 1
-        assert not _prefix_cut(degree, base, gens[i] // g, g, last_j, floor), i
+        assert _span_miss(degree, last_j, gens[:i], g)(gens[i], floor) is None, i
         P = g
 
 
@@ -462,9 +458,9 @@ def test_stage_two_of_telescopic_inputs_builds_no_table(monkeypatch):
     close = semigroup._close
     limit = 0
 
-    def small_close(generators, bound):
+    def small_close(generators, bound, bits=1):
         assert bound <= limit, f"a {bound + 1}-bit table was built"
-        return close(generators, bound)
+        return close(generators, bound, bits)
 
     monkeypatch.setattr(semigroup, "_close", small_close)
     for (degree, gens), want in zip(inputs, expect):
@@ -502,9 +498,9 @@ def test_stage_two_of_any_input_builds_no_table(monkeypatch):
     close = semigroup._close
     limit = 0
 
-    def small_close(generators, bound):
+    def small_close(generators, bound, bits=1):
         assert bound <= limit, f"a {bound + 1}-bit table was built"
-        return close(generators, bound)
+        return close(generators, bound, bits)
 
     monkeypatch.setattr(semigroup, "_close", small_close)
     for degree, gens, want in staged:

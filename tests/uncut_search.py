@@ -4,11 +4,12 @@
 would hand to the counting check if no inner node were cut and the
 leading multiplicity ran over 2..d-1.  The full-table and naive-count
 oracles and the losslessness test of the cut read their inputs from it.
+``pruned_leaves`` yields the leaves the cut search itself hands on.
 """
 
 from math import gcd
 
-from cuspidal.enumerate import _omega_at_least
+from cuspidal.enumerate import PRUNED, _a_range, _omega_at_least, _pruned_extend
 
 
 def _uncut_extend(k, target, a, bs, partial, P, depth):
@@ -48,3 +49,9 @@ def uncut_leaves(degree, k):
     target = (degree - 1) * (degree - 2)
     for a in range(2, degree):
         yield from _uncut_extend(k, target, a, (), 0, a, 1)
+
+
+def pruned_leaves(degree, k):
+    """Every (a, (b_1..b_k)) leaf of the pruned search at (degree, k)."""
+    for a in _a_range(degree, PRUNED):
+        yield from _pruned_extend(degree, k, (), 1 - a, a, (a,), 0)
