@@ -62,6 +62,7 @@ deterministic for any worker count.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
@@ -124,11 +125,14 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
 def _run_tasks(fn, tasks: list, worker_count: int) -> list:
     """Map ``fn`` over ``tasks`` and concatenate the resulting lists in task
     order: serially for one worker, else through one process pool that
-    hands out the tasks as workers free up."""
-    if worker_count <= 1 or len(tasks) <= 1:
+    hands out the tasks as workers free up.  The pool has at most one
+    worker per task and per CPU, whatever ``worker_count`` asks for: a fork
+    pool starts all its workers at the first task."""
+    workers = min(worker_count, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         parts = map(fn, tasks)
     else:
-        with ProcessPoolExecutor(max_workers=min(worker_count, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(fn, tasks))
     return [item for part in parts for item in part]
 
@@ -148,7 +152,7 @@ def _search_a(args) -> list[CurveRecord]:
     if mode == PRUNED:
         leaves = _pruned_extend(degree, k, (), 1 - a, a, (a,), 0)
     else:
-        leaves = _paranoid_extend(k, (degree - 1) * (degree - 2), a, (), 0, a, 1)
+        leaves = _paranoid_extend(k, (degree - 1) * (degree - 2), a, (), 1 - a, a)
     records = (_finalize(degree, a, bs) for _, bs in leaves)
     return [record for record in records if record is not None]
 
@@ -183,7 +187,8 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
 
     The children are grouped by their gcd g = gcd(P, b_(i+1)): for each
     proper divisor g of P with enough prime factors, ``_span_miss`` closes
-    the span of gens/g once, and each b with gcd(P, b) = g adds only its
+    the span of gens/g once, at the first such child (a gcd with no child
+    builds nothing), and each b with gcd(P, b) = g adds only its
     generator w/g to it.  Such a child has Newton p' = P/g, and every later
     generator of a leaf below it is at least p' w + 1: w_(m+1) = p_m w_m +
     Q_m with Q_m >= 1, and the generators increase.  So each leaf's
@@ -207,10 +212,12 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
     for g in range(2, P // 2 + 1):
         if P % g or not _omega_at_least(g, k - depth):
             continue
-        miss = _span_miss(degree, last_j, gens, g)
+        miss = None
         for b in range(low // g * g + g, prev + room // (P - 1) + 1, g):
             if gcd(P, b) != g:
                 continue
+            if miss is None:
+                miss = _span_miss(degree, last_j, gens, g)
             # w_(i+2) = p_i w_(i+1) + b_(i+1) - b_i
             w = p * gens[-1] + b - prev
             if miss(w, P // g * w + 1):
@@ -219,13 +226,15 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
             yield from _pruned_extend(degree, k, bs + (b,), partial + term, g, gens + (w,), P // g)
 
 
-def _paranoid_extend(k, target, a, bs, partial, P, depth):
-    """Scan every exponent level explicitly (no solving)."""
+def _paranoid_extend(k, target, a, bs, partial, P):
+    """Scan every exponent level explicitly (no solving).  Nodes follow the
+    convention of :func:`_pruned_extend`: the root has b_0 = 0, the bracket
+    ``partial`` = 1 - a and P = a, every stage adds (P-1)(b - prev), and
+    every b exceeds max(prev, a)."""
+    depth = len(bs) + 1
     prev = bs[-1] if bs else 0
-    lo = (a if depth == 1 else prev) + 1
-    for b in range(lo, target + 2):
-        term = (a - 1) * (b - 1) if depth == 1 else (P - 1) * (b - prev)
-        total = partial + term
+    for b in range(max(prev, a) + 1, target + 2):
+        total = partial + (P - 1) * (b - prev)
         if total + (k - depth) > target:
             return
         Pn = gcd(P, b)
@@ -233,7 +242,7 @@ def _paranoid_extend(k, target, a, bs, partial, P, depth):
             if total == target and Pn == 1:
                 yield a, bs + (b,)
         elif 2 <= Pn < P:
-            yield from _paranoid_extend(k, target, a, bs + (b,), total, Pn, depth + 1)
+            yield from _paranoid_extend(k, target, a, bs + (b,), total, Pn)
 
 
 def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
@@ -288,12 +297,18 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
     "frontier".  Workers parallelize over the (degree, pair count) grid;
     the merge preserves canonical order.
     """
-    tasks = [
+    cells = [
         (d, k)
         for d in range(3, max_degree + 1)
         for k in range(1, max_pairs_bound(d) + 1)
     ]
-    # the tasks are distinct (d, k) and k = len(newton): no record repeats
-    records = _run_tasks(_enumerate_task, tasks, worker_count)
+    return _classify_cells(cells, worker_count)
+
+
+def _classify_cells(cells: list[tuple[int, int]], worker_count: int) -> list[CurveRecord]:
+    """The classified candidates of the (degree, pair count) cells, one
+    search task per cell, in canonical order."""
+    # the cells are distinct and k = len(newton): no record repeats
+    records = _run_tasks(_enumerate_task, cells, worker_count)
     records.sort(key=CurveRecord.sort_key)
     return [classify_record(record) for record in records]

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product, takewhile
-from math import gcd, isqrt, prod
+from math import comb, gcd, prod
 
 from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY
@@ -131,18 +131,41 @@ def ordered_factorizations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def ordered_factorization_count(n: int) -> int:
-    """Kalmar count a(n): a(1) = 1, a(n) = sum of a(d) over proper divisors."""
+    """Kalmar count a(n): a(1) = 1, a(n) = sum of a(d) over proper divisors.
+
+    a(n) depends only on the prime exponents e_i of n, and a closed form in
+    them gives it.  The ordered factorizations of n into i factors >= 1
+    number F(i) = prod C(e_i + i - 1, i - 1), since each prime spreads its
+    exponent over the i factors; inclusion-exclusion over the factors equal
+    to 1 leaves sum_(i<=j) (-1)^(j-i) C(j, i) F(i) with exactly j factors
+    >= 2, for j = 1..N, N = sum e_i.  Collected by F(i), the signs sum to
+    S(i) = sum_(j=i..N) (-1)^(j-i) C(j, i), and Pascal's rule gives
+    2 S(i) = S(i-1) + (-1)^(N-i) C(N+1, i) from S(0) = [N even].
+
+    The cost is the factoring, by trial division that stops once f^2
+    exceeds what is left: up to max(p_2, sqrt(p_1)) steps for the two
+    largest prime factors p_1 >= p_2 of n, so O(sqrt(p)) for an n with a
+    huge prime factor p.  Then N <= log2(n) products of binomials follow.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # divisor pairs (i, n // i) with 2 <= i <= sqrt(n), plus the divisor 1
-    total = 1
-    for i in range(2, isqrt(n) + 1):
-        if n % i == 0:
-            total += ordered_factorization_count(i)
-            if i * i != n:
-                total += ordered_factorization_count(n // i)
+    exponents = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            exponents.append(0)
+            while n % f == 0:
+                n //= f
+                exponents[-1] += 1
+        f += 1
+    if n > 1:
+        exponents.append(1)
+    N = sum(exponents)
+    total, S = 1 if N == 0 else 0, 1 - N % 2
+    for i in range(1, N + 1):
+        S = (S + (-1) ** (N - i) * comb(N + 1, i)) // 2
+        total += S * prod(comb(e + i - 1, i - 1) for e in exponents)
     return total
 
 
@@ -391,24 +414,18 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
       visible, and records of that type carry an inconsistency flag.
 
     Exactly the specs that :func:`family_curve` rejects raise
-    :class:`FamilyParameterError`: those outside the family's domain
-    (:func:`_family_data`) and, for every kind but tono-iib, those whose
-    pairs fail the checks of a strict record (the Newton-pair invariants and
-    delta = genus), such as every Kashiwara "minus" spec.  The Kashiwara
-    N-pair kinds read their n_i off the pairs.
+    :class:`FamilyParameterError`, because the spec is first built by
+    :func:`family_curve` and its error passes through: those outside the
+    family's domain and, for every kind but tono-iib, those whose pairs
+    fail the checks of a strict record (the Newton-pair invariants and
+    delta = genus), such as every Kashiwara "minus" spec.  The tono-iib
+    s = 1 check comes first.  The Kashiwara N-pair kinds read their n_i off
+    the record's pairs.
     """
     kind, params = spec.kind, spec.params
     if kind == TONO_IIB and params[1:] == (1,):
         raise FamilyParameterError("tono-iib threshold expression is singular at s = 1")
-    degree, pairs = _family_data(spec)
-    if pairs and kind != TONO_IIB:
-        try:
-            inv.validate_newton_pairs(pairs)
-            delta = inv._delta_bracket_halved(inv._puiseux_from_newton(pairs))
-            if delta != inv.genus_target(degree):
-                raise inv.InvalidCuspData(f"delta {delta} != genus at degree {degree}")
-        except inv.InvalidCuspData as exc:
-            raise _family_error(spec, exc) from exc
+    pairs = family_curve(spec).newton
     if kind == AMS:
         factors = params
         d = prod(factors)

@@ -250,10 +250,6 @@ def delta_from_puiseux(pairs: Pairs) -> int:
     """delta invariant from Puiseux pairs:
     ((P_1 - 1)(Q_1 - 1) + sum_{j>=2} (P_j - 1) Q_j) / 2."""
     validate_puiseux_pairs(pairs)
-    return _delta_bracket_halved(pairs)
-
-
-def _delta_bracket_halved(pairs: Pairs) -> int:
     (P1, Q1) = pairs[0]
     bracket = (P1 - 1) * (Q1 - 1) + sum((P - 1) * Q for P, Q in pairs[1:])
     if bracket % 2:

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from math import gcd, inf, prod
 from typing import NamedTuple
 
-from .invariants import Pairs, newton_to_puiseux, validate_newton_pairs
+from .invariants import Pairs, newton_to_puiseux
 
 # Largest range [0, J*d] a counting-check stage covers, in bits: the size of
 # stage one's membership table, and for stage two a bound on its work; also
@@ -74,7 +74,6 @@ def generators_from_newton(pairs: Pairs) -> tuple[int, ...]:
     """
     if not pairs:
         return (1,)
-    validate_newton_pairs(pairs)
     puiseux = newton_to_puiseux(pairs)
     return _generators([p for p, _ in pairs], [Q for _, Q in puiseux])
 

@@ -36,13 +36,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import invariants as inv
-from .enumerate import (
-    _enumerate_task,
-    _run_tasks,
-    classify_range,
-    classify_record,
-    max_pairs_bound,
-)
+from .enumerate import _classify_cells, classify_range, max_pairs_bound
 from .existence import CANDIDATE, PROVED_REDUCTION
 from .families import (
     FamilyParameterError,
@@ -275,10 +269,9 @@ def _pair_row_str(degree: int, pairs: inv.Pairs, mult: str | None = None) -> str
 
 def _classified(pair_count: int, worker_count: int) -> list[CurveRecord]:
     """The classified records of one pair count over degrees <= 30, one
-    enumeration task per degree (degree order is preserved, so output is
-    deterministic for any worker count)."""
-    tasks = [(d, pair_count) for d in range(3, 31) if max_pairs_bound(d) >= pair_count]
-    return [classify_record(r) for r in _run_tasks(_enumerate_task, tasks, worker_count)]
+    search task per degree, in canonical order for any worker count."""
+    cells = [(d, pair_count) for d in range(3, 31) if max_pairs_bound(d) >= pair_count]
+    return _classify_cells(cells, worker_count)
 
 
 def _diff_pair_table(

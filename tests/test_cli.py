@@ -270,6 +270,17 @@ def test_factorizations_command(capsys):
     # prime signature, and a scan over every d < n gives it for 2^8 3^8
     code, out, _ = run(capsys, "factorizations", "--n", "100000000")
     assert code == 0 and out.strip() == "34013312"
+    # a(n) is a closed form in the prime exponents: 10^24 = 2^24 5^24 and
+    # 2^80 answer at once, where a sum over divisor pairs i <= sqrt(n)
+    # would take ~10^12 steps; a(2^m) = 2^(m-1)
+    import time
+
+    start = time.monotonic()
+    code, out, _ = run(capsys, "factorizations", "--n", str(10**24))
+    assert code == 0 and out.strip() == "2304671139169299718995968"
+    code, out, _ = run(capsys, "factorizations", "--n", str(2**80))
+    assert code == 0 and out.strip() == str(2**79)
+    assert time.monotonic() - start < 1.0
 
 
 def test_prime_scan_command(capsys):

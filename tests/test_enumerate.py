@@ -1,4 +1,5 @@
 import hashlib
+import os
 from collections import Counter
 
 import pytest
@@ -253,6 +254,59 @@ def test_prefix_cut_is_lossless(monkeypatch):
     assert leaves == 145_322
     assert any(over for _, over in cuts)
     assert any(cut and not over for cut, over in cuts)
+
+
+def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
+    # a counter closes a base table, so the tree builds one only at the
+    # first child of its gcd, and every counter built is then called
+    calls = []
+    span_miss = search._span_miss
+
+    def counted(degree, last_j, gens, e):
+        miss = span_miss(degree, last_j, gens, e)
+        index = len(calls)
+        calls.append(0)
+
+        def counted_miss(w, floor):
+            calls[index] += 1
+            return miss(w, floor)
+
+        return counted_miss
+
+    monkeypatch.setattr(search, "_span_miss", counted)
+    leaves = 0
+    for d in range(3, 41):
+        for k in range(1, max_pairs_bound(d) + 1):
+            leaves += sum(1 for _ in pruned_leaves(d, k))
+    assert leaves == 295
+    assert len(calls) == 1_295
+    assert all(calls)
+
+
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a fork pool starts every worker at the first task, so --jobs above
+    # the CPU count must not ask for more; the fake pool maps in-process
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    records = enumerate_candidates(SearchConfig(60, 3, PRUNED, 10**6))
+    cpus = os.cpu_count() or 1
+    assert all(n <= cpus for n in requested)
+    assert requested or cpus == 1
+    assert records == enumerate_candidates(SearchConfig(60, 3))
 
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):
