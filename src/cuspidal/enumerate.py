@@ -55,15 +55,18 @@ tangent-line bound.  Neither is a filter of its own: the counting
 criterion's j = 1 condition implies both (see ``_finalize``).
 
 The search is embarrassingly parallel over the leading multiplicity a:
-each a is one task, a single process pool hands the tasks out as workers
-free up, and the results are merged by a canonical sort, so output is
-deterministic for any worker count.
+each a is one task.  With more than one worker the process forks helpers
+and works alongside them, every process taking the next task from one
+shared counter, and the results are merged by a canonical sort, so output
+is deterministic for any worker count.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
@@ -124,17 +127,101 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
 
 def _run_tasks(fn, tasks: list, worker_count: int) -> list:
     """Map ``fn`` over ``tasks`` and concatenate the resulting lists in task
-    order: serially for one worker, else through one process pool that
-    hands out the tasks as workers free up.  The pool has at most one
-    worker per task and per CPU, whatever ``worker_count`` asks for: a fork
-    pool starts all its workers at the first task."""
-    workers = min(worker_count, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = map(fn, tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, tasks))
-    return [item for part in parts for item in part]
+    order.
+
+    With W = min(worker_count, len(tasks), CPUs) > 1 the process forks W - 1
+    helpers and runs tasks itself too; every process takes the next task
+    index from one shared counter, so the tasks are handed out as
+    processes free up.  A helper sends its (index, result) pairs, or the
+    exception a task raised, pickled through a pipe and leaves by
+    ``os._exit``; the caller reads every pipe, reaps every helper and
+    re-raises a helper's exception.  A helper that ends without a payload
+    raises RuntimeError.  Whatever goes wrong, no helper outlives the call.
+    One worker, or a platform without ``os.fork``, runs the tasks serially.
+    Forking copies only the calling thread; the package starts no others.
+    """
+    workers = min(worker_count, len(tasks), _cpu_count())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [item for task in tasks for item in fn(task)]
+    counter = multiprocessing.get_context("fork").Value("q", 0)
+    pipes = {}  # pid -> read end of the helper's pipe, until it is reaped
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                inherited = [read, *(pipe.fileno() for pipe in pipes.values())]
+                _helper(fn, tasks, counter, write, inherited)
+            os.close(write)
+            pipes[pid] = open(read, "rb")
+        done = _take_tasks(fn, tasks, counter)
+        for pid, pipe in list(pipes.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del pipes[pid]
+            if not data:
+                raise RuntimeError(
+                    f"worker process {pid} ended without a result "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            done += payload
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    done.sort(key=lambda pair: pair[0])
+    return [item for _, part in done for item in part]
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _take_tasks(fn, tasks: list, counter) -> list:
+    """(index, fn(task)) for each task index this process takes."""
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(tasks):
+            return done
+        done.append((index, fn(tasks[index])))
+
+
+def _helper(fn, tasks: list, counter, write: int, inherited: list[int]):
+    """A forked helper's whole life: close the pipe ends it inherited, take
+    tasks, send the pickled (True, pairs) or (False, exception) through
+    ``write`` and leave by ``os._exit``, which runs no exit handler and
+    flushes no inherited buffer.  A payload that does not pickle leaves
+    nothing in the pipe."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            payload = (True, _take_tasks(fn, tasks, counter))
+        except BaseException as exc:
+            payload = (False, exc)
+        data = pickle.dumps(payload)
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _a_range(degree: int, mode: str) -> range:

@@ -131,6 +131,14 @@ def ordered_factorizations(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# trial division stops here; a larger cofactor must be proved prime
+TRIAL_DIVISION_BOUND = 1 << 20
+# the primes 2..41 as Miller-Rabin bases decide primality below this
+# (Sorenson and Webster 2015)
+MILLER_RABIN_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def ordered_factorization_count(n: int) -> int:
     """Kalmar count a(n): a(1) = 1, a(n) = sum of a(d) over proper divisors.
 
@@ -143,30 +151,66 @@ def ordered_factorization_count(n: int) -> int:
     S(i) = sum_(j=i..N) (-1)^(j-i) C(j, i), and Pascal's rule gives
     2 S(i) = S(i-1) + (-1)^(N-i) C(N+1, i) from S(0) = [N even].
 
-    The cost is the factoring, by trial division that stops once f^2
-    exceeds what is left: up to max(p_2, sqrt(p_1)) steps for the two
-    largest prime factors p_1 >= p_2 of n, so O(sqrt(p)) for an n with a
-    huge prime factor p.  Then N <= log2(n) products of binomials follow.
+    The cost is the factoring (see :func:`_prime_exponents`), at most
+    TRIAL_DIVISION_BOUND / 2 trial divisions and one Miller-Rabin test;
+    an n it cannot factor raises ValueError.  Then N <= log2(n) products
+    of binomials follow.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    exponents = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            exponents.append(0)
-            while n % f == 0:
-                n //= f
-                exponents[-1] += 1
-        f += 1
-    if n > 1:
-        exponents.append(1)
+    exponents = _prime_exponents(n)
     N = sum(exponents)
     total, S = 1 if N == 0 else 0, 1 - N % 2
     for i in range(1, N + 1):
         S = (S + (-1) ** (N - i) * comb(N + 1, i)) // 2
         total += S * prod(comb(e + i - 1, i - 1) for e in exponents)
     return total
+
+
+def _prime_exponents(n: int) -> list[int]:
+    """The exponents of the prime factors of n, by trial division up to
+    TRIAL_DIVISION_BOUND.  A cofactor left above it has no factor up to
+    the bound; it counts as one prime only when the deterministic
+    Miller-Rabin test proves it prime, and otherwise (a composite, or a
+    cofactor of MILLER_RABIN_EXACT_BELOW or more) ValueError is raised."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    exponents = []
+    f = 2
+    while f * f <= n:
+        if f > TRIAL_DIVISION_BOUND:
+            if n >= MILLER_RABIN_EXACT_BELOW or not _miller_rabin(n):
+                raise ValueError(
+                    f"cannot factor n: the cofactor {n} has no prime factor "
+                    f"up to {TRIAL_DIVISION_BOUND} and is not provably prime"
+                )
+            break
+        if n % f == 0:
+            exponents.append(0)
+            while n % f == 0:
+                n //= f
+                exponents[-1] += 1
+        f += 1 if f == 2 else 2
+    if n > 1:
+        exponents.append(1)
+    return exponents
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether odd n > 41 is a strong probable prime to every base in
+    _MILLER_RABIN_BASES; exact for n < MILLER_RABIN_EXACT_BELOW."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _MILLER_RABIN_BASES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def ams_all(degree: int) -> list[CurveRecord]:
@@ -422,10 +466,15 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
     s = 1 check comes first.  The Kashiwara N-pair kinds read their n_i off
     the record's pairs.
     """
-    kind, params = spec.kind, spec.params
-    if kind == TONO_IIB and params[1:] == (1,):
+    if spec.kind == TONO_IIB and spec.params[1:] == (1,):
         raise FamilyParameterError("tono-iib threshold expression is singular at s = 1")
-    pairs = family_curve(spec).newton
+    return _closed_forms(spec, family_curve(spec).newton)
+
+
+def _closed_forms(spec: FamilySpec, pairs: inv.Pairs) -> tuple[Fraction, int]:
+    """:func:`invariant_closed_forms` of a spec that :func:`family_curve`
+    accepts, given the Newton pairs of its record."""
+    kind, params = spec.kind, spec.params
     if kind == AMS:
         factors = params
         d = prod(factors)

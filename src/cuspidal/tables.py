@@ -40,8 +40,8 @@ from .enumerate import _classify_cells, classify_range, max_pairs_bound
 from .existence import CANDIDATE, PROVED_REDUCTION
 from .families import (
     FamilyParameterError,
+    _closed_forms,
     family_curve,
-    invariant_closed_forms,
     kashiwara_grid,
     orevkov_grid,
     tono_grid,
@@ -351,7 +351,7 @@ def _reproduce_lct(report, grid_specs):
             rejected += 1
             continue
         report.total += 1
-        expected_lct, expected_si = invariant_closed_forms(spec)
+        expected_lct, expected_si = _closed_forms(spec, record.newton)
         if FLAG_INCONSISTENT in record.flags:
             # both values are recorded; the row "matches" exactly when the
             # discrepancy is visible rather than silently resolved

@@ -283,6 +283,18 @@ def test_factorizations_command(capsys):
     assert time.monotonic() - start < 1.0
 
 
+def test_factorizations_out_of_range_is_an_input_error(capsys):
+    # a product of two primes near 2^30 has no factor the bounded trial
+    # division finds and is composite, so no exponent signature is proved:
+    # exit 2 at once rather than ~10^9 trial divisions
+    import time
+
+    start = time.monotonic()
+    code, _, err = run(capsys, "factorizations", "--n", str(998244353 * 1000000007))
+    assert code == 2 and "cannot factor" in err
+    assert time.monotonic() - start < 1.0
+
+
 def test_prime_scan_command(capsys):
     code, out, _ = run(capsys, "prime-scan", "--max", "50")
     assert code == 0

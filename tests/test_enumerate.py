@@ -1,5 +1,6 @@
 import hashlib
 import os
+import time
 from collections import Counter
 
 import pytest
@@ -283,30 +284,123 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
     assert all(calls)
 
 
+def _recorded_forks(monkeypatch) -> list[int]:
+    # the pid of every helper the runner forks, seen from the caller
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _slow_caller(helper_action):
+    # a task that runs helper_action in a forked helper only; the caller
+    # sleeps on each of its tasks, so a helper takes some of them
+    caller = os.getpid()
+
+    def task(n):
+        if os.getpid() != caller:
+            helper_action()
+        time.sleep(0.05)
+        return [n]
+
+    return task
+
+
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
-    # a fork pool starts every worker at the first task, so --jobs above
-    # the CPU count must not ask for more; the fake pool maps in-process
-    requested = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    # the caller runs tasks too, so --jobs above the CPU count forks at
+    # most one helper per other CPU
+    forks = _recorded_forks(monkeypatch)
     records = enumerate_candidates(SearchConfig(60, 3, PRUNED, 10**6))
-    cpus = os.cpu_count() or 1
-    assert all(n <= cpus for n in requested)
-    assert requested or cpus == 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert len(forks) + 1 <= cpus
+    assert forks or cpus == 1
     assert records == enumerate_candidates(SearchConfig(60, 3))
+    _assert_no_child_left()
+
+
+def test_worker_count_respects_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU forks nothing, however many the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    forks = _recorded_forks(monkeypatch)
+    records = enumerate_candidates(SearchConfig(60, 3, PRUNED, 8))
+    assert forks == []
+    assert records == enumerate_candidates(SearchConfig(60, 3))
+
+
+def test_runner_hands_out_each_task_once_and_merges_in_order(monkeypatch):
+    # more processes than cores share the task counter: a lost update
+    # would run a task twice or skip it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    forks = _recorded_forks(monkeypatch)
+
+    def task(n):
+        time.sleep(0.001)
+        return [(n, os.getpid())]
+
+    out = search._run_tasks(task, list(range(400)), 4)
+    assert len(forks) == 3
+    assert [n for n, _ in out] == list(range(400))
+    assert len({pid for _, pid in out}) > 1
+    _assert_no_child_left()
+
+
+def test_runner_without_fork_runs_serially(monkeypatch):
+    _two_cpus(monkeypatch)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert search._run_tasks(lambda n: [n], [3, 1, 2], 2) == [3, 1, 2]
+
+
+def test_task_error_in_a_helper_reaches_the_caller(monkeypatch):
+    _two_cpus(monkeypatch)
+
+    def fail():
+        raise ValueError("a task failed in a helper")
+
+    with pytest.raises(ValueError, match="a task failed in a helper"):
+        search._run_tasks(_slow_caller(fail), list(range(20)), 2)
+    _assert_no_child_left()
+
+
+def test_helper_dying_without_a_result_raises(monkeypatch):
+    _two_cpus(monkeypatch)
+    with pytest.raises(RuntimeError, match="without a result"):
+        search._run_tasks(_slow_caller(lambda: os._exit(3)), list(range(20)), 2)
+    _assert_no_child_left()
+
+
+def test_failing_caller_kills_its_helpers(monkeypatch):
+    _two_cpus(monkeypatch)
+    caller = os.getpid()
+
+    def task(n):
+        if os.getpid() == caller:
+            time.sleep(0.2)  # a helper takes a task meanwhile
+            raise ValueError("the caller failed")
+        time.sleep(60)
+        return [n]
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the caller failed"):
+        search._run_tasks(task, [1, 2, 3], 2)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):

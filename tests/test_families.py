@@ -70,6 +70,19 @@ def test_ordered_factorizations():
         assert ordered_factorization_count(n) == plain[n], n
 
 
+def test_ordered_factorization_count_proves_a_large_prime_cofactor():
+    # a cofactor above the trial-division bound counts as one prime once
+    # Miller-Rabin proves it, so only the exponent signature matters
+    p = 1_000_000_007
+    assert ordered_factorization_count(2**5 * p) == ordered_factorization_count(2**5 * 3)
+    assert ordered_factorization_count(6 * (2**61 - 1)) == ordered_factorization_count(30)
+    # two primes above the bound, a composite cofactor, or a prime past the
+    # test's exact range, are refused
+    for n in (p * (2**61 - 1), (2**61 - 1) ** 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot factor"):
+            ordered_factorization_count(n)
+
+
 def test_ams_count_matches_kalmar():
     for d in range(2, 31):
         records = ams_all(d)
