@@ -56,17 +56,17 @@ criterion's j = 1 condition implies both (see ``_finalize``).
 
 The search is embarrassingly parallel over the leading multiplicity a:
 each a is one task.  With more than one worker the process forks helpers
-and works alongside them, every process taking the next task from one
-shared counter, and the results are merged by a canonical sort, so output
-is deterministic for any worker count.
+and works alongside them, every process taking the next task index from
+one token passed around through a pipe, and the results are merged by a
+canonical sort, so output is deterministic for any worker count.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import signal
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from math import gcd, isqrt
 
@@ -109,7 +109,7 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
     sequences satisfying the type invariants, the rationality equation and
     the counting criterion.  Records come back canonically sorted with
     existence "candidate"."""
-    d, k = config.degree, config.pair_count
+    d, k, mode = config.degree, config.pair_count, config.mode
     if k < 1:
         raise ValueError(f"pair count must be >= 1, got {k}")
     bound = max_pairs_bound(d)
@@ -117,35 +117,39 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
         raise PairCountBoundError(
             f"pair count {k} exceeds the bound {bound} for degree {d}"
         )
-    if config.mode not in (PRUNED, PARANOID):
-        raise ValueError(f"unknown search mode {config.mode!r}")
-    tasks = [(d, k, config.mode, a) for a in _a_range(d, config.mode)]
-    records = _run_tasks(_search_a, tasks, config.worker_count)
+    if mode not in (PRUNED, PARANOID):
+        raise ValueError(f"unknown search mode {mode!r}")
+    records = _run_tasks(lambda a: _search_a(d, k, mode, a), _a_range(d, mode), config.worker_count)
     records.sort(key=CurveRecord.sort_key)
     return records
 
 
-def _run_tasks(fn, tasks: list, worker_count: int) -> list:
+def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:
     """Map ``fn`` over ``tasks`` and concatenate the resulting lists in task
     order.
 
     With W = min(worker_count, len(tasks), CPUs) > 1 the process forks W - 1
-    helpers and runs tasks itself too; every process takes the next task
-    index from one shared counter, so the tasks are handed out as
-    processes free up.  A helper sends its (index, result) pairs, or the
-    exception a task raised, pickled through a pipe and leaves by
-    ``os._exit``; the caller reads every pipe, reaps every helper and
-    re-raises a helper's exception.  A helper that ends without a payload
-    raises RuntimeError.  Whatever goes wrong, no helper outlives the call.
-    One worker, or a platform without ``os.fork``, runs the tasks serially.
-    Forking copies only the calling thread; the package starts no others.
+    helpers and runs tasks itself too.  A helper inherits the caller's
+    memory, so ``fn`` may be any callable, a closure included, and the
+    tasks are never pickled.  Every process takes the next task index from
+    the token, one 8-byte message in a pipe that the caller fills with
+    index 0 before it forks (see :func:`_take_tasks`), so the tasks are
+    handed out as processes free up.  A helper sends its (index, result)
+    pairs, or the exception a task raised, pickled through a pipe of its
+    own and leaves by ``os._exit``; the caller reads every pipe, reaps
+    every helper and re-raises a helper's exception.  A helper that ends
+    without a payload raises RuntimeError.  Whatever goes wrong, no helper
+    outlives the call and no pipe is left open.  One worker, or a platform
+    without ``os.fork``, runs the tasks serially.  Forking copies only the
+    calling thread; the package starts no others.
     """
     workers = min(worker_count, len(tasks), _cpu_count())
     if workers <= 1 or not hasattr(os, "fork"):
         return [item for task in tasks for item in fn(task)]
-    counter = multiprocessing.get_context("fork").Value("q", 0)
+    token = os.pipe()
     pipes = {}  # pid -> read end of the helper's pipe, until it is reaped
     try:
+        os.write(token[1], (0).to_bytes(8, "little"))
         for _ in range(workers - 1):
             read, write = os.pipe()
             try:
@@ -156,10 +160,10 @@ def _run_tasks(fn, tasks: list, worker_count: int) -> list:
                 raise
             if pid == 0:
                 inherited = [read, *(pipe.fileno() for pipe in pipes.values())]
-                _helper(fn, tasks, counter, write, inherited)
+                _helper(fn, tasks, token, write, inherited)
             os.close(write)
             pipes[pid] = open(read, "rb")
-        done = _take_tasks(fn, tasks, counter)
+        done = _take_tasks(fn, tasks, token)
         for pid, pipe in list(pipes.items()):
             with pipe:
                 data = pipe.read()
@@ -179,6 +183,8 @@ def _run_tasks(fn, tasks: list, worker_count: int) -> list:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for fd in token:
+            os.close(fd)
     done.sort(key=lambda pair: pair[0])
     return [item for _, part in done for item in part]
 
@@ -190,19 +196,30 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _take_tasks(fn, tasks: list, counter) -> list:
-    """(index, fn(task)) for each task index this process takes."""
+def _take_tasks(fn, tasks: Sequence, token: tuple[int, int]) -> list:
+    """(index, fn(task)) for each task index this process takes.
+
+    ``token`` is the (read, write) pair of the pipe that holds the next
+    task index as one 8-byte message.  A process reads the message, writes
+    back index + 1 and only then runs the task.  A write of at most
+    PIPE_BUF bytes is atomic and the pipe never holds more than one
+    message, so every read gets a whole index, and the read and the write
+    act as a lock's acquire and release: no index is taken twice or
+    skipped.  Past the last task each process still writes the token back,
+    so the others see the end too.  A process killed while it holds the
+    token stalls the others, as one killed while holding a lock would.
+    """
+    read, write = token
     done = []
     while True:
-        with counter.get_lock():
-            index = counter.value
-            counter.value = index + 1
+        index = int.from_bytes(os.read(read, 8), "little")
+        os.write(write, (index + 1).to_bytes(8, "little"))
         if index >= len(tasks):
             return done
         done.append((index, fn(tasks[index])))
 
 
-def _helper(fn, tasks: list, counter, write: int, inherited: list[int]):
+def _helper(fn, tasks: Sequence, token: tuple[int, int], write: int, inherited: list[int]):
     """A forked helper's whole life: close the pipe ends it inherited, take
     tasks, send the pickled (True, pairs) or (False, exception) through
     ``write`` and leave by ``os._exit``, which runs no exit handler and
@@ -213,7 +230,7 @@ def _helper(fn, tasks: list, counter, write: int, inherited: list[int]):
         for fd in inherited:
             os.close(fd)
         try:
-            payload = (True, _take_tasks(fn, tasks, counter))
+            payload = (True, _take_tasks(fn, tasks, token))
         except BaseException as exc:
             payload = (False, exc)
         data = pickle.dumps(payload)
@@ -233,9 +250,8 @@ def _a_range(degree: int, mode: str) -> range:
     return range(2, isqrt(target) + 2)
 
 
-def _search_a(args) -> list[CurveRecord]:
+def _search_a(degree: int, k: int, mode: str, a: int) -> list[CurveRecord]:
     """The records with leading multiplicity a at (degree, k)."""
-    degree, k, mode, a = args
     if mode == PRUNED:
         leaves = _pruned_extend(degree, k, (), 1 - a, a, (a,), 0)
     else:
@@ -370,11 +386,6 @@ def classify_record(record: CurveRecord) -> CurveRecord:
     )
 
 
-def _enumerate_task(args) -> list[CurveRecord]:
-    degree, pair_count = args
-    return enumerate_candidates(SearchConfig(degree, pair_count, PRUNED, 1))
-
-
 def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
     """Every candidate of degree <= max_degree over every admissible pair
     count k = 1..max_pairs_bound(d), attributed and existence-resolved.
@@ -396,6 +407,6 @@ def _classify_cells(cells: list[tuple[int, int]], worker_count: int) -> list[Cur
     """The classified candidates of the (degree, pair count) cells, one
     search task per cell, in canonical order."""
     # the cells are distinct and k = len(newton): no record repeats
-    records = _run_tasks(_enumerate_task, cells, worker_count)
+    records = _run_tasks(lambda cell: enumerate_candidates(SearchConfig(*cell)), cells, worker_count)
     records.sort(key=CurveRecord.sort_key)
     return [classify_record(record) for record in records]

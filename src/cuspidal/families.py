@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, product, takewhile
+from itertools import product, takewhile
 from math import comb, gcd, prod
 
 from . import invariants as inv
@@ -537,7 +537,9 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
     kind and Kashiwara level l, each read off the pairs; :func:`_family_data`
     must still confirm it.  Kashiwara plus: n_i = lambda_i F^2 + c_i with
     0 <= c_i < F^2, F = phi_{2l+3} <= degree.  The Kashiwara minus kinds
-    (never valid cusp data) and tono-iib (always flagged) are not tried."""
+    (never valid cusp data) and tono-iib (always flagged) are not tried,
+    nor is a member that needs a Fibonacci index past
+    ``inv.FIBONACCI_INDEX_BOUND``: its genus has more than 4300 digits."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not newton:
@@ -546,7 +548,9 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
     ps = tuple(p for p, _ in newton)
     p1, q1 = newton[0]
     yield FamilySpec(AMS, (q1, *ps[1:]) if q1 == p1 + 1 else (2, *ps))
-    levels = tuple(takewhile(lambda l: inv.fibonacci(2 * l + 3) <= degree, count()))
+    # a Kashiwara level l needs phi_(2l+5), an Orevkov k phi_(4k+4)
+    top = inv.FIBONACCI_INDEX_BOUND
+    levels = tuple(takewhile(lambda l: inv.fibonacci(2 * l + 3) <= degree, range((top - 3) // 2)))
     for kind in (KASHIWARA_II_GE, KASHIWARA_II_SP):
         yield from (FamilySpec(kind, (l,)) for l in levels)
     for kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP):
@@ -557,7 +561,7 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
     if len(ps) > 1:
         yield FamilySpec(TONO_IB, (q1, ps[1]))
     yield FamilySpec(TONO_IIA, (p1,))
-    ks = tuple(takewhile(lambda k: inv.fibonacci(4 * k + 2) <= degree, count(1)))
+    ks = tuple(takewhile(lambda k: inv.fibonacci(4 * k + 2) <= degree, range(1, top // 4)))
     for kind in (OREVKOV, OREVKOV_STAR):
         yield from (FamilySpec(kind, (k,)) for k in ks)
 
@@ -599,7 +603,8 @@ def prime_degree_scan(limit: int) -> list[tuple[int, tuple[tuple, ...]]]:
     of the form a^2 s + 1 with a >= 3, or a prime of the form
     8 n^2 + 4 n + 1 with n >= 2.  Returns (prime, witnesses) sorted by
     prime, where each witness names its source: ("fibonacci", j),
-    ("square-family", a, s) or ("tono-iia", n).
+    ("square-family", a, s) or ("tono-iia", n).  Fibonacci indices stop at
+    ``inv.FIBONACCI_INDEX_BOUND``.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
@@ -609,7 +614,7 @@ def prime_degree_scan(limit: int) -> list[tuple[int, tuple[tuple, ...]]]:
         hits.setdefault(p, []).append(witness)
 
     j = 5
-    while inv.fibonacci(j) <= limit:
+    while j <= inv.FIBONACCI_INDEX_BOUND and inv.fibonacci(j) <= limit:
         if j % 2 and _is_prime(j) and _is_prime(inv.fibonacci(j)):
             add(inv.fibonacci(j), ("fibonacci", j))
         j += 1

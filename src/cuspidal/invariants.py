@@ -290,12 +290,24 @@ def genus_target(degree: int) -> int:
 
 _FIB = [1, 0, 1]  # phi_{-1}, phi_0, phi_1
 
+# Every family member that needs phi_j has degree d >= phi_(j-2), so past
+# this index its genus (d-1)(d-2)/2, which every record prints, has more
+# than 4300 digits, the interpreter's default limit on int-to-str
+# conversion: genus(phi_10290) < 10^4300 <= genus(phi_10291).
+FIBONACCI_INDEX_BOUND = 10_292
+
 
 def fibonacci(j: int) -> int:
     """Fibonacci number phi_j with phi_0 = 0, phi_1 = 1 and the backward
-    extension phi_{-1} = 1.  Exact for any size."""
+    extension phi_{-1} = 1.  Exact; an index past FIBONACCI_INDEX_BOUND
+    raises ValueError before any number is built."""
     if j < -1:
         raise ValueError(f"Fibonacci index must be >= -1, got {j}")
+    if j > FIBONACCI_INDEX_BOUND:
+        raise ValueError(
+            f"Fibonacci index {j} is past the bound {FIBONACCI_INDEX_BOUND}: "
+            "a curve that needs it has a genus of more than 4300 digits"
+        )
     while len(_FIB) <= j + 1:
         _FIB.append(_FIB[-1] + _FIB[-2])
     return _FIB[j + 1]

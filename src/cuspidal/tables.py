@@ -119,14 +119,17 @@ REDUCTION_ROWS = (
 def one_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
     """The complete one-pair classification up to max_degree: the generic
     (d-1, d) curve, the even-degree (d/2, 2d-1) curve, two Fibonacci
-    families and the sporadic degree-8 and degree-16 curves."""
+    families and the sporadic degree-8 and degree-16 curves.  Here and in
+    :func:`two_pair_rows` the Fibonacci rows stop at
+    ``inv.FIBONACCI_INDEX_BOUND``."""
     rows = set()
     for d in range(3, max_degree + 1):
         rows.add((d, ((d - 1, d),)))
         if d % 2 == 0:
             rows.add((d, ((d // 2, 2 * d - 1),)))
     j = 5
-    while inv.fibonacci(j - 2) * inv.fibonacci(j) <= max_degree or inv.fibonacci(j) <= max_degree:
+    # phi_(j-2) phi_j >= phi_j, so no row is left once phi_j passes max_degree
+    while j + 2 <= inv.FIBONACCI_INDEX_BOUND and inv.fibonacci(j) <= max_degree:
         if j % 2 == 1:
             d = inv.fibonacci(j - 2) * inv.fibonacci(j)  # = fib(j-1)^2 + 1
             if d <= max_degree:
@@ -154,9 +157,9 @@ def two_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
         if d <= max_degree:
             rows.add((d, pairs))
 
-    fib = inv.fibonacci
+    fib, top = inv.fibonacci, inv.FIBONACCI_INDEX_BOUND
     k = 2
-    while fib(2 * k - 1) * fib(2 * k + 1) * fib(2 * k - 3) ** 2 <= max_degree:
+    while 2 * k + 1 <= top and fib(2 * k - 1) * fib(2 * k + 1) * fib(2 * k - 3) ** 2 <= max_degree:
         l = 0
         while True:
             head = l * fib(2 * k - 1) ** 2 + fib(2 * k - 3) ** 2
@@ -169,7 +172,7 @@ def two_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
             l += 1
         k += 1
     k = 2
-    while fib(2 * k + 1) * fib(2 * k - 3) ** 2 <= max_degree:
+    while 2 * k + 1 <= top and fib(2 * k + 1) * fib(2 * k - 3) ** 2 <= max_degree:
         l = 0
         while True:
             head = l * fib(2 * k - 1) ** 2 + fib(2 * k - 3) ** 2
@@ -195,11 +198,11 @@ def two_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
         add(8 * n * n + 4 * n + 1, ((n, 4 * n + 1), (4 * n + 1, (2 * n + 1) ** 2)))
         n += 1
     k = 2
-    while fib(4 * k + 2) <= max_degree:
+    while 4 * k + 4 <= top and fib(4 * k + 2) <= max_degree:
         add(fib(4 * k + 2), ((fib(4 * k) // 3, fib(4 * k + 4) // 3), (3, 1)))
         k += 1
     k = 2
-    while 2 * fib(4 * k + 2) <= max_degree:
+    while 4 * k + 4 <= top and 2 * fib(4 * k + 2) <= max_degree:
         add(2 * fib(4 * k + 2), ((fib(4 * k) // 3, fib(4 * k + 4) // 3), (6, 1)))
         k += 1
     return tuple(sorted(rows))

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+import time
 
 import pytest
 
@@ -194,6 +197,35 @@ def test_family_command_matches_family_curve(capsys):
         payload = json.loads(out)
         assert payload["records"] == [record_to_json_dict(record)], argv
         assert payload["metadata"]["kind"] == kind
+
+
+def test_family_past_the_fibonacci_bound_exits_2_at_once(capsys):
+    # each of these walked ~10^4 to 10^6 Fibonacci numbers before failing
+    for argv in (
+        ("kashiwara-ii-ge", "--l", "20000"),
+        ("orevkov", "--k", "100000"),
+        ("kashiwara-ii-sp", "--l", "1000000"),
+    ):
+        start = time.monotonic()
+        code, out, err = run(capsys, "family", *argv)
+        assert time.monotonic() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert "past the bound 10292" in err, argv
+
+
+def test_large_family_members_print_the_same_bytes(capsys):
+    # SHA-256 of the JSON output, elapsed time zeroed: members close to the
+    # Fibonacci bound print exactly what they printed before it existed
+    pins = {
+        ("kashiwara-ii-ge", "--l", "2500"): "8815cc6f893ade61ac5372b0c1b7319b645141ffaccc2e1e33c3520cf3b23c7a",
+        ("kashiwara-ii-sp", "--l", "5000"): "a7e2923ad8576a922a0cd9bc8f6e4336ffda03e095aa5615c93dff5b9040a2f1",
+        ("orevkov-star", "--k", "2570"): "72d57d1e556cf2a52e18ba87cd23b10f390cb433996141a76fda952f0b0148cf",
+    }
+    for argv, digest in pins.items():
+        code, out, _ = run(capsys, "family", *argv)
+        assert code == 0, argv
+        out = re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_reduce_command(capsys):

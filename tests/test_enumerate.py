@@ -1,7 +1,10 @@
 import hashlib
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -401,6 +404,73 @@ def test_failing_caller_kills_its_helpers(monkeypatch):
         search._run_tasks(task, [1, 2, 3], 2)
     assert time.monotonic() - start < 30
     _assert_no_child_left()
+
+
+def _fresh_python(script: str) -> list[str]:
+    # run script in a new interpreter that imports this package: the
+    # state a first call leaves behind shows only there
+    src = str(Path(search.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
+def test_runner_imports_no_multiprocessing():
+    assert _fresh_python(
+        """
+import os, sys
+import cuspidal
+print("multiprocessing" in sys.modules)
+from cuspidal.enumerate import PRUNED, SearchConfig, enumerate_candidates
+os.sched_getaffinity = lambda pid: {0, 1}
+print(len(enumerate_candidates(SearchConfig(60, 3, PRUNED, 2))))
+print("multiprocessing" in sys.modules)
+"""
+    ) == ["False", "21", "False"]
+
+
+def test_runner_leaves_no_fd_open():
+    if not os.path.isdir("/proc/self/fd"):
+        pytest.skip("no /proc/self/fd")
+    # in a fresh interpreter, so that a process's first parallel call is
+    # among the four paths checked
+    lines = _fresh_python(
+        """
+import os, time
+from cuspidal import enumerate as search
+
+os.sched_getaffinity = lambda pid: {0, 1}
+caller = os.getpid()
+
+
+def fail():
+    raise ValueError("a task failed")
+
+
+def run(in_helper=lambda: None, in_caller=lambda: None):
+    def task(n):
+        (in_caller if os.getpid() == caller else in_helper)()
+        time.sleep(0.05)
+        return [n]
+
+    before = sorted(os.listdir("/proc/self/fd"))
+    try:
+        outcome = len(search._run_tasks(task, list(range(20)), 2))
+    except (ValueError, RuntimeError) as exc:
+        outcome = type(exc).__name__
+    print(outcome, sorted(os.listdir("/proc/self/fd")) == before)
+
+
+run()
+run(in_helper=fail)
+run(in_helper=lambda: os._exit(3))
+run(in_helper=lambda: time.sleep(60), in_caller=fail)
+"""
+    )
+    assert lines == ["20 True", "ValueError True", "RuntimeError True", "ValueError True"]
 
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from cuspidal.families import (
     FamilyParameterError,
     _family_data,
+    _specs_of_pairs,
     ams_all,
     ams_curve,
     ams_grid,
@@ -22,8 +23,10 @@ from cuspidal.families import (
     tono_curve,
     tono_grid,
 )
+from cuspidal import invariants as inv
 from cuspidal.invariants import fibonacci, format_multiplicity, genus_target
 from cuspidal.records import FLAG_INCONSISTENT, FamilySpec
+from cuspidal.tables import one_pair_rows, two_pair_rows
 
 
 def test_ams_curve_examples():
@@ -366,3 +369,32 @@ def test_bunyakovsky_evidence():
     for s in range(1, 60):
         _, g = bunyakovsky_condition_check("sn2+1", s)
         assert g == 1
+
+
+def test_attribution_tries_every_level_within_the_fibonacci_bound():
+    # Kashiwara level l needs phi_(2l+5) and Orevkov k phi_(4k+4): the last
+    # ones tried are the last within the bound
+    specs = list(_specs_of_pairs(10**4299, ((2, 3),)))
+    levels = [s.params[0] for s in specs if s.kind == "kashiwara-ii-sp"]
+    ks = [s.params[0] for s in specs if s.kind == "orevkov"]
+    top = inv.FIBONACCI_INDEX_BOUND
+    assert levels == list(range(5144)) and 2 * 5143 + 5 <= top < 2 * 5144 + 5
+    assert ks == list(range(1, 2573)) and 4 * 2572 + 4 <= top < 4 * 2573 + 4
+
+
+def test_fibonacci_loops_stop_at_the_bound(monkeypatch):
+    # every loop that walks Fibonacci numbers up to a degree stops at the
+    # bound instead of raising there; with phi_12 = 144 the bound cuts
+    # rows, witnesses and specs that these degrees would otherwise reach
+    def walks():
+        return (
+            set(one_pair_rows(300)),
+            set(two_pair_rows(3000)),
+            set(prime_degree_scan(300)),
+            set(_specs_of_pairs(10**6, ((2, 3),))),
+        )
+
+    full = walks()
+    monkeypatch.setattr(inv, "FIBONACCI_INDEX_BOUND", 12)
+    for cut, whole in zip(walks(), full):
+        assert cut < whole

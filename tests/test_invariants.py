@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cuspidal import invariants as inv
 from cuspidal.invariants import (
     InvalidCuspData,
     characteristic_chain,
@@ -103,6 +104,20 @@ def test_fibonacci_values():
     assert fibonacci(4) + fibonacci(8) == 3 * fibonacci(6)
     with pytest.raises(ValueError):
         fibonacci(-2)
+
+
+def test_fibonacci_index_bound_is_where_the_genus_passes_4300_digits():
+    # a family member that needs phi_j has degree >= phi_(j-2); past the
+    # bound its genus could not be printed, so the bound refuses no
+    # printable member
+    top = inv.FIBONACCI_INDEX_BOUND
+    phi = [0, 1]
+    while len(phi) <= top:
+        phi.append(phi[-1] + phi[-2])
+    assert genus_target(phi[top - 2]) < 10**4300 <= genus_target(phi[top - 1])
+    assert fibonacci(top) == phi[top]
+    with pytest.raises(ValueError, match="past the bound"):
+        fibonacci(top + 1)
 
 
 def test_fibonacci_identities_exhaustive():

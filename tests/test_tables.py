@@ -1,5 +1,6 @@
 import pytest
 
+from cuspidal.enumerate import SearchConfig, classify_record, enumerate_candidates, max_pairs_bound
 from cuspidal.tables import (
     FOUR_PAIR_ROWS,
     REDUCTION_ROWS,
@@ -81,3 +82,32 @@ def test_every_table_reproduces():
         report = reproduce(identifier)
         assert report.ok, report.render()
         assert report.matched == report.total > 0
+
+
+def _searched(k: int, max_degree: int) -> list:
+    return [
+        record
+        for d in range(3, max_degree + 1)
+        if max_pairs_bound(d) >= k
+        for record in enumerate_candidates(SearchConfig(d, k))
+    ]
+
+
+def test_one_pair_search_equals_the_closed_form_to_degree_300():
+    # the one-pair list is a theorem at every degree: a search row it lacks,
+    # or a row the search lost, is a fault of the search
+    rows = {(r.degree, r.newton) for r in _searched(1, 300)}
+    assert len(rows) == 456
+    assert rows == set(one_pair_rows(300))
+
+
+def test_two_pair_search_covers_the_closed_form_to_degree_100():
+    # every closed-form row is found; the surplus is exactly the unproved
+    # two-pair candidates
+    records = _searched(2, 100)
+    rows = set(two_pair_rows(100))
+    assert len(rows) == 359
+    assert rows <= {(r.degree, r.newton) for r in records}
+    surplus = [r for r in records if (r.degree, r.newton) not in rows]
+    assert len(surplus) == 38
+    assert [r for r in records if classify_record(r).existence == "candidate"] == surplus
