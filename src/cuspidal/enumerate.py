@@ -11,8 +11,8 @@ data subject to:
       must equal (d-1)(d-2);
 (iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
       run once per delta-solved candidate that the cuts below leave, on
-      semigroup generators read straight off the gcd chain of
-      (a; b_1..b_k); only the survivors become Newton pairs and records.
+      the semigroup generators of the one record built for it; only the
+      survivors' records are kept.
 
 These are the only filters: repeated identical pairs and unit exponents
 (q_j = 1 for j >= 2) are legal and occur in genuine curves, so no ad-hoc
@@ -74,7 +74,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _generators, _prefix_last_j, _span_miss, bl_check_unicuspidal
+from .semigroup import _prefix_last_j, _span_miss, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -349,16 +349,16 @@ def _paranoid_extend(k, target, a, bs, partial, P):
 
 
 def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
-    # One gcd-chain walk validates the search's data and gives the
-    # generators; only survivors of the counting check become Newton pairs
-    # (validated again; a valid characteristic sequence has valid Newton
-    # pairs) and a record.  No tangent-line filter is needed: the three
-    # smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for d >= 3
-    # the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
-    generators = _generators(*inv.characteristic_chain(a, bs))
-    if not bl_check_unicuspidal(degree, generators).passed:
+    # The leaf's record, kept only when its generators pass the counting
+    # check; a valid characteristic sequence has valid Newton pairs, and
+    # the delta equation makes delta the genus.  No tangent-line filter is
+    # needed: the three smallest members are 0, a and min(2a, b_1) =
+    # m_1 + m_2, and for d >= 3 the check's j = 1 condition R(d+1) = 3
+    # forces min(2a, b_1) <= d.
+    record = curve_record(degree, inv.newton_from_characteristic(a, bs))
+    if not bl_check_unicuspidal(degree, record.semigroup_generators).passed:
         return None
-    return curve_record(degree, inv.newton_from_characteristic(a, bs), existence=CANDIDATE)
+    return record
 
 
 # ---------------------------------------------------------------------------

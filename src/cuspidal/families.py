@@ -31,10 +31,11 @@ functions alone.  Stored invariants always come from recomputation via
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product, takewhile
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 
 from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY
@@ -419,17 +420,16 @@ def family_curve(spec: FamilySpec) -> CurveRecord:
     degree, pairs = _family_data(spec)
     inconsistent = spec.kind == TONO_IIB
     try:
-        return curve_record(
-            degree,
-            pairs,
-            family=spec,
-            kodaira=kodaira_of_kind(spec.kind),
-            existence=CANDIDATE if inconsistent else PROVED_FAMILY,
-            flags=(FLAG_INCONSISTENT,) if inconsistent else (),
-            strict=not inconsistent,
-        )
+        record = curve_record(degree, pairs, strict=not inconsistent)
     except inv.InvalidCuspData as exc:
         raise _family_error(spec, exc) from exc
+    return replace(
+        record,
+        family=spec,
+        kodaira=kodaira_of_kind(spec.kind),
+        existence=CANDIDATE if inconsistent else PROVED_FAMILY,
+        flags=(FLAG_INCONSISTENT,) if inconsistent else (),
+    )
 
 
 def _family_error(spec: FamilySpec, exc: inv.InvalidCuspData) -> FamilyParameterError:
@@ -569,12 +569,18 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
 def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
     """Find the family spec whose generated curve has exactly these Newton
     pairs at this degree; None when no family matches.  The candidates are
-    read off the pairs (:func:`_specs_of_pairs`); one counts only when
-    :func:`_family_data` gives back (degree, newton) and its record
-    validates and carries no flag.  Raises ValueError for degree < 1."""
+    read off the pairs (:func:`_specs_of_pairs`), and the first whose
+    :func:`_family_data` gives back (degree, newton) is returned; no record
+    is built.  Equal data are enough: :func:`family_curve` builds its
+    record from these same pairs, and no kind tried is flagged or has data
+    that fail a strict record.  Those are tono-iib, the one flagged kind,
+    and the Kashiwara "minus" kinds, whose data never validate; the tests
+    check that every accepted spec of a tried kind in the wide family
+    grids builds a strict, unflagged record.  Raises ValueError for
+    degree < 1."""
     for spec in _specs_of_pairs(degree, newton):
         try:
-            if _family_data(spec) == (degree, newton) and not family_curve(spec).flags:
+            if _family_data(spec) == (degree, newton):
                 return spec
         except FamilyParameterError:
             continue
@@ -584,15 +590,18 @@ def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
 # ---------------------------------------------------------------------------
 # prime-degree utilities
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
+# prime_degree_scan sieves [0, limit] in one byte per number; a larger
+# limit is refused (10**7 takes about a second)
+PRIME_SCAN_LIMIT = 10**7
+
+
+def _prime_sieve(limit: int) -> bytearray:
+    """Sieve of Eratosthenes: entry n is 1 iff n is prime, for n <= limit."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for f in range(2, isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = bytes(len(range(f * f, limit + 1, f)))
+    return sieve
 
 
 def prime_degree_scan(limit: int) -> list[tuple[int, tuple[tuple, ...]]]:
@@ -604,10 +613,15 @@ def prime_degree_scan(limit: int) -> list[tuple[int, tuple[tuple, ...]]]:
     8 n^2 + 4 n + 1 with n >= 2.  Returns (prime, witnesses) sorted by
     prime, where each witness names its source: ("fibonacci", j),
     ("square-family", a, s) or ("tono-iia", n).  Fibonacci indices stop at
-    ``inv.FIBONACCI_INDEX_BOUND``.
+    ``inv.FIBONACCI_INDEX_BOUND``.  Every candidate, the index j <= phi_j
+    included, is looked up in one sieve of [0, limit], so a limit above
+    PRIME_SCAN_LIMIT raises ValueError.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    if limit > PRIME_SCAN_LIMIT:
+        raise ValueError(f"limit {limit} is past the prime-scan bound {PRIME_SCAN_LIMIT}")
+    is_prime = _prime_sieve(limit)
     hits: dict[int, list[tuple]] = {}
 
     def add(p: int, witness: tuple) -> None:
@@ -615,22 +629,17 @@ def prime_degree_scan(limit: int) -> list[tuple[int, tuple[tuple, ...]]]:
 
     j = 5
     while j <= inv.FIBONACCI_INDEX_BOUND and inv.fibonacci(j) <= limit:
-        if j % 2 and _is_prime(j) and _is_prime(inv.fibonacci(j)):
+        if j % 2 and is_prime[j] and is_prime[inv.fibonacci(j)]:
             add(inv.fibonacci(j), ("fibonacci", j))
         j += 1
-    for a in range(3, limit):
-        if a * a + 1 > limit:
-            break
-        for s in range(1, limit):
-            p = a * a * s + 1
-            if p > limit:
-                break
-            if _is_prime(p):
-                add(p, ("square-family", a, s))
+    for a in range(3, isqrt(limit - 1) + 1):
+        for p in range(a * a + 1, limit + 1, a * a):
+            if is_prime[p]:
+                add(p, ("square-family", a, p // (a * a)))
     n = 2
     while 8 * n * n + 4 * n + 1 <= limit:
         p = 8 * n * n + 4 * n + 1
-        if _is_prime(p):
+        if is_prime[p]:
             add(p, ("tono-iia", n))
         n += 1
     return [(p, tuple(w)) for p, w in sorted(hits.items())]

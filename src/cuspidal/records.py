@@ -5,8 +5,9 @@ rational unicuspidal plane curve: degree, all four cusp representations,
 the scalar invariants, the semigroup generators, an optional family
 attribution with its logarithmic Kodaira dimension, an existence status and
 the reduction chain that proves it.  Records are immutable; derived fields
-are computed once by :func:`curve_record` and every stored invariant can be
-recomputed from the Newton pairs.
+are computed once by :func:`curve_record`, every stored invariant can be
+recomputed from the Newton pairs, and the classification fields are
+attached to that record with ``dataclasses.replace``.
 
 Serialized output always lists records in canonical order (degree, then
 lexicographic Newton pairs) so that repeated runs are byte-identical.
@@ -67,25 +68,19 @@ class CurveRecord:
         return (self.degree, self.newton)
 
 
-def curve_record(
-    degree: int,
-    newton: inv.Pairs,
-    *,
-    family: FamilySpec | None = None,
-    kodaira: float | int | None = None,
-    existence: str = CANDIDATE,
-    reduction_chain: tuple[ReductionStep, ...] = (),
-    flags: tuple[str, ...] = (),
-    strict: bool = True,
-) -> CurveRecord:
+def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> CurveRecord:
     """Build a record with all derived fields computed from the Newton pairs.
 
     Every field is derived from the Puiseux pairs, computed once; delta
     comes from the multiplicity sequence, which equals the Puiseux formula
     on valid data.  ``strict`` (the default) adds validation on top: the
     Newton pairs must satisfy the cusp invariants and delta must equal the
-    genus (d-1)(d-2)/2 of a degree-d curve.  Records carrying known-bad
-    source data are built with ``strict=False`` and a flag instead.
+    genus (d-1)(d-2)/2 of a degree-d curve.  The record carries only these
+    invariants: no family, existence "candidate" and no flag.  Callers
+    attach the rest with ``dataclasses.replace`` (``family_curve`` its spec,
+    Kodaira dimension, existence and flag; ``classify_record`` the
+    attribution and the existence proof), and known-bad source data is
+    built with ``strict=False`` and flagged there.
 
     The empty Newton sequence is the degenerate smooth branch (no cusp);
     it is only meaningful at degree <= 2 and is used for the smooth conic.
@@ -109,7 +104,7 @@ def curve_record(
             )
         gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
         P1, Q1 = puiseux[0]
-        lct_value = Fraction(1, P1) + Fraction(1, Q1)
+        lct_value = Fraction(P1 + Q1, P1 * Q1)  # 1/P1 + 1/Q1
         self_int = 3 * degree - 1 - P1 - sum(Q for _, Q in puiseux)
     return CurveRecord(
         degree=degree,
@@ -120,11 +115,6 @@ def curve_record(
         semigroup_generators=gens,
         lct=lct_value,
         self_intersection=self_int,
-        family=family,
-        kodaira=kodaira,
-        existence=existence,
-        reduction_chain=reduction_chain,
-        flags=flags,
     )
 
 

@@ -3,13 +3,12 @@
 The local intersection multiplicities of a cusp with other curve germs form
 a numerical semigroup.  Its minimal generators come from the Newton pairs by
 the recursion ``w_1 = P_1``, ``w_2 = Q_1``, ``w_j = p_{j-2} w_{j-1} +
-Q_{j-1}`` (``_generators``, shared by every caller).  The gcd chain of a
-characteristic sequence (a; b_1..b_k) gives p_j and Q_j = b_j - b_{j-1}
-(``invariants.characteristic_chain``), so the generators of a search
-candidate cost O(k).  Membership up to a bound is materialized as a bitset
-inside one Python integer (bit x set iff x is in the semigroup), which
-keeps the closure computation and the counting function at C speed even
-for bounds in the tens of millions.
+Q_{j-1}`` (``_generators``, shared by every caller).  A search candidate
+is checked on the generators of the one record ``records.curve_record``
+builds for it, at O(k) cost.  Membership up to a bound is materialized as
+a bitset inside one Python integer (bit x set iff x is in the semigroup),
+which keeps the closure computation and the counting function at C speed
+even for bounds in the tens of millions.
 
 The Borodzik-Livingston counting criterion, specialized to a single cusp of
 a degree-d rational cuspidal curve, demands

@@ -334,6 +334,16 @@ def test_prime_scan_command(capsys):
     assert primes == [5, 13, 17, 19, 37, 41]
 
 
+def test_prime_scan_past_its_bound_is_an_input_error(capsys):
+    # the scan sieves [0, max] once, so a max past the bound exits 2 at
+    # once rather than building the sieve
+    start = time.monotonic()
+    code, out, err = run(capsys, "prime-scan", "--max", "10000001")
+    assert code == 2 and out == ""
+    assert "past the prime-scan bound 10000000" in err
+    assert time.monotonic() - start < 1.0
+
+
 def test_csv_format(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--degree", "12", "--pairs", "3", "--format", "csv"

@@ -287,6 +287,36 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
     assert all(calls)
 
 
+def _counted_everywhere(monkeypatch, module, name: str) -> list:
+    # the positional arguments of every call of module.name from here on,
+    # at every place a cuspidal module binds it
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for loaded in [m for n, m in sys.modules.items() if n.split(".")[0] == "cuspidal"]:
+        if getattr(loaded, name, None) is original:
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
+
+
+def test_classification_builds_each_record_once(monkeypatch):
+    # each leaf that reaches _finalize builds one record, the one whose
+    # generators the counting check reads, and attribution builds none
+    from cuspidal import families, invariants, records
+
+    built = _counted_everywhere(monkeypatch, records, "curve_record")
+    family_built = _counted_everywhere(monkeypatch, families, "family_curve")
+    finalized = _counted_everywhere(monkeypatch, search, "_finalize")
+    assert len(classify_range(40)) == 227
+    assert len(finalized) == 295
+    assert built == [(d, invariants.newton_from_characteristic(a, bs)) for d, a, bs in finalized]
+    assert family_built == []
+
+
 def _recorded_forks(monkeypatch) -> list[int]:
     # the pid of every helper the runner forks, seen from the caller
     pids = []

@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from cuspidal.families import (
+    PRIME_SCAN_LIMIT,
     FamilyParameterError,
     _family_data,
     _specs_of_pairs,
@@ -291,35 +293,39 @@ def test_attribution_over_family_grids():
     assert (flagged, attributed) == (9, 173)
 
 
+def _wide_grids():
+    return (
+        *ams_grid(60),
+        *kashiwara_grid(5, 3, 4),
+        *tono_grid(20, 8, 15),
+        *orevkov_grid(8),
+    )
+
+
+def _never_attributed(kind: str) -> bool:
+    # the kinds that attribution does not try
+    return kind == "tono-iib" or "minus" in kind
+
+
 def test_attribution_is_exact_over_wider_grids():
-    # the pairs fix the spec, so every unflagged member of these grids is
-    # attributed to itself at any degree (no two specs here share data)
+    # the pairs fix the spec, so every member of a kind that attribution
+    # tries is attributed to itself at any degree (no two specs here share
+    # data)
     import time
 
-    grids = (
-        ams_grid(60),
-        kashiwara_grid(4, 3, 3),
-        tono_grid(12, 8, 10),
-        orevkov_grid(6),
-    )
     attributed = never = 0
-    for spec in (spec for grid in grids for spec in grid):
-        if spec.kind == "tono-iib" or "minus" in spec.kind:
-            try:
-                degree, newton = _family_data(spec)
-            except FamilyParameterError:
-                continue
-            assert attribute_family(degree, newton) is None, spec
-            never += 1
-            continue
+    for spec in _wide_grids():
         try:
-            record = family_curve(spec)
+            degree, newton = _family_data(spec)
         except FamilyParameterError:
             continue
-        assert not record.flags, spec
-        assert attribute_family(record.degree, record.newton) == spec
-        attributed += 1
-    assert (attributed, never) == (1256, 813)
+        if _never_attributed(spec.kind):
+            assert attribute_family(degree, newton) is None, spec
+            never += 1
+        else:
+            assert attribute_family(degree, newton) == spec
+            attributed += 1
+    assert (attributed, never) == (2299, 1816)
     assert attribute_family(2, ()) == FamilySpec("ams", (2,))
     assert attribute_family(5, ()) is None
     factors = (3,) + (2,) * 17
@@ -330,6 +336,43 @@ def test_attribution_is_exact_over_wider_grids():
     assert time.monotonic() - start < 1.0
     with pytest.raises(ValueError):
         attribute_family(0, ((2, 3),))
+
+
+def _reference_attribution(degree, newton):
+    # attribution that builds the family record of each matching spec and
+    # keeps it only when the record validates and carries no flag
+    for spec in _specs_of_pairs(degree, newton):
+        try:
+            if _family_data(spec) == (degree, newton) and not family_curve(spec).flags:
+                return spec
+        except FamilyParameterError:
+            continue
+    return None
+
+
+def test_attribution_by_data_agrees_with_the_record_building_reference():
+    # equal data are enough because every spec of a kind that attribution
+    # tries, once its data are accepted, builds a strict record (family_curve
+    # raises otherwise) with no flag: 2,299 such specs in these grids
+    from cuspidal.enumerate import classify_range
+
+    inputs = [(r.degree, r.newton) for r in classify_range(60)]
+    tried = 0
+    for spec in _wide_grids():
+        try:
+            data = _family_data(spec)
+        except FamilyParameterError:
+            continue
+        inputs.append(data)
+        if not _never_attributed(spec.kind):
+            record = family_curve(spec)
+            assert record.existence == "proved-family" and not record.flags, spec
+            tried += 1
+    assert tried == 2299
+    assert len(inputs) == 447 + 2299 + 1816
+    found = [attribute_family(*data) for data in inputs]
+    assert found == [_reference_attribution(*data) for data in inputs]
+    assert sum(spec is not None for spec in found[:447]) == 420
 
 
 def test_wrong_parameter_count_is_a_family_error():
@@ -357,6 +400,20 @@ def test_prime_degree_scan():
     assert tags[41] == (("tono-iia", 2),)
     assert prime_degree_scan(4) == []
     assert [p for p, _ in prime_degree_scan(13)] == [5, 13]
+
+
+def test_prime_degree_scan_is_pinned_and_bounded():
+    # one sieve serves every candidate; the output to 10^5 is the one that
+    # trial division gave, and a limit past the sieve's bound is refused
+    hits = prime_degree_scan(10**5)
+    assert len(hits) == 3_333
+    assert (
+        hashlib.sha256(repr(hits).encode()).hexdigest()
+        == "d9646844fc1f9644bf219bfcf68c5ae10381208e4442f3bbe6bceca46122b334"
+    )
+    assert PRIME_SCAN_LIMIT == 10**7
+    with pytest.raises(ValueError, match="prime-scan bound"):
+        prime_degree_scan(PRIME_SCAN_LIMIT + 1)
 
 
 def test_bunyakovsky_evidence():

@@ -111,3 +111,13 @@ def test_two_pair_search_covers_the_closed_form_to_degree_100():
     surplus = [r for r in records if (r.degree, r.newton) not in rows]
     assert len(surplus) == 38
     assert [r for r in records if classify_record(r).existence == "candidate"] == surplus
+    # the surplus, by degree and pairs: three series and two sporadic rows
+    expect = {
+        *((4 * a + 1, ((a, 4 * a + 1), (2, 2 * a + 1))) for a in range(2, 25)),
+        *((8 * b + 2, ((b, 4 * b + 1), (4, 4 * b + 1))) for b in range(2, 13)),
+        *((50 * c - 12, ((4 * c - 1, 25 * c - 6), (5, 5 * c - 1))) for c in (1, 2)),
+        (17, ((2, 7), (4, 17))),
+        (20, ((2, 3), (6, 31))),
+    }
+    assert len(expect) == 38
+    assert {(r.degree, r.newton) for r in surplus} == expect
