@@ -55,10 +55,13 @@ tangent-line bound.  Neither is a filter of its own: the counting
 criterion's j = 1 condition implies both (see ``_finalize``).
 
 The search is embarrassingly parallel over the leading multiplicity a:
-each a is one task.  With more than one worker the process forks helpers
-and works alongside them, every process taking the next task index from
-one token passed around through a pipe, and the results are merged by a
-canonical sort, so output is deterministic for any worker count.
+each a is one task.  The calling process runs the tasks in order.  With
+more than one worker, once the call has run for a fixed delay (20 ms) and
+tasks remain, it forks helpers and works alongside them on the rest,
+every process taking the next task index from one token passed around
+through a pipe; so a search shorter than the delay never forks.  The
+results are merged by a canonical sort, so output is deterministic for
+any worker count.
 """
 
 from __future__ import annotations
@@ -66,9 +69,10 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from math import gcd, isqrt
+from math import gcd, inf, isqrt
 
 from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
@@ -78,6 +82,9 @@ from .semigroup import _prefix_last_j, _span_miss, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
+
+# how long a call runs its tasks alone before it forks helpers (see _run_tasks)
+_FORK_DELAY_S = 0.02
 
 
 class PairCountBoundError(ValueError):
@@ -128,28 +135,53 @@ def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:
     """Map ``fn`` over ``tasks`` and concatenate the resulting lists in task
     order.
 
-    With W = min(worker_count, len(tasks), CPUs) > 1 the process forks W - 1
-    helpers and runs tasks itself too.  A helper inherits the caller's
-    memory, so ``fn`` may be any callable, a closure included, and the
-    tasks are never pickled.  Every process takes the next task index from
-    the token, one 8-byte message in a pipe that the caller fills with
-    index 0 before it forks (see :func:`_take_tasks`), so the tasks are
-    handed out as processes free up.  A helper sends its (index, result)
-    pairs, or the exception a task raised, pickled through a pipe of its
-    own and leaves by ``os._exit``; the caller reads every pipe, reaps
-    every helper and re-raises a helper's exception.  A helper that ends
-    without a payload raises RuntimeError.  Whatever goes wrong, no helper
-    outlives the call and no pipe is left open.  One worker, or a platform
-    without ``os.fork``, runs the tasks serially.  Forking copies only the
-    calling thread; the package starts no others.
+    The caller runs the tasks in order.  With W = min(worker_count,
+    len(tasks), CPUs) > 1, once ``_FORK_DELAY_S`` has passed since the call
+    began and at least two tasks are left, it forks min(W, tasks left) - 1
+    helpers and shares the rest with them (see :func:`_share_tasks`),
+    whose results follow its own in task order.  One worker, or a
+    platform without ``os.fork``, never forks.
+
+    Cost bound: a call shorter than the delay saves the whole fork,
+    copy-on-write and join cost (~2-5 ms for a search on 2 cores, hence a
+    delay of a few times that).  A longer call works alone for the delay
+    plus the rest of the task running when it passes; against forking at
+    once it loses at most 1 - 1/W of that stretch of parallel work, so
+    ``_FORK_DELAY_S``/2 with two workers and short tasks.
     """
-    workers = min(worker_count, len(tasks), _cpu_count())
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [item for task in tasks for item in fn(task)]
+    workers = min(worker_count, len(tasks), _cpu_count()) if hasattr(os, "fork") else 1
+    fork_at = time.perf_counter() + _FORK_DELAY_S if workers > 1 else inf
+    parts = []
+    for index, task in enumerate(tasks):
+        left = len(tasks) - index
+        if left > 1 and time.perf_counter() >= fork_at:
+            parts += _share_tasks(fn, tasks, index, min(workers, left))
+            break
+        parts.append(fn(task))
+    return [item for part in parts for item in part]
+
+
+def _share_tasks(fn, tasks: Sequence, start: int, workers: int) -> list:
+    """fn(task) for every task from index ``start`` on, in task order, run
+    by the caller and ``workers`` - 1 forked helpers.
+
+    A helper inherits the caller's memory, so ``fn`` may be any callable, a
+    closure included, and the tasks are never pickled.  Every process takes
+    the next task index from the token, one 8-byte message in a pipe that
+    the caller fills with ``start`` before it forks (see
+    :func:`_take_tasks`), so the tasks are handed out as processes free up.
+    A helper sends its (index, result) pairs, or the exception a task
+    raised, pickled through a pipe of its own and leaves by ``os._exit``;
+    the caller reads every pipe, reaps every helper and re-raises a
+    helper's exception.  A helper that ends without a payload raises
+    RuntimeError.  Whatever goes wrong, no helper outlives the call and no
+    pipe is left open.  Forking copies only the calling thread; the package
+    starts no others.
+    """
     token = os.pipe()
     pipes = {}  # pid -> read end of the helper's pipe, until it is reaped
     try:
-        os.write(token[1], (0).to_bytes(8, "little"))
+        os.write(token[1], start.to_bytes(8, "little"))
         for _ in range(workers - 1):
             read, write = os.pipe()
             try:
@@ -186,7 +218,7 @@ def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:
         for fd in token:
             os.close(fd)
     done.sort(key=lambda pair: pair[0])
-    return [item for _, part in done for item in part]
+    return [part for _, part in done]
 
 
 def _cpu_count() -> int:

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from cuspidal import enumerate as search
 from cuspidal.cli import main
 from cuspidal.enumerate import classify_range
 from cuspidal.records import record_to_json_dict
@@ -24,7 +25,10 @@ def test_enumerate_json(capsys):
     assert [r["newton_pairs"] for r in payload["records"]] == [[[2, 3], [2, 5], [2, 3]]]
 
 
-def test_enumerate_deterministic_across_jobs(capsys):
+def test_enumerate_deterministic_across_jobs(capsys, monkeypatch):
+    # this search is shorter than the fork delay; without one, --jobs 4
+    # forks helpers as a long search does
+    monkeypatch.setattr(search, "_FORK_DELAY_S", 0)
     _, out1, _ = run(capsys, "enumerate", "--degree", "24", "--pairs", "3", "--jobs", "1")
     _, out2, _ = run(capsys, "enumerate", "--degree", "24", "--pairs", "3", "--jobs", "4")
     records1 = json.loads(out1)["records"]

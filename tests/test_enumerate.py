@@ -5,10 +5,12 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from cuspidal import enumerate as search
+from cuspidal import invariants as inv
 from cuspidal.enumerate import (
     PARANOID,
     PRUNED,
@@ -20,6 +22,7 @@ from cuspidal.enumerate import (
 )
 from cuspidal.invariants import newton_to_puiseux
 from cuspidal.records import CurveRecord, OutputDocument, record_to_flat_dict
+from cuspidal.semigroup import _generators, bl_check_unicuspidal
 from uncut_search import pruned_leaves, uncut_leaves
 
 
@@ -81,14 +84,21 @@ def test_modes_agree_four_pairs():
             assert pruned == paranoid, d
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
+    _forking_at_once(monkeypatch)
+    forks = _recorded_forks(monkeypatch)
     base = enumerate_candidates(SearchConfig(20, 3, PRUNED, 1))
+    assert forks == []
     assert enumerate_candidates(SearchConfig(20, 3, PRUNED, 4)) == base
     assert enumerate_candidates(SearchConfig(20, 3, PARANOID, 3)) == base
+    assert len(forks) == 2
 
 
-def test_classify_range_worker_count_does_not_change_output():
+def test_classify_range_worker_count_does_not_change_output(monkeypatch):
+    _forking_at_once(monkeypatch)
+    forks = _recorded_forks(monkeypatch)
     assert classify_range(20, 2) == classify_range(20, 1)
+    assert forks
 
 
 def test_emitted_records_satisfy_multiplicity_bounds():
@@ -251,9 +261,15 @@ def test_prefix_cut_is_lossless(monkeypatch):
     leaves = 0
     for d in range(3, 46):
         for k in range(1, max_pairs_bound(d) + 1):
-            uncut = [search._finalize(d, a, bs) for a, bs in uncut_leaves(d, k)]
+            uncut = list(uncut_leaves(d, k))
             leaves += len(uncut)
-            expect = sorted((r for r in uncut if r is not None), key=CurveRecord.sort_key)
+            # a record is built only for a leaf whose generators pass
+            passed = (
+                search._finalize(d, a, bs)
+                for a, bs in uncut
+                if bl_check_unicuspidal(d, _generators(*inv.characteristic_chain(a, bs))).passed
+            )
+            expect = sorted((r for r in passed if r is not None), key=CurveRecord.sort_key)
             assert enumerate_candidates(SearchConfig(d, k)) == expect, (d, k)
     assert leaves == 145_322
     assert any(over for _, over in cuts)
@@ -336,6 +352,13 @@ def _two_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
+def _forking_at_once(monkeypatch):
+    # two CPUs and no delay: a call with two workers forks before its
+    # first task, whatever the host
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(search, "_FORK_DELAY_S", 0)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -357,13 +380,14 @@ def _slow_caller(helper_action):
 
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
     # the caller runs tasks too, so --jobs above the CPU count forks at
-    # most one helper per other CPU
+    # most one helper per other CPU; d=300, k=4 runs ~0.1 s, well past the
+    # delay, with tasks left
     forks = _recorded_forks(monkeypatch)
-    records = enumerate_candidates(SearchConfig(60, 3, PRUNED, 10**6))
+    records = enumerate_candidates(SearchConfig(300, 4, PRUNED, 10**6))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert len(forks) + 1 <= cpus
     assert forks or cpus == 1
-    assert records == enumerate_candidates(SearchConfig(60, 3))
+    assert records == enumerate_candidates(SearchConfig(300, 4))
     _assert_no_child_left()
 
 
@@ -394,6 +418,52 @@ def test_runner_hands_out_each_task_once_and_merges_in_order(monkeypatch):
     _assert_no_child_left()
 
 
+def test_runner_forks_only_past_the_delay(monkeypatch):
+    # the clock advances only by what the tasks report, so the rule is
+    # pinned exactly: a short list runs in the caller and makes no pipe; a
+    # list whose first two tasks pass the delay forks one helper before the
+    # third, and the token starts there
+    _two_cpus(monkeypatch)
+    clock = [0.0]
+    monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    forks = _recorded_forks(monkeypatch)
+    pipes = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.append(os.getpid())
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    caller = os.getpid()
+
+    def task(n, seconds):
+        clock[0] += seconds
+        return [(n, os.getpid())]
+
+    delay = search._FORK_DELAY_S
+    short = search._run_tasks(lambda n: task(n, delay / 20), list(range(10)), 2)
+    # past the delay with one task left: nothing to share
+    last = search._run_tasks(lambda n: task(n, delay), [0, 1], 2)
+    assert forks == [] and pipes == []
+    assert short == [(n, caller) for n in range(10)]
+    assert last == [(0, caller), (1, caller)]
+
+    def long_task(n):
+        if n < 2:
+            return task(n, delay * 0.6)
+        time.sleep(0.01)  # the helper takes tasks meanwhile
+        return [(n, os.getpid())]
+
+    out = search._run_tasks(long_task, list(range(12)), 2)
+    assert len(forks) == 1
+    assert pipes == [caller, caller]  # the token and the helper's pipe
+    assert [n for n, _ in out] == list(range(12))
+    assert out[:2] == [(0, caller), (1, caller)]
+    assert {pid for _, pid in out[2:]} == {caller, forks[0]}
+    _assert_no_child_left()
+
+
 def test_runner_without_fork_runs_serially(monkeypatch):
     _two_cpus(monkeypatch)
     monkeypatch.delattr(os, "fork", raising=False)
@@ -420,19 +490,25 @@ def test_helper_dying_without_a_result_raises(monkeypatch):
 
 def test_failing_caller_kills_its_helpers(monkeypatch):
     _two_cpus(monkeypatch)
+    forks = _recorded_forks(monkeypatch)
     caller = os.getpid()
 
     def task(n):
         if os.getpid() == caller:
-            time.sleep(0.2)  # a helper takes a task meanwhile
-            raise ValueError("the caller failed")
+            # task 0 passes the delay; on a later one a helper takes a
+            # task meanwhile
+            time.sleep(0.2)
+            if n:
+                raise ValueError("the caller failed")
+            return [n]
         time.sleep(60)
         return [n]
 
     start = time.monotonic()
     with pytest.raises(ValueError, match="the caller failed"):
-        search._run_tasks(task, [1, 2, 3], 2)
+        search._run_tasks(task, [0, 1, 2, 3], 2)
     assert time.monotonic() - start < 30
+    assert len(forks) == 1
     _assert_no_child_left()
 
 
@@ -454,8 +530,10 @@ def test_runner_imports_no_multiprocessing():
 import os, sys
 import cuspidal
 print("multiprocessing" in sys.modules)
+from cuspidal import enumerate as search
 from cuspidal.enumerate import PRUNED, SearchConfig, enumerate_candidates
 os.sched_getaffinity = lambda pid: {0, 1}
+search._FORK_DELAY_S = 0  # this search is shorter than the delay
 print(len(enumerate_candidates(SearchConfig(60, 3, PRUNED, 2))))
 print("multiprocessing" in sys.modules)
 """
@@ -474,6 +552,17 @@ from cuspidal import enumerate as search
 
 os.sched_getaffinity = lambda pid: {0, 1}
 caller = os.getpid()
+fork = os.fork
+forks = []
+
+
+def recorded_fork():
+    pid = fork()
+    forks.append(pid)
+    return pid
+
+
+os.fork = recorded_fork
 
 
 def fail():
@@ -481,16 +570,22 @@ def fail():
 
 
 def run(in_helper=lambda: None, in_caller=lambda: None):
+    # task 0 passes the delay in the caller, so the caller forks before
+    # task 1 and every action runs after the fork
     def task(n):
-        (in_caller if os.getpid() == caller else in_helper)()
+        if n:
+            (in_caller if os.getpid() == caller else in_helper)()
         time.sleep(0.05)
         return [n]
 
     before = sorted(os.listdir("/proc/self/fd"))
+    forked = len(forks)
     try:
         outcome = len(search._run_tasks(task, list(range(20)), 2))
     except (ValueError, RuntimeError) as exc:
         outcome = type(exc).__name__
+    if len(forks) != forked + 1:
+        raise SystemExit("no helper was forked")
     print(outcome, sorted(os.listdir("/proc/self/fd")) == before)
 
 
