@@ -56,7 +56,7 @@ criterion's j = 1 condition implies both (see ``_finalize``).
 
 The search is embarrassingly parallel over the leading multiplicity a:
 each a is one task.  The calling process runs the tasks in order.  With
-more than one worker, once the call has run for a fixed delay (20 ms) and
+more than one worker, once the call has run for a fixed delay (10 ms) and
 tasks remain, it forks helpers and works alongside them on the rest,
 every process taking the next task index from one token passed around
 through a pipe; so a search shorter than the delay never forks.  The
@@ -83,8 +83,10 @@ from .semigroup import _prefix_last_j, _span_miss, bl_check_unicuspidal
 PRUNED = "pruned"
 PARANOID = "paranoid"
 
-# how long a call runs its tasks alone before it forks helpers (see _run_tasks)
-_FORK_DELAY_S = 0.02
+# how long a call runs its tasks alone before it forks helpers (see
+# _run_tasks): about twice a d=60, k=3 search (~5 ms serial on 2 cores),
+# so short searches stay serial; a longer delay only costs long calls more
+_FORK_DELAY_S = 0.01
 
 
 class PairCountBoundError(ValueError):
@@ -142,12 +144,15 @@ def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:
     whose results follow its own in task order.  One worker, or a
     platform without ``os.fork``, never forks.
 
-    Cost bound: a call shorter than the delay saves the whole fork,
-    copy-on-write and join cost (~2-5 ms for a search on 2 cores, hence a
-    delay of a few times that).  A longer call works alone for the delay
-    plus the rest of the task running when it passes; against forking at
-    once it loses at most 1 - 1/W of that stretch of parallel work, so
-    ``_FORK_DELAY_S``/2 with two workers and short tasks.
+    Cost: a call shorter than the delay saves the whole fork, copy-on-write
+    and join cost (~2-5 ms for a search on 2 cores).  A longer call works
+    alone for the delay plus the rest of the task running when it passes,
+    and is slower than forking at once.  With short tasks it loses 1 - 1/W
+    of that stretch, so ``_FORK_DELAY_S``/2 with two workers; it loses up
+    to the whole stretch when one long task, run after the fork, sets when
+    the call ends.  When the delay passes inside a long task near the end
+    of the list, the call forks with almost no work left and pays the fork
+    for nothing.
     """
     workers = min(worker_count, len(tasks), _cpu_count()) if hasattr(os, "fork") else 1
     fork_at = time.perf_counter() + _FORK_DELAY_S if workers > 1 else inf

@@ -380,14 +380,15 @@ def _slow_caller(helper_action):
 
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch):
     # the caller runs tasks too, so --jobs above the CPU count forks at
-    # most one helper per other CPU; d=300, k=4 runs ~0.1 s, well past the
-    # delay, with tasks left
+    # most one helper per other CPU; with no delay the call forks before
+    # its first task, however fast the host
+    monkeypatch.setattr(search, "_FORK_DELAY_S", 0)
     forks = _recorded_forks(monkeypatch)
-    records = enumerate_candidates(SearchConfig(300, 4, PRUNED, 10**6))
+    records = enumerate_candidates(SearchConfig(60, 3, PRUNED, 10**6))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert len(forks) + 1 <= cpus
     assert forks or cpus == 1
-    assert records == enumerate_candidates(SearchConfig(300, 4))
+    assert records == enumerate_candidates(SearchConfig(60, 3))
     _assert_no_child_left()
 
 
