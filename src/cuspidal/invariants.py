@@ -57,33 +57,9 @@ def validate_newton_pairs(pairs: Pairs) -> None:
 
 
 def validate_puiseux_pairs(pairs: Pairs) -> None:
-    """Check the Puiseux-pair invariants, raising :class:`InvalidCuspData`.
-
-    Required: P_1 > P_2 > ... > P_k >= 2 with P_{j+1} dividing both P_j and
-    Q_j (P_{k+1} := 1); gcd(P_j/P_{j+1}, Q_j/P_{j+1}) = 1; Q_1 > P_1 and
-    Q_j >= P_{j+1} for j >= 2.
-    """
-    if not pairs:
-        raise InvalidCuspData("Puiseux pair sequence must contain at least one pair")
-    k = len(pairs)
-    for j in range(k):
-        P, Q = pairs[j]
-        Pn = pairs[j + 1][0] if j + 1 < k else 1
-        if P < 2:
-            raise InvalidCuspData(f"pair {j + 1}: P must be >= 2, got {P}")
-        if Pn >= P:
-            raise InvalidCuspData(f"pair {j + 1}: P values must strictly decrease")
-        if P % Pn or Q % Pn:
-            raise InvalidCuspData(
-                f"pair {j + 1}: P_{j + 2}={Pn} must divide P_{j + 1}={P} and Q_{j + 1}={Q}"
-            )
-        if gcd(P // Pn, Q // Pn) != 1:
-            raise InvalidCuspData(f"pair {j + 1}: gcd(P/P', Q/P') != 1")
-        if j == 0:
-            if Q <= P:
-                raise InvalidCuspData(f"first pair: Q must exceed P, got ({P}, {Q})")
-        elif Q < Pn:
-            raise InvalidCuspData(f"pair {j + 1}: Q must be >= next P")
+    """Check the Puiseux-pair invariants, raising :class:`InvalidCuspData`;
+    the check is :func:`puiseux_to_newton`."""
+    puiseux_to_newton(pairs)
 
 
 def characteristic_chain(
@@ -139,14 +115,13 @@ def validate_multiplicity(runs: MultRuns) -> None:
 # conversions
 
 def newton_to_puiseux(pairs: Pairs) -> Pairs:
-    """Convert Newton pairs to Puiseux pairs.
+    """Convert valid Newton pairs to Puiseux pairs.
 
-    P_j = p_j p_{j+1} ... p_k and Q_j = q_j p_{j+1} ... p_k.
+    P_j = p_j p_{j+1} ... p_k and Q_j = q_j p_{j+1} ... p_k.  The result
+    is valid by construction: :func:`puiseux_to_newton` maps it back.
     """
     validate_newton_pairs(pairs)
-    result = _puiseux_from_newton(pairs)
-    validate_puiseux_pairs(result)
-    return result
+    return _puiseux_from_newton(pairs)
 
 
 def _puiseux_from_newton(pairs: Pairs) -> Pairs:
@@ -161,17 +136,34 @@ def _puiseux_from_newton(pairs: Pairs) -> Pairs:
 
 def puiseux_to_newton(pairs: Pairs) -> Pairs:
     """Convert Puiseux pairs back to Newton pairs (exact inverse of
-    :func:`newton_to_puiseux`): (p_j, q_j) = (P_j/P_{j+1}, Q_j/P_{j+1})."""
-    validate_puiseux_pairs(pairs)
-    k = len(pairs)
+    :func:`newton_to_puiseux`): (p_j, q_j) = (P_j/P_{j+1}, Q_j/P_{j+1})
+    with P_{k+1} = 1.
+
+    This is the Puiseux check.  Every P_j must be >= 2 (all checked before
+    any division) and P_{j+1} must divide P_j and Q_j; then the derived
+    pairs must pass :func:`validate_newton_pairs`.  Given divisibility,
+    that is the whole Puiseux rule: p_j >= 2 iff P strictly decreases,
+    q_j >= 1 iff Q_j >= P_{j+1}, and q_1 > p_1 iff Q_1 > P_1.  Errors
+    name the Puiseux pairs.
+    """
+    def invalid(reason: str) -> InvalidCuspData:
+        return InvalidCuspData(f"Puiseux pairs {pairs}: {reason}")
+
+    for j, (P, _) in enumerate(pairs, start=1):
+        if P < 2:
+            raise invalid(f"P_{j} must be >= 2, got {P}")
+    nexts = [P for P, _ in pairs[1:]] + [1]
     out = []
-    for j in range(k):
-        P, Q = pairs[j]
-        Pn = pairs[j + 1][0] if j + 1 < k else 1
+    for j, ((P, Q), Pn) in enumerate(zip(pairs, nexts), start=1):
+        if P % Pn or Q % Pn:
+            raise invalid(f"P_{j + 1}={Pn} must divide P_{j}={P} and Q_{j}={Q}")
         out.append((P // Pn, Q // Pn))
-    result = tuple(out)
-    validate_newton_pairs(result)
-    return result
+    newton = tuple(out)
+    try:
+        validate_newton_pairs(newton)
+    except InvalidCuspData as exc:
+        raise invalid(f"as Newton pairs {newton}, {exc}") from None
+    return newton
 
 
 def characteristic_seq(pairs: Pairs) -> tuple[int, tuple[int, ...]]:
@@ -190,16 +182,20 @@ def characteristic_seq(pairs: Pairs) -> tuple[int, tuple[int, ...]]:
 def newton_from_characteristic(a: int, b: tuple[int, ...]) -> Pairs:
     """Recover the Newton pairs from a characteristic sequence, off its gcd
     chain (:func:`characteristic_chain`): (p_j, q_j) = (p_j, Q_j / e_j),
-    where e_j = e_(j-1) / p_j divides b_j and b_(j-1)."""
+    where e_j = e_(j-1) / p_j divides b_j and b_(j-1).
+
+    The chain proves the pairs valid, so they are not checked again: the
+    gcd drops at every b_j (p_j >= 2), b increases (q_j >= 1),
+    gcd(e_(j-1), b_j - b_(j-1)) = e_j gives gcd(p_j, q_j) = 1, and
+    b_1 > a gives q_1 > p_1.
+    """
     ps, Qs = characteristic_chain(a, b)
     pairs = []
     e = a
     for p, Q in zip(ps, Qs):
         e //= p
         pairs.append((p, Q // e))
-    result = tuple(pairs)
-    validate_newton_pairs(result)
-    return result
+    return tuple(pairs)
 
 
 def multiplicity_sequence(pairs: Pairs) -> MultRuns:
@@ -349,6 +345,8 @@ def format_multiplicity(runs: MultRuns) -> str:
 def parse_multiplicity(text: str) -> MultRuns:
     """Parse ``16,8_4,4_3,2_3`` (``8x4`` also accepted for a run).
 
+    Every run needs a value and a count >= 1; a run below that is an
+    error, checked before normalizing so that none is dropped silently.
     Value-1 runs and the word ``smooth`` normalize to the empty sequence.
     """
     s = text.replace(" ", "")
@@ -356,17 +354,14 @@ def parse_multiplicity(text: str) -> MultRuns:
         return ()
     runs = []
     for chunk in s.split(","):
-        body = chunk.replace("x", "_")
-        parts = body.split("_")
-        try:
-            if len(parts) == 1:
-                runs.append((int(parts[0]), 1))
-            elif len(parts) == 2:
-                runs.append((int(parts[0]), int(parts[1])))
-            else:
-                raise ValueError
+        parts = chunk.replace("x", "_").split("_")
+        try:  # a third part fails to unpack: a malformed run
+            value, count = map(int, parts) if len(parts) > 1 else (int(parts[0]), 1)
         except ValueError as exc:
             raise InvalidCuspData(f"malformed multiplicity run {chunk!r}") from exc
+        if value < 1 or count < 1:
+            raise InvalidCuspData(f"multiplicity run {chunk!r}: value and count must be >= 1")
+        runs.append((value, count))
     normalized = normalize_runs(tuple(runs))
     validate_multiplicity(normalized)
     return normalized

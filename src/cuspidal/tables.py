@@ -17,6 +17,13 @@ row from first principles with :func:`reproduce`:
 * ``all`` -- the union of the four classification tables against the full
   degree-<= 30 classification run.
 
+One registry holds the tables: ``_PAIR_TABLES`` maps each pair table to
+its number of Newton pairs and its rows, built on first use, and
+``_LCT_GRIDS`` maps each ``lct-*`` table to its parameter grid.
+:data:`TABLE_IDS`, :func:`expected_table`, :func:`reproduce` and the
+expected rows of ``all`` all read it, and ``MAX_DEGREE`` is the one
+degree bound.
+
 Every classification table is diffed against classified records
 (:func:`~cuspidal.enumerate.classify_record`): the four pair tables and
 ``induct`` each enumerate and classify their own pair count once, and
@@ -48,17 +55,8 @@ from .families import (
 )
 from .records import FLAG_INCONSISTENT, CurveRecord
 
-TABLE_IDS = (
-    "onepair",
-    "twopairs",
-    "threepairs",
-    "fourpairs",
-    "induct",
-    "lct-kashiwara",
-    "lct-tono",
-    "lct-orevkov",
-    "all",
-)
+# the degree bound of every classification table
+MAX_DEGREE = 30
 
 # (degree, newton pairs, multiplicity sequence), in published row order.
 THREE_PAIR_ROWS = (
@@ -208,34 +206,34 @@ def two_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
     return tuple(sorted(rows))
 
 
-@dataclass(frozen=True)
-class ExpectedTable:
-    identifier: str
-    description: str
-    rows: tuple
+# the classification tables: id -> (number of Newton pairs, rows); rows
+# are built on first use, not at import
+_PAIR_TABLES = {
+    "onepair": (1, lambda: one_pair_rows(MAX_DEGREE)),
+    "twopairs": (2, lambda: two_pair_rows(MAX_DEGREE)),
+    "threepairs": (3, lambda: THREE_PAIR_ROWS),
+    "fourpairs": (4, lambda: FOUR_PAIR_ROWS),
+}
+
+# the closed-form cross-checks: id -> standard parameter grid
+_LCT_GRIDS = {
+    "lct-kashiwara": lambda: kashiwara_grid(3, 2, 2),  # l <= 3, N <= 2, lambda_i <= 2
+    "lct-tono": lambda: tono_grid(7, 4, 5),  # a <= 7, s <= 4, n <= 5
+    "lct-orevkov": lambda: orevkov_grid(4),  # k <= 4
+}
+
+TABLE_IDS = (*_PAIR_TABLES, "induct", *_LCT_GRIDS, "all")
 
 
-def expected_table(identifier: str) -> ExpectedTable:
-    if identifier == "threepairs":
-        return ExpectedTable("threepairs", "three-pair curves of degree <= 30", THREE_PAIR_ROWS)
-    if identifier == "fourpairs":
-        return ExpectedTable("fourpairs", "four-pair curves of degree <= 30", FOUR_PAIR_ROWS)
+def expected_table(identifier: str) -> tuple:
+    """The embedded rows of a classification table or of ``induct``:
+    (degree, pairs) for one and two pairs, (degree, pairs, multiplicity)
+    for three and four, and the :data:`REDUCTION_ROWS` for ``induct``."""
     if identifier == "induct":
-        return ExpectedTable("induct", "reduction chains for the three-pair curves", REDUCTION_ROWS)
-    if identifier == "onepair":
-        return ExpectedTable("onepair", "one-pair curves of degree <= 30", one_pair_rows(30))
-    if identifier == "twopairs":
-        return ExpectedTable("twopairs", "two-pair curves of degree <= 30", two_pair_rows(30))
-    raise KeyError(f"no embedded table {identifier!r}")
-
-
-# the classification tables, by their number of Newton pairs
-_PAIR_COUNTS = {"onepair": 1, "twopairs": 2, "threepairs": 3, "fourpairs": 4}
-
-# standard cross-check grids
-KASHIWARA_GRID = (3, 2, 2)  # l <= 3, N <= 2, lambda_i <= 2
-TONO_GRID = (7, 4, 5)       # a <= 7, s <= 4, n <= 5
-OREVKOV_GRID = 4            # k <= 4
+        return REDUCTION_ROWS
+    if identifier not in _PAIR_TABLES:
+        raise KeyError(f"no embedded table {identifier!r}")
+    return _PAIR_TABLES[identifier][1]()
 
 
 @dataclass
@@ -271,9 +269,9 @@ def _pair_row_str(degree: int, pairs: inv.Pairs, mult: str | None = None) -> str
 
 
 def _classified(pair_count: int, worker_count: int) -> list[CurveRecord]:
-    """The classified records of one pair count over degrees <= 30, one
-    search task per degree, in canonical order for any worker count."""
-    cells = [(d, pair_count) for d in range(3, 31) if max_pairs_bound(d) >= pair_count]
+    """The classified records of one pair count over degrees <= MAX_DEGREE,
+    one search task per degree, in canonical order for any worker count."""
+    cells = [(d, pair_count) for d in range(3, MAX_DEGREE + 1) if max_pairs_bound(d) >= pair_count]
     return _classify_cells(cells, worker_count)
 
 
@@ -306,9 +304,6 @@ def _diff_classified(
 
 
 def _reproduce_induct(report, worker_count):
-    expected = {
-        (d, m, step1, step2) for d, m, step1, step2 in REDUCTION_ROWS
-    }
     got = set()
     for record in _classified(3, worker_count):
         blocks = [s for s in record.reduction_chain if s.rule.startswith("block")]
@@ -342,7 +337,7 @@ def _reproduce_induct(report, worker_count):
         return out
 
     # rows without a second step hold None, which does not order
-    _diff_pair_table(report, expected, got, row_str, key=str)
+    _diff_pair_table(report, set(REDUCTION_ROWS), got, row_str, key=str)
 
 
 def _reproduce_lct(report, grid_specs):
@@ -381,32 +376,22 @@ def _reproduce_lct(report, grid_specs):
         report.notes.append(f"{rejected} parameter combinations rejected by validation")
 
 
-def _reproduce_all(report, worker_count):
-    expected = {(d, pairs) for d, pairs, _ in THREE_PAIR_ROWS + FOUR_PAIR_ROWS}
-    expected.update(one_pair_rows(30))
-    expected.update(two_pair_rows(30))
-    _diff_classified(report, expected, classify_range(30, worker_count))
-
-
 def reproduce(identifier: str, worker_count: int = 1) -> ReproduceReport:
     """Regenerate one table from first principles and diff it row by row
     against the embedded expected data."""
     report = ReproduceReport(identifier)
     start = time.monotonic()
-    if identifier in _PAIR_COUNTS:
-        pair_count = _PAIR_COUNTS[identifier]
-        rows = set(expected_table(identifier).rows)
-        _diff_classified(report, rows, _classified(pair_count, worker_count), pair_count >= 3)
+    if identifier in _PAIR_TABLES:
+        pair_count, rows = _PAIR_TABLES[identifier]
+        records = _classified(pair_count, worker_count)
+        _diff_classified(report, set(rows()), records, with_mult=pair_count >= 3)
+    elif identifier in _LCT_GRIDS:
+        _reproduce_lct(report, _LCT_GRIDS[identifier]())
     elif identifier == "induct":
         _reproduce_induct(report, worker_count)
-    elif identifier == "lct-kashiwara":
-        _reproduce_lct(report, kashiwara_grid(*KASHIWARA_GRID))
-    elif identifier == "lct-tono":
-        _reproduce_lct(report, tono_grid(*TONO_GRID))
-    elif identifier == "lct-orevkov":
-        _reproduce_lct(report, orevkov_grid(OREVKOV_GRID))
     elif identifier == "all":
-        _reproduce_all(report, worker_count)
+        expected = {row[:2] for _, rows in _PAIR_TABLES.values() for row in rows()}
+        _diff_classified(report, expected, classify_range(MAX_DEGREE, worker_count))
     else:
         raise KeyError(f"unknown table id {identifier!r}; choose from {TABLE_IDS}")
     report.elapsed = time.monotonic() - start

@@ -251,6 +251,17 @@ def test_reduce_rejects_degrees_below_one(capsys):
         assert err == f"error: degree must be >= 1, got {degree}\n"
 
 
+def test_reduce_rejects_runs_below_one(capsys):
+    # a zero or negative run used to be dropped, so "3,0" was read as "3"
+    for mult in ("0", "-5", "2_0", "3_-1", "3,0"):
+        code, out, err = run(capsys, "reduce", "--degree", "5", "--mult", mult)
+        assert code == 2 and out == ""
+        run_text = mult.split(",")[-1]
+        assert err == f"error: multiplicity run {run_text!r}: value and count must be >= 1\n"
+    code, out, _ = run(capsys, "reduce", "--degree", "5", "--mult", "4,1,1")
+    assert code == 0 and out.startswith("d=5 [4]: ")
+
+
 def test_huge_run_counts_stay_bounded(capsys):
     # multiplicities are kept as runs end to end: a count of 10^10 would
     # need well over 100 GB if any step expanded it entry by entry

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +27,7 @@ from cuspidal.invariants import (
     puiseux_to_newton,
     self_intersection,
     validate_newton_pairs,
+    validate_puiseux_pairs,
 )
 
 
@@ -201,6 +204,76 @@ def test_validation_messages():
         validate_newton_pairs(((2, 3), (2, 0)))
 
 
+def test_puiseux_errors_name_the_puiseux_pairs():
+    # a zero P is caught before any division, by every Puiseux entry point
+    bad = ((4, 6), (0, 1))
+    for check in (
+        validate_puiseux_pairs,
+        puiseux_to_newton,
+        lct,
+        delta_from_puiseux,
+        lambda pairs: self_intersection(5, pairs),
+    ):
+        with pytest.raises(InvalidCuspData, match=re.escape(f"Puiseux pairs {bad}: P_2 must be >= 2")):
+            check(bad)
+    with pytest.raises(InvalidCuspData, match="P_2=4 must divide P_1=6 and Q_1=15"):
+        puiseux_to_newton(((6, 15), (4, 2)))
+    with pytest.raises(InvalidCuspData, match=re.escape("as Newton pairs ((2, 3), (2, 2)), pair 2")):
+        puiseux_to_newton(((4, 6), (2, 2)))
+    with pytest.raises(InvalidCuspData, match="at least one pair"):
+        validate_puiseux_pairs(())
+
+
+def _reference_puiseux_to_newton(pairs):
+    """The Puiseux rules stated directly on (P_j, Q_j), independently of
+    the Newton-pair check: the Newton pairs, or None where a rule fails.
+    A next P of 0 is rejected before it divides."""
+    k = len(pairs)
+    if not k:
+        return None
+    for j in range(k):
+        P, Q = pairs[j]
+        Pn = pairs[j + 1][0] if j + 1 < k else 1
+        if P < 2 or Pn >= P or Pn == 0 or P % Pn or Q % Pn:
+            return None
+        if gcd(P // Pn, Q // Pn) != 1:
+            return None
+        if (Q <= P) if j == 0 else (Q < Pn):
+            return None
+    nexts = [P for P, _ in pairs[1:]] + [1]
+    return tuple((P // Pn, Q // Pn) for (P, Q), Pn in zip(pairs, nexts))
+
+
+def _puiseux_like(rng):
+    # random entries around the legal range, or a valid sequence nudged
+    if rng.random() < 0.5:
+        k = rng.randint(1, 4)
+        return tuple((rng.randint(-2, 40), rng.randint(-2, 60)) for _ in range(k))
+    newton = [(rng.randint(2, 6), rng.randint(1, 20)) for _ in range(rng.randint(1, 4))]
+    newton[0] = (newton[0][0], newton[0][0] + rng.randint(-1, 10))
+    puiseux = [list(pair) for pair in inv._puiseux_from_newton(tuple(newton))]
+    for _ in range(rng.randint(0, 2)):
+        j, i = rng.randrange(len(puiseux)), rng.randrange(2)
+        puiseux[j][i] = rng.choice((0, 1, -1, puiseux[j][i] + rng.choice((-1, 1, 2))))
+    return tuple(tuple(pair) for pair in puiseux)
+
+
+def test_puiseux_check_matches_the_direct_rules():
+    rng = random.Random(20231)
+    accepted = 0
+    for _ in range(20_000):
+        pairs = _puiseux_like(rng)
+        want = _reference_puiseux_to_newton(pairs)
+        if want is None:
+            with pytest.raises(InvalidCuspData):
+                puiseux_to_newton(pairs)
+        else:
+            assert puiseux_to_newton(pairs) == want
+            accepted += 1
+    # both sides are exercised: 1,873 of the 20,000 are valid
+    assert accepted > 1_000
+
+
 def test_characteristic_validation():
     # a | b_1 means b_1 is not characteristic
     with pytest.raises(InvalidCuspData, match="not characteristic"):
@@ -236,9 +309,17 @@ def test_multiplicity_text_format():
     assert parse_multiplicity("16,8x4,4x3,2x3") == runs
     assert parse_multiplicity("1") == ()
     assert parse_multiplicity("smooth") == ()
+    assert parse_multiplicity("4,1,1") == ((4, 1),)
     assert format_multiplicity(()) == "smooth"
     with pytest.raises(InvalidCuspData):
         parse_multiplicity("3,oops")
+
+
+def test_multiplicity_runs_below_one_are_errors():
+    # checked before normalizing, which would drop them silently
+    for text in ("0", "-5", "2_0", "3_-1", "3,0", "4,2x0"):
+        with pytest.raises(InvalidCuspData, match="value and count must be >= 1"):
+            parse_multiplicity(text)
 
 
 def test_newton_text_format():
