@@ -244,27 +244,37 @@ def normalize_runs(runs: MultRuns) -> MultRuns:
 
 def delta_from_puiseux(pairs: Pairs) -> int:
     """delta invariant from Puiseux pairs:
-    ((P_1 - 1)(Q_1 - 1) + sum_{j>=2} (P_j - 1) Q_j) / 2."""
+    ((P_1 - 1)(Q_1 - 1) + sum_{j>=2} (P_j - 1) Q_j) / 2.
+
+    On valid pairs the bracket is 2 delta, so it is even and the halving
+    is exact."""
     validate_puiseux_pairs(pairs)
     (P1, Q1) = pairs[0]
-    bracket = (P1 - 1) * (Q1 - 1) + sum((P - 1) * Q for P, Q in pairs[1:])
-    if bracket % 2:
-        raise InvalidCuspData("delta bracket is odd; pair data is not a cusp")
-    return bracket // 2
+    return ((P1 - 1) * (Q1 - 1) + sum((P - 1) * Q for P, Q in pairs[1:])) // 2
 
 
 def delta_from_multiplicities(runs: MultRuns) -> int:
     """delta invariant from the multiplicity sequence: sum of m(m-1)/2
     over all entries."""
     validate_multiplicity(runs)
+    return _delta_from_runs(runs)
+
+
+def _delta_from_runs(runs: MultRuns) -> int:
+    # unvalidated core of delta_from_multiplicities
     return sum(count * value * (value - 1) // 2 for value, count in runs)
 
 
 def lct(puiseux: Pairs) -> Fraction:
     """Log canonical threshold of the cusp: 1/P_1 + 1/Q_1, reduced."""
     validate_puiseux_pairs(puiseux)
+    return _lct_from_puiseux(puiseux)
+
+
+def _lct_from_puiseux(puiseux: Pairs) -> Fraction:
+    # unvalidated core of lct
     P1, Q1 = puiseux[0]
-    return Fraction(1, P1) + Fraction(1, Q1)
+    return Fraction(P1 + Q1, P1 * Q1)
 
 
 def self_intersection(degree: int, puiseux: Pairs) -> int:
@@ -273,6 +283,11 @@ def self_intersection(degree: int, puiseux: Pairs) -> int:
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     validate_puiseux_pairs(puiseux)
+    return _self_intersection_from_puiseux(degree, puiseux)
+
+
+def _self_intersection_from_puiseux(degree: int, puiseux: Pairs) -> int:
+    # unvalidated core of self_intersection
     return 3 * degree - 1 - puiseux[0][0] - sum(Q for _, Q in puiseux)
 
 

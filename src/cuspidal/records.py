@@ -97,15 +97,14 @@ def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> Curv
             inv.validate_newton_pairs(newton)
         puiseux = inv._puiseux_from_newton(newton)
         mult = inv._staged_euclid(puiseux)
-        delta = sum(c * v * (v - 1) // 2 for v, c in mult)
+        delta = inv._delta_from_runs(mult)
         if strict and delta != inv.genus_target(degree):
             raise inv.InvalidCuspData(
                 f"delta {delta} != genus {inv.genus_target(degree)} at degree {degree}"
             )
         gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
-        P1, Q1 = puiseux[0]
-        lct_value = Fraction(P1 + Q1, P1 * Q1)  # 1/P1 + 1/Q1
-        self_int = 3 * degree - 1 - P1 - sum(Q for _, Q in puiseux)
+        lct_value = inv._lct_from_puiseux(puiseux)
+        self_int = inv._self_intersection_from_puiseux(degree, puiseux)
     return CurveRecord(
         degree=degree,
         newton=newton,

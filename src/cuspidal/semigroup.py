@@ -43,7 +43,15 @@ bit it does not read, and each saving is lossless:
    the second representation r + t w_1), there are prod n_i = w_1 of them,
    and each is the least member of its class, since every member is
    a_1 w_1 plus one of them.  Any other generators get their Apery set
-   from a round-robin pass (``_round_robin``).
+   from a round-robin pass (``_round_robin``).  At the point M = j*d the
+   sweep needs #{r <= M : r mod w_1 > s} for s = M mod w_1.  Every such s
+   is a multiple of g = gcd(d, w_1), and rho > s iff ceil(rho/g) > s/g, so
+   the count is exact from w_1/g + 1 counts of the added residues per
+   bucket ceil(rho/g), summed above s/g (``_bucket_count``).  The check
+   takes them when g >= ``BUCKET_GCD`` and otherwise keeps the residues as
+   the bits of a w_1-bit int, shifted and popcounted at each point
+   (``_apery_count``): a large g makes the bucket list short, while each
+   insert into the int costs O(w_1).
 
 Symmetry, the conductor and the telescopic order are not assumed: an
 O(k^2) test on the generators proves them.  No stage whose largest probe
@@ -63,6 +71,13 @@ from .invariants import Pairs, newton_to_puiseux
 # stage one's membership table, and for stage two a bound on its work; also
 # a bound on the prefix-cut tables alive on one path of the search tree
 TABLE_BIT_CAP = 1 << 30
+
+# Least gcd(d, w_1) at which stage two counts residues per bucket
+# (``_bucket_count``) instead of in a w_1-bit int (``_apery_count``).  On
+# the criterion-7 family members up to d = 20,000, every threshold from 16
+# to 128 cut stage two by the same third and 256 by less; below 32 the
+# search leaves at d <= 60 (g <= 30) take the buckets and get slower
+BUCKET_GCD = 128
 
 
 def generators_from_newton(pairs: Pairs) -> tuple[int, ...]:
@@ -334,6 +349,39 @@ def _apery_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheck
     return BLCheckResult(degree)
 
 
+def _bucket_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
+    # _apery_count with the residues counted per bucket ceil(rho/g) for
+    # g = gcd(d, w_1): g divides every s = j*d mod w_1, so rho > s iff
+    # ceil(rho/g) > s/g, and #{r <= M : r mod w_1 > s} is the sum of the
+    # w_1/g + 1 bucket counts above t = s/g.  point = q w_1 + t g steps by d.
+    g = gcd(degree, w1)
+    n = w1 // g
+    buckets = [0] * (n + 1)
+    step_q, step_t = divmod(degree, w1)
+    step_t //= g
+    c = u = q = t = point = 0
+    expected = 1
+    nxt = apery[0]
+    for j in range(last_j + 1):
+        while nxt <= point:
+            q_r, s_r = divmod(nxt, w1)
+            u += q_r
+            buckets[-(-s_r // g)] += 1
+            c += 1
+            nxt = apery[c] if c < w1 else inf
+        count = c * (q + 1) - u - sum(buckets[t + 1:])
+        if count != expected:
+            return BLCheckResult(degree, j, count)
+        expected += j + 2
+        point += degree
+        q += step_q
+        t += step_t
+        if t >= n:
+            t -= n
+            q += 1
+    return BLCheckResult(degree)
+
+
 def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
 
@@ -349,11 +397,13 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
        generators are telescopic (``_telescopic``) with Frobenius number
        (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
-       R is counted off the Apery set of w_1 (``_apery_count``), with no
-       table: R(d+1) = 3 puts w_1 <= d, so the sweep costs O(d) steps on
-       w_1-bit ints.  Telescopic generators give the Apery set as a box
-       (``_apery``), any other input by round robin (``_round_robin``, O(k d)
-       steps).
+       R is counted off the Apery set of w_1, with no table: R(d+1) = 3
+       puts w_1 <= d, so the sweep costs O(d) steps.  With
+       g = gcd(d, w_1) it counts the residues of the added Apery members
+       on a w_1-bit int when g < ``BUCKET_GCD`` (``_apery_count``) and in
+       w_1/g + 1 buckets ceil(rho/g) otherwise (``_bucket_count``).
+       Telescopic generators give the Apery set as a box (``_apery``), any
+       other input by round robin (``_round_robin``, O(k d) steps).
 
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
@@ -365,7 +415,10 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         j fails iff d-3-j does, j = d-2 always holds, and the first failing
         j is at most floor((d-3)/2);
     (3) the members <= M of a numerical semigroup are r + t w_1 with r in
-        the Apery set of w_1, r <= M and 0 <= t <= (M - r)//w_1, each once.
+        the Apery set of w_1, r <= M and 0 <= t <= (M - r)//w_1, each once;
+    (4) g divides s = j*d mod w_1, so a residue rho exceeds s iff
+        ceil(rho/g) > s/g, and the bucket counts above s/g give the
+        residues above s.
 
     Any stage whose J*d + 1 passes TABLE_BIT_CAP raises
     ``TableTooLargeError`` (a ``ValueError``) before any work is done.  Only
@@ -391,4 +444,5 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         last_j = (degree - 3) // 2
     _check_table_size(degree, last_j * degree)
     apery = _round_robin(gens) if telescopic is None else _apery(gens, telescopic[1])
-    return _apery_count(degree, gens[0], apery, last_j)
+    count = _apery_count if gcd(degree, gens[0]) < BUCKET_GCD else _bucket_count
+    return count(degree, gens[0], apery, last_j)

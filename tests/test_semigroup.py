@@ -2,7 +2,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import gcd, prod
+from math import gcd, inf, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +21,7 @@ from cuspidal.families import (
 )
 from cuspidal.records import FLAG_INCONSISTENT
 from cuspidal.semigroup import (
+    BUCKET_GCD,
     BLCheckResult,
     TableTooLargeError,
     _apery,
@@ -240,6 +241,17 @@ def full_table_check(degree, generators):
     return BLCheckResult(degree)
 
 
+# BUCKET_GCD selects the stage-two count; 1 forces the per-bucket count on
+# every input, inf the w_1-bit int
+STAGE_TWO_GCDS = (BUCKET_GCD, 1, inf)
+
+
+def check_every_stage_two_count(monkeypatch, degree, gens, want):
+    for bucket_gcd in STAGE_TWO_GCDS:
+        monkeypatch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
+        assert bl_check_unicuspidal(degree, gens) == want, (degree, gens, bucket_gcd)
+
+
 def delta_solved_sequences(max_degree):
     # every (degree, a, bs) the pruned search would hand to the counting
     # check without its prefix cut, k <= min(4, bound)
@@ -364,7 +376,7 @@ def test_prefix_cut_keeps_the_prefixes_of_a_record():
         P = g
 
 
-def test_bl_check_matches_full_table_on_candidates():
+def test_bl_check_matches_full_table_on_candidates(monkeypatch):
     inputs = list(delta_solved_candidates(30))
     assert len(inputs) == 10_136
     staged = 0
@@ -374,12 +386,12 @@ def test_bl_check_matches_full_table_on_candidates():
         frobenius, _ = _telescopic(gens)
         assert frobenius + 1 == (degree - 1) * (degree - 2)
         expect = full_table_check(degree, gens)
-        assert bl_check_unicuspidal(degree, gens) == expect, (degree, gens)
+        check_every_stage_two_count(monkeypatch, degree, gens, expect)
         staged += expect.passed or expect.first_failing_j > 2
     assert staged == 1_174  # candidates that reach stage two
 
 
-def test_bl_check_matches_full_table_on_two_generator_semigroups():
+def test_bl_check_matches_full_table_on_two_generator_semigroups(monkeypatch):
     # every <a, b> is telescopic, with conductor (a-1)(b-1): most differ
     # from (d-1)(d-2), and the staged kernel must keep the full range there
     past_half = 0
@@ -388,7 +400,7 @@ def test_bl_check_matches_full_table_on_two_generator_semigroups():
             if gcd(a, b) == 1:
                 for degree in range(2, 21):
                     expect = full_table_check(degree, (a, b))
-                    assert bl_check_unicuspidal(degree, (b, a)) == expect, (degree, a, b)
+                    check_every_stage_two_count(monkeypatch, degree, (b, a), expect)
                     past_half += not expect.passed and expect.first_failing_j > (degree - 3) // 2
     # e.g. (5, 18) at d = 10, conductor 68 != 72, first fails at j = 6 > 3
     assert full_table_check(10, (5, 18)).first_failing_j == 6
@@ -443,11 +455,85 @@ def family_members(max_degree):
     return members
 
 
-def test_bl_check_matches_full_table_on_family_members():
+def test_bl_check_matches_full_table_on_family_members(monkeypatch):
     members = family_members(8_000)
     assert len(members) == 182
+    # the members that reach the per-bucket count unforced
+    assert sum(gcd(degree, gens[0]) >= BUCKET_GCD for degree, gens in members) == 8
     for degree, gens in members:
-        assert bl_check_unicuspidal(degree, gens) == full_table_check(degree, gens), degree
+        check_every_stage_two_count(monkeypatch, degree, gens, full_table_check(degree, gens))
+
+
+def test_stage_two_count_is_selected_by_the_gcd(monkeypatch):
+    # <2 * 127, w> at d = 5 * 127 and <2 * 128, w> at d = 5 * 128 pass stage
+    # one (w > 2d): g = 127 keeps the w_1-bit int, g = BUCKET_GCD = 128
+    # takes the buckets
+    assert BUCKET_GCD == 128
+    calls = []
+    for name in ("_apery_count", "_bucket_count"):
+        def traced(*args, kernel=getattr(semigroup, name), name=name):
+            calls.append(name)
+            return kernel(*args)
+
+        monkeypatch.setattr(semigroup, name, traced)
+    for degree, gens in ((635, (254, 1271)), (640, (256, 1281))):
+        assert bl_check_unicuspidal(degree, gens) == full_table_check(degree, gens)
+    assert calls == ["_apery_count", "_bucket_count"]
+
+
+def test_round_robin_inputs_match_full_table_on_every_stage_two_count(monkeypatch):
+    # the non-telescopic sets of test_stage_two_of_any_input_builds_no_table
+    staged = [
+        (degree, gens, want)
+        for size in (3, 4)
+        for gens in combinations(range(2, 26), size)
+        if gcd(*gens) == 1 and _telescopic(gens) is None
+        for degree in range(5, 21)
+        if (want := full_table_check(degree, gens)).passed or want.first_failing_j > 2
+    ]
+    assert len(staged) == 1_126
+    for degree, gens, want in staged:
+        check_every_stage_two_count(monkeypatch, degree, gens, want)
+
+
+def test_bucket_count_matches_full_table_on_failing_inputs(monkeypatch):
+    # inputs with gcd(d, w_1) >= BUCKET_GCD that pass stage one and fail
+    # later: family generators at other degrees that share w_1's large
+    # factor, and with their last generator moved, which leaves some sets
+    # telescopic and others not (those take the round-robin Apery set)
+    members = [
+        (degree, gens)
+        for degree, gens in family_members(8_000)
+        if gcd(degree, gens[0]) >= BUCKET_GCD
+    ]
+    inputs = [
+        (other, gens)
+        for degree, gens in members
+        for other in range(gcd(degree, gens[0]), 4_000, gcd(degree, gens[0]))
+        if other != degree and gcd(other, gens[0]) >= BUCKET_GCD
+    ]
+    inputs += [
+        (degree, gens[:-1] + (w,))
+        for degree, gens in members
+        if degree < 2_500
+        for w in range(gens[-2] + 1, gens[-2] + 4_000, 97)
+        if gcd(*gens[:-1], w) == 1
+    ]
+    staged = [
+        (degree, gens)
+        for degree, gens in inputs
+        if _span_miss(degree, 2, gens[:-1], 1)(gens[-1], inf) is None
+    ]
+    failing_j = set()
+    telescopic = 0
+    for degree, gens in staged:
+        want = full_table_check(degree, gens)
+        assert not want.passed
+        failing_j.add(want.first_failing_j)
+        telescopic += _telescopic(gens) is not None
+        check_every_stage_two_count(monkeypatch, degree, gens, want)
+    assert (len(staged), telescopic) == (93, 53)
+    assert failing_j == {3, 4, 5, 11, 12, 13, *range(23, 29)}
 
 
 def test_stage_two_of_telescopic_inputs_builds_no_table(monkeypatch):
