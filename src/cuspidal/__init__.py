@@ -27,9 +27,7 @@ from .invariants import (
 )
 from .semigroup import (
     BLCheckResult,
-    NumericalSemigroup,
     bl_check_unicuspidal,
-    build_membership,
     generators_from_newton,
 )
 from .records import CurveRecord, FamilySpec, KODAIRA_NEG_INF, OutputDocument, curve_record

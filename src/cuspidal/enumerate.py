@@ -11,8 +11,8 @@ data subject to:
       must equal (d-1)(d-2);
 (iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
       run once per delta-solved candidate that the cuts below leave, on
-      the semigroup generators of the one record built for it; only the
-      survivors' records are kept.
+      the semigroup generators of its gcd chain; only a survivor gets a
+      record.
 
 These are the only filters: repeated identical pairs and unit exponents
 (q_j = 1 for j >= 2) are legal and occur in genuine curves, so no ad-hoc
@@ -54,9 +54,16 @@ Emitted records always satisfy a <= d - 1 and m_1 + m_2 <= d, the
 tangent-line bound.  Neither is a filter of its own: the counting
 criterion's j = 1 condition implies both (see ``_finalize``).
 
-The search is embarrassingly parallel over the leading multiplicity a:
-each a is one task.  The calling process runs the tasks in order.  With
-more than one worker, once the call has run for a fixed delay (10 ms) and
+One walk serves a range of pair counts: a node that has fixed b_1..b_i
+solves the leaf with i + 1 pairs when that count is served and goes
+deeper while a larger one is, so ``classify_range`` walks each degree's
+tree once for every k, while ``enumerate_candidates`` serves its one k
+(see ``_pruned_extend`` for why the shared cuts lose nothing).
+
+The search is embarrassingly parallel over (degree, leading multiplicity
+a): each pair is one task, and one task list serves every caller
+(``_search``).  The calling process runs the tasks in order.  With more
+than one worker, once the call has run for a fixed delay (10 ms) and
 tasks remain, it forks helpers and works alongside them on the rest,
 every process taking the next task index from one token passed around
 through a pipe; so a search shorter than the delay never forks.  The
@@ -78,7 +85,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _prefix_last_j, _span_miss, bl_check_unicuspidal
+from .semigroup import _generators, _prefix_last_j, _span_miss, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -128,7 +135,19 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
         )
     if mode not in (PRUNED, PARANOID):
         raise ValueError(f"unknown search mode {mode!r}")
-    records = _run_tasks(lambda a: _search_a(d, k, mode, a), _a_range(d, mode), config.worker_count)
+    return _search([(d, range(k, k + 1))], mode, config.worker_count)
+
+
+def _search(cells: Sequence[tuple[int, range]], mode: str, worker_count: int) -> list[CurveRecord]:
+    """The records of every cell (degree, range of pair counts), in
+    canonical order, from the one ``_run_tasks`` call of a search.
+
+    One task per (degree, a) walks the tree below a once for every pair
+    count of its cell.  The callers' cells hold each (degree, k) once, and
+    k = len(newton), so no record repeats.
+    """
+    tasks = [(d, ks, a) for d, ks in cells for a in _a_range(d, mode)]
+    records = _run_tasks(lambda task: _search_a(*task, mode), tasks, worker_count)
     records.sort(key=CurveRecord.sort_key)
     return records
 
@@ -287,12 +306,13 @@ def _a_range(degree: int, mode: str) -> range:
     return range(2, isqrt(target) + 2)
 
 
-def _search_a(degree: int, k: int, mode: str, a: int) -> list[CurveRecord]:
-    """The records with leading multiplicity a at (degree, k)."""
+def _search_a(degree: int, ks: range, a: int, mode: str) -> list[CurveRecord]:
+    """The records with leading multiplicity a at degree d, for every pair
+    count in ``ks``."""
     if mode == PRUNED:
-        leaves = _pruned_extend(degree, k, (), 1 - a, a, (a,), 0)
+        leaves = _pruned_extend(degree, ks, (), 1 - a, a, (a,), 0)
     else:
-        leaves = _paranoid_extend(k, (degree - 1) * (degree - 2), a, (), 1 - a, a)
+        leaves = _paranoid_extend(ks, (degree - 1) * (degree - 2), a, (), 1 - a, a)
     records = (_finalize(degree, a, bs) for _, bs in leaves)
     return [record for record in records if record is not None]
 
@@ -313,8 +333,9 @@ def _omega_at_least(n: int, count: int) -> bool:
     return found >= count
 
 
-def _pruned_extend(degree, k, bs, partial, P, gens, p):
-    """Yield (a, (b_1..b_k)) with the final exponent solved exactly.
+def _pruned_extend(degree, ks, bs, partial, P, gens, p):
+    """Yield (a, (b_1..b_k)) for every pair count k in the range ``ks``,
+    with the final exponent solved exactly.
 
     The node has fixed bs = (b_1..b_i), the gcd P = P_(i+1) of a, b_1..b_i,
     the delta bracket ``partial`` of those stages and the generators
@@ -324,6 +345,18 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
     (a-1)(b_1-1) = (a-1)(b_1 - b_0) + 1 - a, so every stage adds
     (P-1)(b - prev), w_2 = p_0 w_1 + b_1 - b_0 = b_1, and one rule serves
     every depth.  Every b exceeds max(prev, a).
+
+    One walk serves every k in ``ks``: the node solves the leaf with
+    k = i + 1 pairs when that k is served, and enters its children only
+    while a larger k is.  The budget and the prime-factor filter take the
+    loosest larger k served, max(ks.start, i + 2), and that is lossless for
+    every k: both only skip a child below which no leaf of k pairs exists,
+    and both skip less for a smaller k (each of the k - i - 1 later stages
+    adds at least 1 to the bracket, and the gcd drops at each of them, so g
+    has at least k - i - 1 prime factors).  The leaf solve reads no bound,
+    so every served k gets exactly the leaves of a walk of its own.  No
+    other cut depends on k but J, the last j of the prefix cut, which is
+    least for the largest k (``_prefix_last_j``); fewer j only cut less.
 
     The children are grouped by their gcd g = gcd(P, b_(i+1)): for each
     proper divisor g of P with enough prime factors, ``_span_miss`` closes
@@ -340,17 +373,21 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
     target = (degree - 1) * (degree - 2)
     prev = bs[-1] if bs else 0
     low = max(prev, gens[0])
-    if depth == k:
+    # depth <= ks[-1] at every node, so depth >= ks.start means depth in ks
+    if depth >= ks.start:
         Q, r = divmod(target - partial, P - 1)
         if r == 0 and prev + Q > low and gcd(P, Q) == 1:
             yield gens[0], bs + (prev + Q,)
-        return
+        if depth == ks[-1]:
+            return
+    # the stages after this one, for the loosest k served below the node
+    later = ks.start - depth if depth < ks.start else 1
     # the budget: each later stage adds at least 1 to the bracket, so the
     # term of b, increasing in b, may use at most `room`
-    room = target - partial - (k - depth)
-    last_j = _prefix_last_j(degree, k)
+    room = target - partial - later
+    last_j = _prefix_last_j(degree, ks[-1])
     for g in range(2, P // 2 + 1):
-        if P % g or not _omega_at_least(g, k - depth):
+        if P % g or not _omega_at_least(g, later):
             continue
         miss = None
         for b in range(low // g * g + g, prev + room // (P - 1) + 1, g):
@@ -363,39 +400,42 @@ def _pruned_extend(degree, k, bs, partial, P, gens, p):
             if miss(w, P // g * w + 1):
                 continue
             term = (P - 1) * (b - prev)
-            yield from _pruned_extend(degree, k, bs + (b,), partial + term, g, gens + (w,), P // g)
+            yield from _pruned_extend(degree, ks, bs + (b,), partial + term, g, gens + (w,), P // g)
 
 
-def _paranoid_extend(k, target, a, bs, partial, P):
-    """Scan every exponent level explicitly (no solving).  Nodes follow the
-    convention of :func:`_pruned_extend`: the root has b_0 = 0, the bracket
-    ``partial`` = 1 - a and P = a, every stage adds (P-1)(b - prev), and
-    every b exceeds max(prev, a)."""
+def _paranoid_extend(ks, target, a, bs, partial, P):
+    """Scan every exponent level explicitly (no solving), for every pair
+    count in ``ks``.  Nodes follow the convention of
+    :func:`_pruned_extend`: the root has b_0 = 0, the bracket ``partial`` =
+    1 - a and P = a, every stage adds (P-1)(b - prev), and every b exceeds
+    max(prev, a); the budget break takes the loosest k served at or below
+    the node."""
     depth = len(bs) + 1
     prev = bs[-1] if bs else 0
+    later = max(ks.start, depth) - depth
     for b in range(max(prev, a) + 1, target + 2):
         total = partial + (P - 1) * (b - prev)
-        if total + (k - depth) > target:
+        if total + later > target:
             return
         Pn = gcd(P, b)
-        if depth == k:
-            if total == target and Pn == 1:
-                yield a, bs + (b,)
-        elif 2 <= Pn < P:
-            yield from _paranoid_extend(k, target, a, bs + (b,), total, Pn)
+        if depth in ks and total == target and Pn == 1:
+            yield a, bs + (b,)
+        elif depth < ks[-1] and 2 <= Pn < P:
+            yield from _paranoid_extend(ks, target, a, bs + (b,), total, Pn)
 
 
 def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
-    # The leaf's record, kept only when its generators pass the counting
-    # check; a valid characteristic sequence has valid Newton pairs, and
-    # the delta equation makes delta the genus.  No tangent-line filter is
-    # needed: the three smallest members are 0, a and min(2a, b_1) =
-    # m_1 + m_2, and for d >= 3 the check's j = 1 condition R(d+1) = 3
-    # forces min(2a, b_1) <= d.
-    record = curve_record(degree, inv.newton_from_characteristic(a, bs))
-    if not bl_check_unicuspidal(degree, record.semigroup_generators).passed:
+    # The leaf's record, built only when the generators of its gcd chain,
+    # the record's own, pass the counting check.  The record needs no
+    # strict re-check: the chain proves the Newton pairs valid
+    # (``newton_from_characteristic``), and the delta equation the walk
+    # solved makes delta the genus.  No tangent-line filter is needed: the
+    # three smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for
+    # d >= 3 the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
+    ps, Qs = inv.characteristic_chain(a, bs)
+    if not bl_check_unicuspidal(degree, _generators(ps, Qs)).passed:
         return None
-    return record
+    return curve_record(degree, inv._newton_from_chain(a, ps, Qs), strict=False)
 
 
 # ---------------------------------------------------------------------------
@@ -429,21 +469,9 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
 
     The candidate list is exhaustive at every degree.  Existence is proved
     complete only for degrees <= 30; records above 30 are flagged
-    "frontier".  Workers parallelize over the (degree, pair count) grid;
-    the merge preserves canonical order.
+    "frontier".  Each (degree, a) is one search task, whose one walk serves
+    every pair count of its degree; workers share the tasks of all degrees,
+    and the merge preserves canonical order.
     """
-    cells = [
-        (d, k)
-        for d in range(3, max_degree + 1)
-        for k in range(1, max_pairs_bound(d) + 1)
-    ]
-    return _classify_cells(cells, worker_count)
-
-
-def _classify_cells(cells: list[tuple[int, int]], worker_count: int) -> list[CurveRecord]:
-    """The classified candidates of the (degree, pair count) cells, one
-    search task per cell, in canonical order."""
-    # the cells are distinct and k = len(newton): no record repeats
-    records = _run_tasks(lambda cell: enumerate_candidates(SearchConfig(*cell)), cells, worker_count)
-    records.sort(key=CurveRecord.sort_key)
-    return [classify_record(record) for record in records]
+    cells = [(d, range(1, max_pairs_bound(d) + 1)) for d in range(3, max_degree + 1)]
+    return [classify_record(record) for record in _search(cells, PRUNED, worker_count)]

@@ -189,7 +189,12 @@ def newton_from_characteristic(a: int, b: tuple[int, ...]) -> Pairs:
     gcd(e_(j-1), b_j - b_(j-1)) = e_j gives gcd(p_j, q_j) = 1, and
     b_1 > a gives q_1 > p_1.
     """
-    ps, Qs = characteristic_chain(a, b)
+    return _newton_from_chain(a, *characteristic_chain(a, b))
+
+
+def _newton_from_chain(a: int, ps: tuple[int, ...], Qs: tuple[int, ...]) -> Pairs:
+    # the pairs of the chain (p_j), (Q_j) of a valid characteristic
+    # sequence with multiplicity a: q_j = Q_j / e_j, e_j = e_(j-1) / p_j
     pairs = []
     e = a
     for p, Q in zip(ps, Qs):

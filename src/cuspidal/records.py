@@ -79,8 +79,10 @@ def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> Curv
     invariants: no family, existence "candidate" and no flag.  Callers
     attach the rest with ``dataclasses.replace`` (``family_curve`` its spec,
     Kodaira dimension, existence and flag; ``classify_record`` the
-    attribution and the existence proof), and known-bad source data is
-    built with ``strict=False`` and flagged there.
+    attribution and the existence proof).  Two callers build with
+    ``strict=False``: ``family_curve`` for known-bad source data, which it
+    flags, and the search for a leaf, whose gcd chain and delta equation
+    have already proved what strict checks.
 
     The empty Newton sequence is the degenerate smooth branch (no cusp);
     it is only meaningful at degree <= 2 and is used for the smooth conic.

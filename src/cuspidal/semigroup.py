@@ -4,11 +4,11 @@ The local intersection multiplicities of a cusp with other curve germs form
 a numerical semigroup.  Its minimal generators come from the Newton pairs by
 the recursion ``w_1 = P_1``, ``w_2 = Q_1``, ``w_j = p_{j-2} w_{j-1} +
 Q_{j-1}`` (``_generators``, shared by every caller).  A search candidate
-is checked on the generators of the one record ``records.curve_record``
-builds for it, at O(k) cost.  Membership up to a bound is materialized as
-a bitset inside one Python integer (bit x set iff x is in the semigroup),
-which keeps the closure computation and the counting function at C speed
-even for bounds in the tens of millions.
+is checked on the generators of its gcd chain, at O(k) cost, and only a
+passing one gets a record, with the same generators.  Membership up to a
+bound is materialized as a bitset inside one Python integer (bit x set iff
+x is in the semigroup), which keeps the closure computation and the
+counting function at C speed even for bounds in the tens of millions.
 
 The Borodzik-Livingston counting criterion, specialized to a single cusp of
 a degree-d rational cuspidal curve, demands
@@ -61,7 +61,6 @@ passes ``TABLE_BIT_CAP`` bits runs.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from math import gcd, inf, prod
 from typing import NamedTuple
 
@@ -100,31 +99,6 @@ def _generators(ps: Sequence[int], Qs: Sequence[int]) -> tuple[int, ...]:
     for p, Q in zip(ps, Qs[1:]):
         w.append(p * w[-1] + Q)
     return tuple(w)
-
-
-@dataclass(frozen=True)
-class NumericalSemigroup:
-    """Immutable membership table of a numerical semigroup over [0, bound]."""
-
-    generators: tuple[int, ...]
-    bound: int
-    bits: int
-
-    def __contains__(self, x: int) -> bool:
-        if not 0 <= x <= self.bound:
-            raise ValueError(f"membership table covers [0, {self.bound}], got {x}")
-        return bool((self.bits >> x) & 1)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.bound + 1) if (self.bits >> x) & 1)
-
-    def count_below(self, k: int) -> int:
-        """R(k) = number of semigroup elements in [0, k)."""
-        if k <= 0:
-            return 0
-        if k > self.bound + 1:
-            raise ValueError(f"R({k}) exceeds table bound {self.bound}")
-        return (self.bits & ((1 << k) - 1)).bit_count()
 
 
 def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
@@ -208,15 +182,6 @@ def _span_miss(
         return None
 
     return miss
-
-
-def build_membership(generators: tuple[int, ...], bound: int) -> NumericalSemigroup:
-    """Materialize membership over [0, bound] by closing {0} under addition
-    of each generator (shift-or with doubling strides)."""
-    gens = _sorted_generators(generators)
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    return NumericalSemigroup(gens, bound, _close(gens, bound))
 
 
 def _telescopic(

@@ -26,8 +26,10 @@ degree bound.
 
 Every classification table is diffed against classified records
 (:func:`~cuspidal.enumerate.classify_record`): the four pair tables and
-``induct`` each enumerate and classify their own pair count once, and
-``induct`` reads existence and the reduction chain off those records.
+``induct`` each search and classify their own pair count once, in one
+search over every degree with one task per (degree, a), as
+``classify_range`` does for every pair count at once, and ``induct``
+reads existence and the reduction chain off those records.
 
 A note on ``twopairs``: the published closed-form list restricts its
 second item to k >= 3, but the k = 2, l >= 1 instantiation produces the
@@ -43,7 +45,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import invariants as inv
-from .enumerate import _classify_cells, classify_range, max_pairs_bound
+from .enumerate import PRUNED, _search, classify_range, classify_record, max_pairs_bound
 from .existence import CANDIDATE, PROVED_REDUCTION
 from .families import (
     FamilyParameterError,
@@ -270,9 +272,11 @@ def _pair_row_str(degree: int, pairs: inv.Pairs, mult: str | None = None) -> str
 
 def _classified(pair_count: int, worker_count: int) -> list[CurveRecord]:
     """The classified records of one pair count over degrees <= MAX_DEGREE,
-    one search task per degree, in canonical order for any worker count."""
-    cells = [(d, pair_count) for d in range(3, MAX_DEGREE + 1) if max_pairs_bound(d) >= pair_count]
-    return _classify_cells(cells, worker_count)
+    from one search over the cells (degree, pair count), one task per
+    (degree, a), in canonical order for any worker count."""
+    ks = range(pair_count, pair_count + 1)
+    cells = [(d, ks) for d in range(3, MAX_DEGREE + 1) if max_pairs_bound(d) >= pair_count]
+    return [classify_record(record) for record in _search(cells, PRUNED, worker_count)]
 
 
 def _diff_pair_table(

@@ -21,7 +21,7 @@ from cuspidal.enumerate import (
     max_pairs_bound,
 )
 from cuspidal.invariants import newton_to_puiseux
-from cuspidal.records import CurveRecord, OutputDocument, record_to_flat_dict
+from cuspidal.records import CurveRecord, OutputDocument, curve_record, record_to_flat_dict
 from cuspidal.semigroup import _generators, bl_check_unicuspidal
 from uncut_search import pruned_leaves, uncut_leaves
 
@@ -225,6 +225,92 @@ def _counted_checks(monkeypatch):
     return calls
 
 
+def _counted_probes(monkeypatch):
+    # a one-item list: the prefix-cut probes the search runs from here on
+    probes = [0]
+    span_miss = search._span_miss
+
+    def counted(degree, last_j, gens, e):
+        miss = span_miss(degree, last_j, gens, e)
+
+        def counted_miss(w, floor):
+            probes[0] += 1
+            return miss(w, floor)
+
+        return counted_miss
+
+    monkeypatch.setattr(search, "_span_miss", counted)
+    return probes
+
+
+def _every_k(degree):
+    return range(1, max_pairs_bound(degree) + 1)
+
+
+def test_one_walk_serves_every_pair_count(monkeypatch):
+    # at d = 300 one walk over every k probes each distinct (gens, e, w)
+    # once and finds the records of the searches for one k each
+    probes = _counted_probes(monkeypatch)
+    records = search._search([(300, _every_k(300))], PRUNED, 1)
+    assert probes == [29_888]
+    per_k = [r for k in _every_k(300) for r in enumerate_candidates(SearchConfig(300, k))]
+    assert records == sorted(per_k, key=CurveRecord.sort_key)
+    assert len(records) == 176
+
+
+def test_one_walk_worker_count_does_not_change_output(monkeypatch):
+    _forking_at_once(monkeypatch)
+    forks = _recorded_forks(monkeypatch)
+    cells = [(300, _every_k(300))]
+    assert search._search(cells, PRUNED, 2) == search._search(cells, PRUNED, 1)
+    assert len(forks) == 1
+
+
+def test_search_records_pass_the_strict_checks():
+    # the search builds its records without the strict re-check, which its
+    # gcd chain and delta equation make redundant
+    records = search._search([(d, _every_k(d)) for d in range(3, 41)], PRUNED, 1)
+    assert len(records) == 227
+    for record in records:
+        assert curve_record(record.degree, record.newton) == record
+
+
+def test_one_paranoid_walk_serves_every_pair_count():
+    # the full scan follows the same rule: one walk per degree over every k
+    # gives the pruned walk's records
+    cells = [(d, _every_k(d)) for d in range(3, 21)]
+    assert search._search(cells, PARANOID, 1) == search._search(cells, PRUNED, 1)
+
+
+def test_single_pair_count_search_is_pinned(monkeypatch):
+    # the --pairs path walks for its one k: 629 probes and 27 counting
+    # checks give the 27 records at d = 60, k = 3 and 4
+    probes = _counted_probes(monkeypatch)
+    calls = _counted_checks(monkeypatch)
+    records = [r for k in (3, 4) for r in enumerate_candidates(SearchConfig(60, k))]
+    assert probes == [629]
+    assert len(calls) == len(records) == 27
+    text = OutputDocument(tuple(records), {}).to_json()
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "0fdbc2512799fa6656fdc7601e63f2ac8f15e2b98db14b90113a42e23c218ea6"
+    )
+
+
+def test_one_walk_probe_counts_are_pinned(monkeypatch):
+    # one walk per degree: 1,915 probes to d = 30, 819,474 to d = 200, and
+    # 80,200 at d = 500 over every k, the number of distinct (gens, e, w)
+    probes = _counted_probes(monkeypatch)
+    assert len(search._search([(d, _every_k(d)) for d in range(3, 31)], PRUNED, 1)) == 138
+    assert probes == [1_915]
+    probes[0] = 0
+    assert len(search._search([(d, _every_k(d)) for d in range(3, 201)], PRUNED, 1)) == 3_319
+    assert probes == [819_474]
+    probes[0] = 0
+    assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
+    assert probes == [80_200]
+
+
 def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
     calls = _counted_checks(monkeypatch)
     leaves = uncut = 0
@@ -320,16 +406,34 @@ def _counted_everywhere(monkeypatch, module, name: str) -> list:
 
 
 def test_classification_builds_each_record_once(monkeypatch):
-    # each leaf that reaches _finalize builds one record, the one whose
-    # generators the counting check reads, and attribution builds none
+    # each leaf that reaches _finalize is checked once, on its gcd chain's
+    # generators; only a passing leaf builds a record, with the generators
+    # that were checked, and attribution builds none
     from cuspidal import families, invariants, records
 
+    checked = []
+    check = search.bl_check_unicuspidal
+
+    def recorded_check(degree, generators):
+        verdict = check(degree, generators)
+        checked.append((degree, generators, verdict.passed))
+        return verdict
+
+    monkeypatch.setattr(search, "bl_check_unicuspidal", recorded_check)
     built = _counted_everywhere(monkeypatch, records, "curve_record")
     family_built = _counted_everywhere(monkeypatch, families, "family_curve")
     finalized = _counted_everywhere(monkeypatch, search, "_finalize")
-    assert len(classify_range(40)) == 227
-    assert len(finalized) == 295
-    assert built == [(d, invariants.newton_from_characteristic(a, bs)) for d, a, bs in finalized]
+    probes = _counted_probes(monkeypatch)
+    # classification keeps each built record's generators
+    generators_of = {r.sort_key(): r.semigroup_generators for r in classify_range(40)}
+    assert len(generators_of) == 227
+    assert probes == [5_155]
+    assert len(finalized) == len(checked) == 295
+    passing = [(leaf, (d, gens)) for leaf, (d, gens, ok) in zip(finalized, checked) if ok]
+    assert len(passing) == len(built) == 227
+    for ((d, a, bs), generators), args in zip(passing, built):
+        assert args == (d, invariants.newton_from_characteristic(a, bs))
+        assert (d, generators_of[args]) == generators
     assert family_built == []
 
 
@@ -600,10 +704,13 @@ run(in_helper=lambda: time.sleep(60), in_caller=fail)
 
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):
-    # the SHA-256 of the JSON pins every record's bytes; 1,321 counting
-    # checks give the 1,043 records
+    # the SHA-256 of the JSON pins every record's bytes; one walk per
+    # degree makes 96,798 probes, and 1,321 counting checks give the 1,043
+    # records
     calls = _counted_checks(monkeypatch)
+    probes = _counted_probes(monkeypatch)
     records = classify_range(100)
+    assert probes == [96_798]
     assert len(calls) == 1_321
     assert len(records) == 1_043
     assert Counter(r.existence for r in records) == {

@@ -25,13 +25,13 @@ from cuspidal.semigroup import (
     BLCheckResult,
     TableTooLargeError,
     _apery,
+    _close,
     _generators,
     _round_robin,
     _prefix_last_j,
     _span_miss,
     _telescopic,
     bl_check_unicuspidal,
-    build_membership,
     generators_from_newton,
 )
 from uncut_search import pruned_leaves, uncut_leaves
@@ -43,6 +43,19 @@ def naive_members(generators, bound):
     for g in generators:
         sums = {s + m * g for s in sums for m in range((bound - s) // g + 1)}
     return {s for s in sums if s <= bound}
+
+
+def members(generators, bound):
+    """The members of <generators> in [0, bound], off the table ``_close``
+    builds."""
+    bits = _close(generators, bound)
+    return {x for x in range(bound + 1) if bits >> x & 1}
+
+
+def count_below(generators, bound, k):
+    """R(k), the members in [0, k), by a popcount of the masked table over
+    [0, bound]."""
+    return (_close(generators, bound) & ((1 << max(k, 0)) - 1)).bit_count()
 
 
 def test_generator_examples():
@@ -105,8 +118,7 @@ def test_generators_against_vanishing_orders():
     y = {12: frac, 22: frac, 25: frac}
     bound = 130  # past the conductor 2*delta = 110
     achieved = _valuation_semigroup(x, y, bound)
-    table = build_membership((8, 12, 34, 71), bound)
-    assert achieved == set(table.members())
+    assert achieved == members((8, 12, 34, 71), bound)
     gaps = bound + 1 - len(achieved)
     assert gaps == 55  # delta of the degree-12 curve
 
@@ -117,13 +129,13 @@ def test_generators_against_vanishing_orders_two_pairs():
     assert generators_from_newton(((2, 5), (3, 1))) == (6, 15, 31)
     frac = Fraction(1)
     achieved = _valuation_semigroup({6: frac}, {15: frac, 16: frac}, 90)
-    assert achieved == set(build_membership((6, 15, 31), 90).members())
+    assert achieved == members((6, 15, 31), 90)
 
 
 def test_membership_examples():
-    assert build_membership((2, 3), 6).members() == (0, 2, 3, 4, 5, 6)
-    assert build_membership((4, 5), 3).members() == (0,)
-    assert build_membership((3, 7), 10).members() == (0, 3, 6, 7, 9, 10)
+    assert members((2, 3), 6) == {0, 2, 3, 4, 5, 6}
+    assert members((4, 5), 3) == {0}
+    assert members((3, 7), 10) == {0, 3, 6, 7, 9, 10}
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,25 +144,22 @@ def test_membership_examples():
     st.integers(0, 200),
 )
 def test_membership_matches_naive(generators, bound):
-    table = build_membership(tuple(generators), bound)
-    assert set(table.members()) == naive_members(generators, bound)
+    assert members(tuple(generators), bound) == naive_members(generators, bound)
 
 
 def test_counting_examples():
-    w23 = build_membership((2, 3), 20)
-    assert w23.count_below(4) == 3
-    assert w23.count_below(1) == 1
-    assert w23.count_below(0) == 0
-    assert w23.count_below(-7) == 0
-    with pytest.raises(ValueError, match="exceeds table bound"):
-        w23.count_below(22)
+    assert count_below((2, 3), 20, 4) == 3
+    assert count_below((2, 3), 20, 1) == 1
+    assert count_below((2, 3), 20, 0) == 0
+    assert count_below((2, 3), 20, -7) == 0
+    # every x <= 20 but 1 is a member, and the table holds no bit past 20
+    assert count_below((2, 3), 20, 21) == count_below((2, 3), 20, 99) == 20
 
 
 def test_counting_monotone_steps():
-    table = build_membership((5, 7, 11), 120)
     previous = 0
     for k in range(1, 122):
-        value = table.count_below(k)
+        value = count_below((5, 7, 11), 120, k)
         assert value - previous in (0, 1)
         previous = value
 
@@ -160,8 +169,7 @@ def test_single_pair_gap_count():
     for a, b in [(2, 3), (3, 4), (4, 5), (2, 13), (3, 22), (6, 43)]:
         delta = (a - 1) * (b - 1) // 2
         bound = 2 * delta + 20
-        table = build_membership((a, b), bound)
-        assert table.count_below(bound + 1) == bound + 1 - delta
+        assert count_below((a, b), bound, bound + 1) == bound + 1 - delta
 
 
 def test_bl_check_examples():
@@ -229,7 +237,7 @@ def full_table_check(degree, generators):
     """The one-pass check over the full table [0, (d-2)d + 1], kept as the
     oracle of the staged kernel."""
     bound = (degree - 2) * degree + 1
-    data = build_membership(generators, bound).bits.to_bytes(bound // 8 + 1, "little")
+    data = _close(generators, bound).to_bytes(bound // 8 + 1, "little")
     count = 0
     prev = 0
     for j in range(degree - 1):

@@ -54,4 +54,4 @@ def uncut_leaves(degree, k):
 def pruned_leaves(degree, k):
     """Every (a, (b_1..b_k)) leaf of the pruned search at (degree, k)."""
     for a in _a_range(degree, PRUNED):
-        yield from _pruned_extend(degree, k, (), 1 - a, a, (a,), 0)
+        yield from _pruned_extend(degree, range(k, k + 1), (), 1 - a, a, (a,), 0)
