@@ -44,6 +44,13 @@ Two modes produce identical sets and cross-validate each other:
     owns the tables and the count, one counter per child gcd; J is lowered
     where the tables would pass ``TABLE_BIT_CAP``, which only cuts less.
     Only the leaves that survive it reach the counting check.
+  - the first pair's window: at the root, T = <a, b_1> for a child of gcd
+    g, and every member of it is x a + y b_1 with 0 <= y < a/g in exactly
+    one way.  So the b_1 that pass the prefix cut at j <= min(J, 2) form
+    one interval per (a, g) in closed form (``semigroup._first_pair_window``
+    proves it), and the root runs its b_1 loop over that interval only.  It
+    cuts exactly the b_1 that the probe would cut at j <= 2, without a
+    table, and each b_1 left is still probed at every j <= J.
 
 * ``paranoid`` scans the full characteristic box with only
   provably-lossless cuts: the budget bound b_j <= (d-1)(d-2) + 1 (the
@@ -85,13 +92,19 @@ from . import invariants as inv
 from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
-from .semigroup import _generators, _prefix_last_j, _span_miss, bl_check_unicuspidal
+from .semigroup import (
+    _first_pair_window,
+    _generators,
+    _prefix_last_j,
+    _span_miss,
+    bl_check_unicuspidal,
+)
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
 
 # how long a call runs its tasks alone before it forks helpers (see
-# _run_tasks): about twice a d=60, k=3 search (~5 ms serial on 2 cores),
+# _run_tasks): about three times a d=60, k=3 search (~3 ms serial on 2 cores),
 # so short searches stay serial; a longer delay only costs long calls more
 _FORK_DELAY_S = 0.01
 
@@ -367,7 +380,10 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
     Q_m with Q_m >= 1, and the generators increase.  So each leaf's
     semigroup contains the child's span and agrees with it below that
     floor, and a child whose span misses the criterion there is not
-    entered.
+    entered.  At the root (bs = ()) the b range of each gcd is first
+    narrowed to the window of b_1 whose span <a, b_1> passes j <= min(J, 2)
+    (``_first_pair_window``); a b_1 outside it would miss there, so the
+    narrowing cuts what the probe would and builds no table for it.
     """
     depth = len(bs) + 1
     target = (degree - 1) * (degree - 2)
@@ -389,8 +405,12 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
     for g in range(2, P // 2 + 1):
         if P % g or not _omega_at_least(g, later):
             continue
+        start, top = low, prev + room // (P - 1)
+        if not bs:  # b_1 outside the window fails the probe at j <= 2
+            lo, hi = _first_pair_window(degree, last_j, P, g)
+            start, top = max(start, lo), min(top, hi)
         miss = None
-        for b in range(low // g * g + g, prev + room // (P - 1) + 1, g):
+        for b in range(start // g * g + g, top + 1, g):
             if gcd(P, b) != g:
                 continue
             if miss is None:

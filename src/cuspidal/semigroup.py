@@ -184,6 +184,49 @@ def _span_miss(
     return miss
 
 
+def _first_pair_window(degree: int, last_j: int, a: int, g: int) -> tuple[int, float]:
+    """(lo, hi) such that, for d/3 < a < b with gcd(a, b) = g < a, the span
+    T = <a, b> passes ``_span_miss``'s probe with floor n b + 1, n = a/g,
+    at every j <= min(last_j, 2) iff lo < b <= hi.
+
+    The probe at j asks R_T(j*d + 1) <= (j+1)(j+2)/2, with equality when
+    j*d <= n b.  Every member of T is x a + y b with x >= 0 and
+    0 <= y < n, in exactly one way, since n b = (b/g) a and no smaller
+    multiple of b is a multiple of a.  Count them, with 3a > d and b > a:
+
+    - 2a <= d.  j = 1: 0, a, 2a and b <= d would be 4 > 3, while b > d
+      gives exactly 3.  j = 2, with b > d, so 2b > 2d and 2d < n b: the
+      count is 5 + [5a <= 2d] (0, a, .., 4a, 5a; 6a > 2d) plus the
+      x a + b <= 2d, and it must be 6.  With 5a <= 2d that means b > 2d;
+      otherwise it means b <= 2d < a + b, i.e. 2d - a < b <= 2d.
+    - 2a > d.  j = 1: 0, a, and b if b <= d; b > d leaves 2 < 3 with
+      d < n b, so b <= d.  j = 2, with a < b <= d:
+      * n >= 3: 0, a, 2a, b, a + b, 2b are six distinct members, and 3a is
+        a seventh when 3a <= 2d.  When 3a > 2d every other member is a sum
+        of at least three generators and passes 2d.  So b <= d when
+        3a > 2d, and no b otherwise.
+      * n = 2: b is an odd multiple of g = a/2 and b <= d < 2a, so b = 3g
+        and 2b = 3a <= 2d.  The count is 0, a, 2a, 3a, b, a + b, and
+        2a + b if at most 2d (4a and 3a + b pass 2d): 6 exactly when
+        2d - 2a < b <= d.  With 3a > 2d no b of gcd g lies there.
+
+    last_j = 0 probes nothing, so every b passes.
+    """
+    if last_j == 0:
+        return 0, inf
+    if 2 * a <= degree:
+        if last_j == 1:
+            return degree, inf
+        if 5 * a <= 2 * degree:
+            return 2 * degree, inf
+        return 2 * degree - a, 2 * degree
+    if last_j == 1:
+        return 0, degree
+    if a // g == 2:
+        return 2 * degree - 2 * a, degree
+    return (0, degree) if 3 * a > 2 * degree else (0, 0)
+
+
 def _telescopic(
     generators: tuple[int, ...],
 ) -> tuple[int, list[int | None]] | None:

@@ -249,10 +249,11 @@ def _every_k(degree):
 
 def test_one_walk_serves_every_pair_count(monkeypatch):
     # at d = 300 one walk over every k probes each distinct (gens, e, w)
-    # once and finds the records of the searches for one k each
+    # whose b_1 lies in the first pair's window once, and finds the records
+    # of the searches for one k each
     probes = _counted_probes(monkeypatch)
     records = search._search([(300, _every_k(300))], PRUNED, 1)
-    assert probes == [29_888]
+    assert probes == [12_775]
     per_k = [r for k in _every_k(300) for r in enumerate_candidates(SearchConfig(300, k))]
     assert records == sorted(per_k, key=CurveRecord.sort_key)
     assert len(records) == 176
@@ -283,12 +284,12 @@ def test_one_paranoid_walk_serves_every_pair_count():
 
 
 def test_single_pair_count_search_is_pinned(monkeypatch):
-    # the --pairs path walks for its one k: 629 probes and 27 counting
+    # the --pairs path walks for its one k: 460 probes and 27 counting
     # checks give the 27 records at d = 60, k = 3 and 4
     probes = _counted_probes(monkeypatch)
     calls = _counted_checks(monkeypatch)
     records = [r for k in (3, 4) for r in enumerate_candidates(SearchConfig(60, k))]
-    assert probes == [629]
+    assert probes == [460]
     assert len(calls) == len(records) == 27
     text = OutputDocument(tuple(records), {}).to_json()
     assert (
@@ -298,17 +299,18 @@ def test_single_pair_count_search_is_pinned(monkeypatch):
 
 
 def test_one_walk_probe_counts_are_pinned(monkeypatch):
-    # one walk per degree: 1,915 probes to d = 30, 819,474 to d = 200, and
-    # 80,200 at d = 500 over every k, the number of distinct (gens, e, w)
+    # one walk per degree, b_1 only in the first pair's window: 656 probes
+    # to d = 30, 316,925 to d = 200 (under half the 819,474 of a walk that
+    # probes every b_1), and 31,604 at d = 500 over every k
     probes = _counted_probes(monkeypatch)
     assert len(search._search([(d, _every_k(d)) for d in range(3, 31)], PRUNED, 1)) == 138
-    assert probes == [1_915]
+    assert probes == [656]
     probes[0] = 0
     assert len(search._search([(d, _every_k(d)) for d in range(3, 201)], PRUNED, 1)) == 3_319
-    assert probes == [819_474]
+    assert probes == [316_925]
     probes[0] = 0
     assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
-    assert probes == [80_200]
+    assert probes == [31_604]
 
 
 def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
@@ -385,7 +387,7 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
         for k in range(1, max_pairs_bound(d) + 1):
             leaves += sum(1 for _ in pruned_leaves(d, k))
     assert leaves == 295
-    assert len(calls) == 1_295
+    assert len(calls) == 828
     assert all(calls)
 
 
@@ -427,7 +429,7 @@ def test_classification_builds_each_record_once(monkeypatch):
     # classification keeps each built record's generators
     generators_of = {r.sort_key(): r.semigroup_generators for r in classify_range(40)}
     assert len(generators_of) == 227
-    assert probes == [5_155]
+    assert probes == [1_878]
     assert len(finalized) == len(checked) == 295
     passing = [(leaf, (d, gens)) for leaf, (d, gens, ok) in zip(finalized, checked) if ok]
     assert len(passing) == len(built) == 227
@@ -705,12 +707,12 @@ run(in_helper=lambda: time.sleep(60), in_caller=fail)
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):
     # the SHA-256 of the JSON pins every record's bytes; one walk per
-    # degree makes 96,798 probes, and 1,321 counting checks give the 1,043
+    # degree makes 36,912 probes, and 1,321 counting checks give the 1,043
     # records
     calls = _counted_checks(monkeypatch)
     probes = _counted_probes(monkeypatch)
     records = classify_range(100)
-    assert probes == [96_798]
+    assert probes == [36_912]
     assert len(calls) == 1_321
     assert len(records) == 1_043
     assert Counter(r.existence for r in records) == {

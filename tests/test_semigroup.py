@@ -26,6 +26,7 @@ from cuspidal.semigroup import (
     TableTooLargeError,
     _apery,
     _close,
+    _first_pair_window,
     _generators,
     _round_robin,
     _prefix_last_j,
@@ -382,6 +383,36 @@ def test_prefix_cut_keeps_the_prefixes_of_a_record():
         floor = ps[i - 1] * gens[i] + 1
         assert _span_miss(degree, last_j, gens[:i], g)(gens[i], floor) is None, i
         P = g
+
+
+def test_first_pair_window_equals_the_probe():
+    # exhaustive to d = 200: for every a the search tries, every gcd g >= 2
+    # a child of the root can have, and every b > a of gcd g within the
+    # first stage's budget, b lies in the window for J iff <a, b> passes
+    # the root's probe at j <= min(J, 2), for J = 0, 1, 2 and the search's
+    # own J.  The first miss over j <= 2 gives the probe's verdict for
+    # J = 1 too, and J = 0 probes nothing.
+    cut_at = [0, 0, 0]  # b first missed at j = 1, at j = 2, and not missed
+    for degree in range(3, 201):
+        target = (degree - 1) * (degree - 2)
+        last_j = _prefix_last_j(degree, max_pairs_bound(degree))
+        for a in search._a_range(degree, search.PRUNED):
+            top = (target + a - 2) // (a - 1)
+            for g in (g for g in range(2, a) if a % g == 0):
+                window = [_first_pair_window(degree, j, a, g) for j in (0, 1, 2)]
+                assert window[0] == (0, inf)
+                assert _first_pair_window(degree, last_j, a, g) == window[min(last_j, 2)]
+                (lo1, hi1), (lo2, hi2) = window[1:]
+                miss = _span_miss(degree, 2, (a,), g)
+                for b in range(a + g, top + 1, g):
+                    if gcd(a, b) != g:
+                        continue
+                    first = miss(b, a // g * b + 1)
+                    first_j = 3 if first is None else first[0]
+                    in_window = (lo1 < b <= hi1, lo2 < b <= hi2)
+                    assert in_window == (first_j > 1, first_j > 2), (degree, a, b)
+                    cut_at[first_j - 1] += 1
+    assert cut_at == [287_584, 214_965, 150_710]
 
 
 def test_bl_check_matches_full_table_on_candidates(monkeypatch):
