@@ -89,7 +89,7 @@ from dataclasses import dataclass, replace
 from math import gcd, inf, isqrt
 
 from . import invariants as inv
-from .existence import CANDIDATE, PROVED_FAMILY, resolve_existence
+from .existence import CANDIDATE, MAX_DEGREE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, curve_record
 from .semigroup import (
@@ -464,14 +464,14 @@ def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
 def classify_record(record: CurveRecord) -> CurveRecord:
     """Attach family attribution, Kodaira dimension and existence status.
 
-    Existence is proved complete only for degrees <= 30, so a record above
-    30 is flagged "frontier"."""
+    Existence is proved complete only for degrees <= MAX_DEGREE (30), so a
+    record above it is flagged "frontier"."""
     spec = attribute_family(record.degree, record.newton)
     status, chain = resolve_existence(record.degree, record.mult)
     if status == CANDIDATE and spec is not None:
         status = PROVED_FAMILY
     flags = record.flags
-    if record.degree > 30 and FLAG_FRONTIER not in flags:
+    if record.degree > MAX_DEGREE and FLAG_FRONTIER not in flags:
         flags = flags + (FLAG_FRONTIER,)
     return replace(
         record,

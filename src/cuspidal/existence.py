@@ -29,6 +29,10 @@ from .invariants import (
     parse_multiplicity,
 )
 
+# the paper's degree bound: existence is settled for every candidate of
+# degree <= MAX_DEGREE, and every classification table stops there
+MAX_DEGREE = 30
+
 PROVED_BASE = "proved-base"
 PROVED_REDUCTION = "proved-reduction"
 PROVED_LEMMA212 = "proved-lemma212"

@@ -1,4 +1,4 @@
-"""Curve records and their JSON/CSV/Markdown serialization.
+"""Curve records and their JSON/CSV/Markdown writers.
 
 A :class:`CurveRecord` bundles everything this package knows about one
 rational unicuspidal plane curve: degree, all four cusp representations,
@@ -9,8 +9,10 @@ are computed once by :func:`curve_record`, every stored invariant can be
 recomputed from the Newton pairs, and the classification fields are
 attached to that record with ``dataclasses.replace``.
 
-Serialized output always lists records in canonical order (degree, then
-lexicographic Newton pairs) so that repeated runs are byte-identical.
+Records are written in three formats (JSON, CSV, Markdown) and never read
+back.  :class:`OutputDocument` writes them in the order it is given; every
+caller passes canonical order (degree, then lexicographic Newton pairs), so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -130,14 +132,6 @@ def _kodaira_to_json(value: float | int | None):
     return int(value)
 
 
-def _kodaira_from_json(value) -> float | int | None:
-    if value is None:
-        return None
-    if value == "-inf":
-        return KODAIRA_NEG_INF
-    return int(value)
-
-
 def _step_to_json(step: ReductionStep) -> dict:
     out = {
         "rule": step.rule,
@@ -153,17 +147,6 @@ def _step_to_json(step: ReductionStep) -> dict:
             "mult": inv.format_multiplicity(step.to_mult),
         }
     return out
-
-
-def _step_from_json(data: dict) -> ReductionStep:
-    to = data.get("to")
-    return ReductionStep(
-        rule=data["rule"],
-        from_degree=data["from"]["degree"],
-        from_mult=inv.parse_multiplicity(data["from"]["mult"]),
-        to_degree=None if to is None else to["degree"],
-        to_mult=None if to is None else inv.parse_multiplicity(to["mult"]),
-    )
 
 
 def record_to_json_dict(record: CurveRecord) -> dict:
@@ -186,26 +169,6 @@ def record_to_json_dict(record: CurveRecord) -> dict:
     if record.flags:
         out["flags"] = list(record.flags)
     return out
-
-
-def record_from_json_dict(data: dict) -> CurveRecord:
-    return CurveRecord(
-        degree=data["degree"],
-        newton=tuple(tuple(p) for p in data["newton_pairs"]),
-        puiseux=tuple(tuple(p) for p in data["puiseux_pairs"]),
-        mult=inv.parse_multiplicity(data["multiplicity_sequence"]),
-        delta=data["delta"],
-        semigroup_generators=tuple(data["semigroup_generators"]),
-        lct=Fraction(data["lct"]["num"], data["lct"]["den"]),
-        self_intersection=data["self_intersection"],
-        family=None
-        if data["family"] is None
-        else FamilySpec(data["family"]["kind"], tuple(data["family"]["params"])),
-        kodaira=_kodaira_from_json(data["kodaira"]),
-        existence=data["existence"],
-        reduction_chain=tuple(_step_from_json(s) for s in data["reduction_chain"]),
-        flags=tuple(data.get("flags", ())),
-    )
 
 
 CSV_COLUMNS = [
@@ -251,11 +214,6 @@ class OutputDocument:
     records: tuple[CurveRecord, ...]
     metadata: dict = field(default_factory=dict)
 
-    def sorted(self) -> "OutputDocument":
-        return OutputDocument(
-            tuple(sorted(self.records, key=CurveRecord.sort_key)), self.metadata
-        )
-
     def to_json(self) -> str:
         payload = {
             "metadata": self.metadata,
@@ -289,11 +247,3 @@ class OutputDocument:
         if fmt == "md":
             return self.to_markdown()
         raise ValueError(f"unknown output format {fmt!r}")
-
-
-def document_from_json(text: str) -> OutputDocument:
-    payload = json.loads(text)
-    return OutputDocument(
-        tuple(record_from_json_dict(r) for r in payload["records"]),
-        payload.get("metadata", {}),
-    )

@@ -21,8 +21,8 @@ One registry holds the tables: ``_PAIR_TABLES`` maps each pair table to
 its number of Newton pairs and its rows, built on first use, and
 ``_LCT_GRIDS`` maps each ``lct-*`` table to its parameter grid.
 :data:`TABLE_IDS`, :func:`expected_table`, :func:`reproduce` and the
-expected rows of ``all`` all read it, and ``MAX_DEGREE`` is the one
-degree bound.
+expected rows of ``all`` all read it, and ``MAX_DEGREE``, the paper's
+bound from :mod:`~cuspidal.existence`, is the one degree bound.
 
 Every classification table is diffed against classified records
 (:func:`~cuspidal.enumerate.classify_record`): the four pair tables and
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from . import invariants as inv
 from .enumerate import PRUNED, _search, classify_range, classify_record, max_pairs_bound
-from .existence import CANDIDATE, PROVED_REDUCTION
+from .existence import CANDIDATE, MAX_DEGREE, PROVED_REDUCTION
 from .families import (
     FamilyParameterError,
     _closed_forms,
@@ -56,9 +56,6 @@ from .families import (
     tono_grid,
 )
 from .records import FLAG_INCONSISTENT, CurveRecord
-
-# the degree bound of every classification table
-MAX_DEGREE = 30
 
 # (degree, newton pairs, multiplicity sequence), in published row order.
 THREE_PAIR_ROWS = (

@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from cuspidal import __version__
 from cuspidal import enumerate as search
 from cuspidal.cli import main
 from cuspidal.enumerate import classify_range
@@ -373,6 +378,17 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--degree", "12"])  # missing --pairs
     assert exc.value.code == 2
+
+
+def test_module_entry_point_prints_the_version():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-m", "cuspidal.cli", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout == f"cuspidal {__version__}\n"
 
 
 def test_jobs_defaults_from_environment(monkeypatch):

@@ -38,6 +38,13 @@ def test_detect_reduction_examples():
 
     assert detect_reduction(19, parse_multiplicity("12,6_5,3_4")) is None
     assert detect_reduction(5, parse_multiplicity("4")) is None
+    # no entry at all
+    assert detect_reduction(5, ()) is None
+    # n = 3 does not divide m_1 = 8, also at degree 9 = (8 // 3 + 1) * 3
+    assert detect_reduction(12, ((8, 1), (3, 4))) is None
+    assert detect_reduction(9, ((8, 1), (3, 4))) is None
+    # a run of 3 entries n = 4, shorter than 2k = 4
+    assert detect_reduction(12, ((8, 1), (4, 3), (2, 3))) is None
 
 
 def test_detect_lemma212_examples():

@@ -7,6 +7,7 @@ from cuspidal.families import (
     PRIME_SCAN_LIMIT,
     FamilyParameterError,
     _family_data,
+    _miller_rabin,
     _specs_of_pairs,
     ams_all,
     ams_curve,
@@ -81,9 +82,15 @@ def test_ordered_factorization_count_proves_a_large_prime_cofactor():
     p = 1_000_000_007
     assert ordered_factorization_count(2**5 * p) == ordered_factorization_count(2**5 * 3)
     assert ordered_factorization_count(6 * (2**61 - 1)) == ordered_factorization_count(30)
+    # the cofactor 10**18 + 9 is 1 mod 4, so proving it runs the squaring loop
+    assert ordered_factorization_count(7 * (10**18 + 9)) == 3
+    # a strong pseudoprime to every prime base up to 23 is found composite
+    assert not _miller_rabin(3825123056546413051)
     # two primes above the bound, a composite cofactor, or a prime past the
-    # test's exact range, are refused
-    for n in (p * (2**61 - 1), (2**61 - 1) ** 2, 2**89 - 1):
+    # test's exact range, are refused; the last composite is 399165290221 *
+    # 798330580441, a strong pseudoprime to every prime base up to 37, so
+    # only base 41 refuses it
+    for n in (p * (2**61 - 1), (2**61 - 1) ** 2, 2**89 - 1, 318665857834031151167461):
         with pytest.raises(ValueError, match="cannot factor"):
             ordered_factorization_count(n)
 

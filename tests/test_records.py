@@ -16,8 +16,6 @@ from cuspidal.records import (
     CSV_COLUMNS,
     OutputDocument,
     curve_record,
-    document_from_json,
-    record_from_json_dict,
     record_to_flat_dict,
     record_to_json_dict,
 )
@@ -55,19 +53,10 @@ def test_record_of_inconsistent_source_data():
     assert data["flags"] == ["inconsistent-source-data"]
 
 
-def test_json_round_trip(classified):
-    for record in classified:
-        assert record_from_json_dict(record_to_json_dict(record)) == record
-    doc = OutputDocument(tuple(classified), {"tool": "cuspidal", "version": "x", "command": "t"})
-    assert document_from_json(doc.to_json()).records == doc.records
-
-
 def test_kodaira_serialization():
     record = classify_range(8)[-1]
     data = record_to_json_dict(record)
     assert data["kodaira"] in (None, "-inf", 1, 2)
-    back = record_from_json_dict(data)
-    assert back.kodaira == record.kodaira
 
 
 def test_schema_validation(classified):
@@ -106,12 +95,6 @@ def test_classify_range_40_renders_the_pinned_bytes():
     doc = OutputDocument(tuple(classify_range(40)), {})
     rendered = "".join(doc.render(fmt) for fmt in ("json", "csv", "md"))
     assert hashlib.sha256(rendered.encode()).hexdigest() == expected
-
-
-def test_document_sorted():
-    records = classify_range(6)
-    doc = OutputDocument(tuple(reversed(records)), {}).sorted()
-    assert list(doc.records) == records
 
 
 def test_smooth_record_needs_low_degree():

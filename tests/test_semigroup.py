@@ -181,6 +181,9 @@ def test_bl_check_examples():
     assert verdict.first_failing_j == 1
     assert verdict.failing_count == 2
     assert verdict.failing_expected == 3
+    # a failing verdict is falsy, though the tuple of its fields is not
+    failing = bl_check_unicuspidal(10, (5, 18))
+    assert bool(tuple(failing)) and not failing
 
 
 def test_bl_check_validation():

@@ -1,5 +1,7 @@
 import pytest
 
+from cuspidal import tables
+from cuspidal.cli import main
 from cuspidal.enumerate import SearchConfig, classify_record, enumerate_candidates, max_pairs_bound
 from cuspidal.tables import (
     FOUR_PAIR_ROWS,
@@ -83,6 +85,41 @@ def test_every_table_reproduces():
         report = reproduce(identifier)
         assert report.ok, report.render()
         assert report.matched == report.total > 0
+
+
+def test_reproduce_reports_each_kind_of_failure(monkeypatch, capsys):
+    # a two-step row the search gives is dropped from the table, and a
+    # one-step row no curve has is added
+    two_step = (16, "8_3,4_3,2_3", (8, "4_3,2_3"), (4, "2_3"))
+    one_step = (13, "9,3_5", (3, "2"), None)
+    rows = tuple(row for row in REDUCTION_ROWS if row != two_step) + (one_step,)
+    monkeypatch.setattr(tables, "REDUCTION_ROWS", rows)
+    report = reproduce("induct")
+    assert not report.ok
+    lines = report.render().splitlines()
+    assert "  missing:    d=13 [9,3_5] -> d'=3 [2]" in lines
+    assert "  unexpected: d=16 [8_3,4_3,2_3] -> d'=8 [4_3,2_3] -> d''=4 [2_3]" in lines
+    assert main(["reproduce", "--table", "induct"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+    # no chain counts as ending in the base registry
+    monkeypatch.setattr(tables, "PROVED_REDUCTION", "no-such-status")
+    report = reproduce("induct")
+    assert not report.ok
+    assert "  mismatch:   d=12 chain does not end in the base registry" in report.render()
+
+    # closed forms that agree with the pairs' lct but not their C^2: a
+    # flagged row shows no discrepancy, and an unflagged row differs
+    def closed_forms(spec, newton):
+        record = tables.family_curve(spec)
+        return record.lct, record.self_intersection + 1
+
+    monkeypatch.setattr(tables, "_closed_forms", closed_forms)
+    report = reproduce("lct-tono")
+    assert not report.ok
+    text = report.render()
+    assert "  mismatch:   tono-iib[2, 2]: expected a flagged discrepancy" in text
+    assert "  mismatch:   tono-ia[3]: recomputed (lct=" in text
 
 
 def _searched(k: int, max_degree: int) -> list:
