@@ -12,7 +12,10 @@ attached to that record with ``dataclasses.replace``.
 Records are written in three formats (JSON, CSV, Markdown) and never read
 back.  :class:`OutputDocument` writes them in the order it is given; every
 caller passes canonical order (degree, then lexicographic Newton pairs), so
-repeated runs are byte-identical.
+repeated runs are byte-identical.  The JSON text is written directly, record
+by record, and is byte-identical to ``json.dumps(payload, indent=2) + "\n"``
+with ASCII escapes, keys in :func:`record_to_json_dict` order; the oracle
+tests in ``tests/test_records.py`` hold it to that reference.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str
 
 from . import invariants as inv
 from .existence import CANDIDATE, ReductionStep
@@ -150,6 +154,12 @@ def _step_to_json(step: ReductionStep) -> dict:
 
 
 def record_to_json_dict(record: CurveRecord) -> dict:
+    """A record as the JSON value ``OutputDocument.to_json`` writes for it.
+
+    ``to_json`` does not call this: it writes the same text directly with
+    :func:`_record_json`.  This dict is the reference the oracle tests compare
+    that text against, and what callers inspect field by field.
+    """
     out = {
         "degree": record.degree,
         "newton_pairs": [list(p) for p in record.newton],
@@ -169,6 +179,96 @@ def record_to_json_dict(record: CurveRecord) -> dict:
     if record.flags:
         out["flags"] = list(record.flags)
     return out
+
+
+# newline plus the indentation of a record's lines in the document, and of
+# the lines below them
+_N4, _N6, _N8, _N10 = ("\n" + " " * n for n in (4, 6, 8, 10))
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list of written items; ``pad`` is a newline plus the
+    indentation of the line the list starts on."""
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+
+
+def _json_object(fields: list[str], pad: str) -> str:
+    """A JSON object of written ``"key": value`` fields, placed as in
+    :func:`_json_list`."""
+    inner = pad + "  "
+    return "{" + inner + ("," + inner).join(fields) + pad + "}" if fields else "{}"
+
+
+def _int_list(values, pad: str) -> str:
+    return _json_list(list(map(str, values)), pad)
+
+
+def _pairs_json(pairs) -> str:
+    return _json_list([f"[{_N10}{p},{_N10}{q}{_N8}]" for p, q in pairs], _N6)
+
+
+def _degree_mult_json(degree: int, mult) -> str:
+    return _json_object(
+        ['"degree": ' + str(degree), '"mult": ' + _str(inv.format_multiplicity(mult))], _N10
+    )
+
+
+def _step_json(step: ReductionStep) -> str:
+    to = "null" if step.to_degree is None else _degree_mult_json(step.to_degree, step.to_mult)
+    return _json_object(
+        [
+            '"rule": ' + _str(step.rule),
+            '"from": ' + _degree_mult_json(step.from_degree, step.from_mult),
+            '"to": ' + to,
+        ],
+        _N8,
+    )
+
+
+def _record_json(record: CurveRecord) -> str:
+    """The text ``json.dumps(record_to_json_dict(record), indent=2)`` gives
+    for the record nested at depth 2 (4 spaces) of the document."""
+    family = record.family
+    if family is None:
+        family_text = "null"
+    else:
+        family_text = _json_object(
+            ['"kind": ' + _str(family.kind), '"params": ' + _int_list(family.params, _N8)], _N6
+        )
+    kodaira = _kodaira_to_json(record.kodaira)
+    if isinstance(kodaira, str):
+        kodaira = _str(kodaira)
+    fields = [
+        '"degree": ' + str(record.degree),
+        '"newton_pairs": ' + _pairs_json(record.newton),
+        '"puiseux_pairs": ' + _pairs_json(record.puiseux),
+        '"multiplicity_sequence": ' + _str(inv.format_multiplicity(record.mult)),
+        '"delta": ' + str(record.delta),
+        '"semigroup_generators": ' + _int_list(record.semigroup_generators, _N6),
+        '"lct": ' + _json_object(
+            ['"num": ' + str(record.lct.numerator), '"den": ' + str(record.lct.denominator)], _N6
+        ),
+        '"self_intersection": ' + str(record.self_intersection),
+        '"family": ' + family_text,
+        '"kodaira": ' + ("null" if kodaira is None else str(kodaira)),
+        '"existence": ' + _str(record.existence),
+        '"reduction_chain": ' + _json_list(list(map(_step_json, record.reduction_chain)), _N6),
+    ]
+    if record.flags:
+        fields.append('"flags": ' + _json_list(list(map(_str, record.flags)), _N6))
+    return _json_object(fields, _N4)
+
+
+def _json_value(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value placed as in
+    :func:`_json_list`; dict keys must be str."""
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        return _json_object([_str(k) + ": " + _json_value(v, inner) for k, v in obj.items()], pad)
+    if isinstance(obj, (list, tuple)):
+        return _json_list([_json_value(v, inner) for v in obj], pad)
+    return json.dumps(obj)
 
 
 CSV_COLUMNS = [
@@ -215,18 +315,16 @@ class OutputDocument:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "metadata": self.metadata,
-            "records": [record_to_json_dict(r) for r in self.records],
-        }
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        records = _json_list(list(map(_record_json, self.records)), "\n  ")
+        metadata = _json_value(self.metadata, "\n  ")
+        return _json_object(['"metadata": ' + metadata, '"records": ' + records], "\n") + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for record in self.records:
-            writer.writerow(record_to_flat_dict(record))
+            writer.writerow(record_to_flat_dict(record).values())
         return buf.getvalue()
 
     def to_markdown(self) -> str:

@@ -8,13 +8,16 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cuspidal import families
 from cuspidal.enumerate import classify_range
 from cuspidal.families import tono_curve
 from cuspidal.invariants import InvalidCuspData
 from cuspidal.records import (
     CSV_COLUMNS,
     OutputDocument,
+    _json_value,
     curve_record,
     record_to_flat_dict,
     record_to_json_dict,
@@ -24,6 +27,33 @@ from cuspidal.records import (
 @pytest.fixture(scope="module")
 def classified():
     return classify_range(13)
+
+
+@pytest.fixture(scope="module")
+def classified_40():
+    return classify_range(40)
+
+
+def _family_members():
+    """Every member of the benchmark's family grids that the generators accept."""
+    members = []
+    for spec in (
+        *families.ams_grid(30),
+        *families.kashiwara_grid(3, 2, 2),
+        *families.tono_grid(7, 4, 5),
+        *families.orevkov_grid(4),
+    ):
+        try:
+            members.append(families.family_curve(spec))
+        except families.FamilyParameterError:
+            pass
+    return members
+
+
+def _reference_json(doc: OutputDocument) -> str:
+    records = [record_to_json_dict(r) for r in doc.records]
+    payload = {"metadata": doc.metadata, "records": records}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def test_curve_record_derived_fields():
@@ -86,15 +116,68 @@ def test_csv_and_markdown_carry_identical_data(classified):
         assert cells == [str(flat[c]).strip() for c in CSV_COLUMNS]
 
 
-def test_classify_range_40_renders_the_pinned_bytes():
+def test_classify_range_40_renders_the_pinned_bytes(classified_40):
     # the digest the benchmark checks every run against; any change to a
     # record's bytes at degree <= 40 shows here first
     expected = json.loads(
         (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
     )["classify-d40"]["rendered_sha256"]
-    doc = OutputDocument(tuple(classify_range(40)), {})
+    doc = OutputDocument(tuple(classified_40), {})
     rendered = "".join(doc.render(fmt) for fmt in ("json", "csv", "md"))
     assert hashlib.sha256(rendered.encode()).hexdigest() == expected
+
+
+def test_to_json_equals_the_json_dumps_reference(classified_40):
+    # to_json writes its text directly; json.dumps(indent=2) of the
+    # record_to_json_dict payload is the reference it must equal byte for byte
+    members = _family_members()
+    assert len(members) == 253
+    invariants_meta = {
+        "tool": "cuspidal",
+        "command": "invariants",
+        "elapsed_seconds": 0.125,
+        "bl_check": {"passed": False, "first_failing_j": None, "note": {}},
+        "delta_matches_genus": True,
+        "runs": [],
+        "label": "d\u00e9j\u00e0 \"vu\" \\ \u03b4",
+    }
+    documents = [
+        OutputDocument(tuple(classified_40), {"tool": "cuspidal"}),
+        OutputDocument(tuple(members), {}),
+        OutputDocument((), {}),
+        OutputDocument((), invariants_meta),
+        OutputDocument((curve_record(2, ()), members[-1]), invariants_meta),
+    ]
+    for doc in documents:
+        assert doc.to_json() == _reference_json(doc)
+    assert documents[2].to_json() == '{\n  "metadata": {},\n  "records": []\n}\n'
+
+
+# quotes, backslashes, control characters and non-ASCII, besides any character
+_json_text = st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600') | st.characters()
+)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _json_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_value_equals_json_dumps(value):
+    assert _json_value(value, "\n") == json.dumps(value, indent=2)
+
+
+def test_flat_dict_keys_are_the_csv_columns(classified):
+    # to_csv writes the flat dict's values in order, under a CSV_COLUMNS header
+    for record in (*classified, tono_curve("tono-iib", (2, 2))):
+        assert list(record_to_flat_dict(record)) == CSV_COLUMNS
 
 
 def test_smooth_record_needs_low_degree():
