@@ -24,9 +24,14 @@ combinations; see :func:`family_curve`).  Attribution runs the other way
 without a search: :func:`attribute_family` reads each kind's parameters off
 the Newton pairs and keeps a spec only if :func:`_family_data` gives back
 the same degree and pairs, so the degree formulas live in the data
-functions alone.  Stored invariants always come from recomputation via
-:mod:`cuspidal.invariants`, never from the closed forms, so
-:func:`invariant_closed_forms` stays an independent cross-check.
+functions alone.  A Kashiwara or Orevkov kind's data name its level by one
+Fibonacci number (the first p of kashiwara-ii-ge is phi_(2l+3)^2, the
+degree of an Orevkov curve phi_(4k+2), and so on; see
+:func:`_specs_of_pairs`), and these numbers strictly increase with the
+level, so each kind proposes at most one spec.  Stored invariants always
+come from recomputation via :mod:`cuspidal.invariants`, never from the
+closed forms, so :func:`invariant_closed_forms` stays an independent
+cross-check; it builds no record.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, takewhile
+from itertools import product
 from math import comb, gcd, isqrt, prod
 
 from . import invariants as inv
@@ -45,6 +50,7 @@ from .records import (
     FamilySpec,
     KODAIRA_NEG_INF,
     curve_record,
+    cusp_data,
 )
 
 AMS = "ams"
@@ -457,23 +463,31 @@ def invariant_closed_forms(spec: FamilySpec) -> tuple[Fraction, int]:
       for every s; it is returned verbatim here so the discrepancy stays
       visible, and records of that type carry an inconsistency flag.
 
-    Exactly the specs that :func:`family_curve` rejects raise
-    :class:`FamilyParameterError`, because the spec is first built by
-    :func:`family_curve` and its error passes through: those outside the
-    family's domain and, for every kind but tono-iib, those whose pairs
-    fail the checks of a strict record (the Newton-pair invariants and
-    delta = genus), such as every Kashiwara "minus" spec.  The tono-iib
-    s = 1 check comes first.  The Kashiwara N-pair kinds read their n_i off
-    the record's pairs.
+    No record is built.  Exactly the specs that :func:`family_curve`
+    rejects raise :class:`FamilyParameterError`, with its message: the
+    spec's data come from :func:`_family_data`, whose domain checks pass
+    through, and for every kind but tono-iib its pairs then go through
+    :func:`~cuspidal.records.cusp_data`, the strict check of the record
+    that :func:`family_curve` would build (the Newton-pair invariants and
+    delta = genus); every Kashiwara "minus" spec fails it.  tono-iib is
+    built on the lenient path, which raises nothing on the positive pairs
+    of its domain.  The tono-iib s = 1 check comes first.  The Kashiwara
+    N-pair kinds read their n_i off the pairs.
     """
     if spec.kind == TONO_IIB and spec.params[1:] == (1,):
         raise FamilyParameterError("tono-iib threshold expression is singular at s = 1")
-    return _closed_forms(spec, family_curve(spec).newton)
+    degree, pairs = _family_data(spec)
+    if spec.kind != TONO_IIB:
+        try:
+            cusp_data(degree, pairs)
+        except inv.InvalidCuspData as exc:
+            raise _family_error(spec, exc) from exc
+    return _closed_forms(spec, pairs)
 
 
 def _closed_forms(spec: FamilySpec, pairs: inv.Pairs) -> tuple[Fraction, int]:
     """:func:`invariant_closed_forms` of a spec that :func:`family_curve`
-    accepts, given the Newton pairs of its record."""
+    accepts, given its Newton pairs."""
     kind, params = spec.kind, spec.params
     if kind == AMS:
         factors = params
@@ -534,12 +548,21 @@ def _closed_forms(spec: FamilySpec, pairs: inv.Pairs) -> tuple[Fraction, int]:
 
 def _specs_of_pairs(degree: int, newton: inv.Pairs):
     """Candidate specs of (degree, newton) in kind order, at most one per
-    kind and Kashiwara level l, each read off the pairs; :func:`_family_data`
-    must still confirm it.  Kashiwara plus: n_i = lambda_i F^2 + c_i with
-    0 <= c_i < F^2, F = phi_{2l+3} <= degree.  The Kashiwara minus kinds
-    (never valid cusp data) and tono-iib (always flagged) are not tried,
-    nor is a member that needs a Fibonacci index past
-    ``inv.FIBONACCI_INDEX_BOUND``: its genus has more than 4300 digits."""
+    kind, each read off the data; :func:`_family_data` must still confirm
+    it.
+
+    Each kind's data name its own level.  With F = phi_(2l+3), a one-pair
+    kashiwara-ii-ge curve has first p = F^2, ii-sp has degree F, iiplus-ge
+    has last p = F^2 and iiplus-sp has last p = F; an Orevkov curve of
+    level k has degree phi_(4k+2), or 2 phi_(4k+2) when starred.  These
+    Fibonacci numbers strictly increase with the level, so at most one
+    level per kind can give back (degree, newton), and one scan of phi_j
+    for j >= 3 up to the degree finds every such level.  Kashiwara plus:
+    n_i = lambda_i F^2 + c_i with 0 <= c_i < F^2.  A Kashiwara level l
+    needs phi_(2l+5) and an Orevkov k phi_(4k+4), so the scan stops before
+    an index j with j + 2 past ``inv.FIBONACCI_INDEX_BOUND``: such a
+    member's genus has more than 4300 digits.  The Kashiwara minus kinds
+    (never valid cusp data) and tono-iib (always flagged) are not tried."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     if not newton:
@@ -548,36 +571,55 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
     ps = tuple(p for p, _ in newton)
     p1, q1 = newton[0]
     yield FamilySpec(AMS, (q1, *ps[1:]) if q1 == p1 + 1 else (2, *ps))
-    # a Kashiwara level l needs phi_(2l+5), an Orevkov k phi_(4k+4)
-    top = inv.FIBONACCI_INDEX_BOUND
-    levels = tuple(takewhile(lambda l: inv.fibonacci(2 * l + 3) <= degree, range((top - 3) // 2)))
-    for kind in (KASHIWARA_II_GE, KASHIWARA_II_SP):
-        yield from (FamilySpec(kind, (l,)) for l in levels)
-    for kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP):
-        for l in levels:
-            square = inv.fibonacci(2 * l + 3) ** 2
-            yield FamilySpec(kind, (l, *(n // square for n in ps[:-1])))
+    # the phi_j that each kind's data name, j = 2l + 3 at Kashiwara level l
+    # and j = 4k + 2 at Orevkov level k; a value that is no phi_j names no
+    # level, and one read off data of another shape (the root of a
+    # non-square, half an odd degree) names a spec whose data differ
+    kashiwara = (
+        (KASHIWARA_II_GE, isqrt(p1)),
+        (KASHIWARA_II_SP, degree),
+        (KASHIWARA_IIPLUS_GE, isqrt(ps[-1])),
+        (KASHIWARA_IIPLUS_SP, ps[-1]),
+    )
+    orevkov = ((OREVKOV, degree), (OREVKOV_STAR, degree // 2))
+    named = tuple(F for _, F in kashiwara + orevkov)
+    index = {}
+    for j in range(3, inv.FIBONACCI_INDEX_BOUND - 1):
+        F = inv.fibonacci(j)
+        if F > degree:
+            break
+        if F in named:
+            index[F] = j
+    for kind, F in kashiwara:
+        j = index.get(F, 0)
+        if j % 2:
+            plus = kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP)
+            lambdas = tuple(n // (F * F) for n in ps[:-1]) if plus else ()
+            yield FamilySpec(kind, ((j - 3) // 2, *lambdas))
     yield FamilySpec(TONO_IA, (q1,))
     if len(ps) > 1:
         yield FamilySpec(TONO_IB, (q1, ps[1]))
     yield FamilySpec(TONO_IIA, (p1,))
-    ks = tuple(takewhile(lambda k: inv.fibonacci(4 * k + 2) <= degree, range(1, top // 4)))
-    for kind in (OREVKOV, OREVKOV_STAR):
-        yield from (FamilySpec(kind, (k,)) for k in ks)
+    for kind, F in orevkov:
+        j = index.get(F, 0)
+        if j % 4 == 2:
+            yield FamilySpec(kind, ((j - 2) // 4,))
 
 
 def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
     """Find the family spec whose generated curve has exactly these Newton
     pairs at this degree; None when no family matches.  The candidates are
-    read off the pairs (:func:`_specs_of_pairs`), and the first whose
-    :func:`_family_data` gives back (degree, newton) is returned; no record
-    is built.  Equal data are enough: :func:`family_curve` builds its
-    record from these same pairs, and no kind tried is flagged or has data
-    that fail a strict record.  Those are tono-iib, the one flagged kind,
-    and the Kashiwara "minus" kinds, whose data never validate; the tests
-    check that every accepted spec of a tried kind in the wide family
-    grids builds a strict, unflagged record.  Raises ValueError for
-    degree < 1."""
+    read off the data (:func:`_specs_of_pairs`): each kind's data name its
+    level, a Fibonacci number that strictly increases with the level, so
+    each kind proposes at most one spec and at most 10 are tried, in kind
+    order.  The first whose :func:`_family_data` gives back (degree,
+    newton) is returned; no record is built.  Equal data are enough:
+    :func:`family_curve` builds its record from these same pairs, and no
+    kind tried is flagged or has data that fail a strict record.  Those are
+    tono-iib, the one flagged kind, and the Kashiwara "minus" kinds, whose
+    data never validate; the tests check that every accepted spec of a
+    tried kind in the wide family grids builds a strict, unflagged record.
+    Raises ValueError for degree < 1."""
     for spec in _specs_of_pairs(degree, newton):
         try:
             if _family_data(spec) == (degree, newton):

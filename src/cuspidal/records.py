@@ -74,45 +74,62 @@ class CurveRecord:
         return (self.degree, self.newton)
 
 
-def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> CurveRecord:
-    """Build a record with all derived fields computed from the Newton pairs.
+def cusp_data(
+    degree: int, newton: inv.Pairs, *, strict: bool = True
+) -> tuple[inv.Pairs, inv.MultRuns, int]:
+    """Puiseux pairs, multiplicity runs and delta of the cusp with these
+    Newton pairs, after the checks that :func:`curve_record` runs on them.
 
-    Every field is derived from the Puiseux pairs, computed once; delta
-    comes from the multiplicity sequence, which equals the Puiseux formula
-    on valid data.  ``strict`` (the default) adds validation on top: the
-    Newton pairs must satisfy the cusp invariants and delta must equal the
-    genus (d-1)(d-2)/2 of a degree-d curve.  The record carries only these
-    invariants: no family, existence "candidate" and no flag.  Callers
-    attach the rest with ``dataclasses.replace`` (``family_curve`` its spec,
-    Kodaira dimension, existence and flag; ``classify_record`` the
-    attribution and the existence proof).  Two callers build with
-    ``strict=False``: ``family_curve`` for known-bad source data, which it
-    flags, and the search for a leaf, whose gcd chain and delta equation
-    have already proved what strict checks.
-
-    The empty Newton sequence is the degenerate smooth branch (no cusp);
-    it is only meaningful at degree <= 2 and is used for the smooth conic.
+    delta comes from the multiplicity sequence, which equals the Puiseux
+    formula on valid data.  ``strict`` (the default) adds validation on
+    top: the Newton pairs must satisfy the cusp invariants and delta must
+    equal the genus (d-1)(d-2)/2 of a degree-d curve.  The empty Newton
+    sequence is the degenerate smooth branch (no cusp); it is only
+    meaningful at degree <= 2 and is used for the smooth conic, so at any
+    other degree it raises, strict or not.  Every failure raises
+    :class:`~cuspidal.invariants.InvalidCuspData`.
     """
     if not newton:
         if inv.genus_target(degree) != 0:
             raise inv.InvalidCuspData(
                 f"a smooth degree-{degree} curve is not rational; no record"
             )
-        puiseux, mult, delta, gens = (), (), 0, (1,)
-        lct_value, self_int = Fraction(1), 3 * degree - 2
-    else:
-        if strict:
-            inv.validate_newton_pairs(newton)
-        puiseux = inv._puiseux_from_newton(newton)
-        mult = inv._staged_euclid(puiseux)
-        delta = inv._delta_from_runs(mult)
-        if strict and delta != inv.genus_target(degree):
-            raise inv.InvalidCuspData(
-                f"delta {delta} != genus {inv.genus_target(degree)} at degree {degree}"
-            )
+        return (), (), 0
+    if strict:
+        inv.validate_newton_pairs(newton)
+    puiseux = inv._puiseux_from_newton(newton)
+    mult = inv._staged_euclid(puiseux)
+    delta = inv._delta_from_runs(mult)
+    if strict and delta != inv.genus_target(degree):
+        raise inv.InvalidCuspData(
+            f"delta {delta} != genus {inv.genus_target(degree)} at degree {degree}"
+        )
+    return puiseux, mult, delta
+
+
+def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> CurveRecord:
+    """Build a record with all derived fields computed from the Newton pairs.
+
+    Every field is derived from the Puiseux pairs, computed once by
+    :func:`cusp_data`, which also runs the checks of ``strict`` (the
+    default): the Newton pairs must satisfy the cusp invariants and delta
+    must equal the genus.  The record carries only these invariants: no
+    family, existence "candidate" and no flag.  Callers attach the rest
+    with ``dataclasses.replace`` (``family_curve`` its spec, Kodaira
+    dimension, existence and flag; ``classify_record`` the attribution and
+    the existence proof).  Two callers build with ``strict=False``:
+    ``family_curve`` for known-bad source data, which it flags, and the
+    search for a leaf, whose gcd chain and delta equation have already
+    proved what strict checks.  The empty Newton sequence gives the smooth
+    conic.
+    """
+    puiseux, mult, delta = cusp_data(degree, newton, strict=strict)
+    if newton:
         gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
         lct_value = inv._lct_from_puiseux(puiseux)
         self_int = inv._self_intersection_from_puiseux(degree, puiseux)
+    else:
+        gens, lct_value, self_int = (1,), Fraction(1), 3 * degree - 2
     return CurveRecord(
         degree=degree,
         newton=newton,

@@ -1,11 +1,15 @@
 import hashlib
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 
 from cuspidal.families import (
     PRIME_SCAN_LIMIT,
     FamilyParameterError,
+    _closed_forms,
     _family_data,
     _miller_rabin,
     _specs_of_pairs,
@@ -26,6 +30,7 @@ from cuspidal.families import (
     tono_curve,
     tono_grid,
 )
+from cuspidal import families
 from cuspidal import invariants as inv
 from cuspidal.invariants import fibonacci, format_multiplicity, genus_target
 from cuspidal.records import FLAG_INCONSISTENT, FamilySpec
@@ -152,23 +157,61 @@ def test_kashiwara_minus_always_rejected():
     assert generated == 0 and rejected > 0
 
 
+def _benchmark_grids():
+    return (
+        *ams_grid(30),
+        *kashiwara_grid(3, 2, 2),
+        *tono_grid(7, 4, 5),
+        *orevkov_grid(4),
+    )
+
+
+def _outcome(function, spec):
+    try:
+        return function(spec)
+    except FamilyParameterError as exc:
+        return str(exc)
+
+
 def test_closed_forms_reject_exactly_what_family_curve_rejects():
-    # 96 minus specs, 84 of which once got closed forms, e.g.
-    # kashiwara-iiminus-ge (0, 1) gave (3/10, 0)
-    rejected = []
-    for spec in kashiwara_grid(3, 2, 2):
-        outcomes = []
-        for function in (family_curve, invariant_closed_forms):
-            try:
-                function(spec)
-                outcomes.append(False)
-            except FamilyParameterError:
-                outcomes.append(True)
-        assert outcomes[0] == outcomes[1], spec
-        rejected.append(outcomes[0])
-    assert sum(rejected) == 109
+    # 96 minus specs of kashiwara_grid(3, 2, 2), 84 of which once got
+    # closed forms, e.g. kashiwara-iiminus-ge (0, 1) gave (3/10, 0); the
+    # grids hold the smooth conic ams (2,) and every flagged tono-iib
+    # member, which takes the lenient path
+    def from_the_record(spec):
+        return _closed_forms(spec, family_curve(spec).newton)
+
+    specs = (*_benchmark_grids(), *_wide_grids())
+    outcomes = [_outcome(from_the_record, spec) for spec in specs]
+    assert [_outcome(invariant_closed_forms, spec) for spec in specs] == outcomes
+    rejected = [isinstance(outcome, str) for outcome in outcomes]
+    assert (len(specs), sum(rejected)) == (362 + 4400, 109 + 2003)
+    flagged = {spec: out for spec, out in zip(specs, outcomes) if spec.kind == "tono-iib"}
+    assert len(flagged) == 14 * 7
+    assert not any(isinstance(outcome, str) for outcome in flagged.values())
+    assert invariant_closed_forms(FamilySpec("ams", (2,))) == (1, 4)
     with pytest.raises(FamilyParameterError, match="q must exceed p"):
         invariant_closed_forms(FamilySpec("kashiwara-iiminus-ge", (0, 1)))
+    # s = 1 is outside the iib domain, but the threshold's own check comes
+    # first
+    with pytest.raises(FamilyParameterError, match="s >= 2"):
+        family_curve(FamilySpec("tono-iib", (2, 1)))
+    with pytest.raises(FamilyParameterError, match="singular at s = 1"):
+        invariant_closed_forms(FamilySpec("tono-iib", (2, 1)))
+
+
+def test_closed_forms_build_no_record(monkeypatch):
+    # the closed forms answer with the record builder gone, and reject with
+    # the same message as family_curve
+    specs = _benchmark_grids()
+    expected = [_outcome(invariant_closed_forms, spec) for spec in specs]
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(families, "curve_record", no_record)
+    assert [_outcome(invariant_closed_forms, spec) for spec in specs] == expected
+    assert sum(isinstance(outcome, str) for outcome in expected) == 109
 
 
 def test_tono_examples():
@@ -345,10 +388,38 @@ def test_attribution_is_exact_over_wider_grids():
         attribute_family(0, ((2, 3),))
 
 
+def _every_level_specs(degree, newton):
+    # the candidates of attribution before each kind's level was read off
+    # its data: every Kashiwara level l with phi_(2l+3) <= degree and every
+    # Orevkov k with phi_(4k+2) <= degree, each within the Fibonacci bound
+    if not newton:
+        yield FamilySpec("ams", (2,))
+        return
+    ps = tuple(p for p, _ in newton)
+    p1, q1 = newton[0]
+    yield FamilySpec("ams", (q1, *ps[1:]) if q1 == p1 + 1 else (2, *ps))
+    top = inv.FIBONACCI_INDEX_BOUND
+    levels = tuple(takewhile(lambda l: fibonacci(2 * l + 3) <= degree, range((top - 3) // 2)))
+    for kind in ("kashiwara-ii-ge", "kashiwara-ii-sp"):
+        yield from (FamilySpec(kind, (l,)) for l in levels)
+    for kind in ("kashiwara-iiplus-ge", "kashiwara-iiplus-sp"):
+        for l in levels:
+            square = fibonacci(2 * l + 3) ** 2
+            yield FamilySpec(kind, (l, *(n // square for n in ps[:-1])))
+    yield FamilySpec("tono-ia", (q1,))
+    if len(ps) > 1:
+        yield FamilySpec("tono-ib", (q1, ps[1]))
+    yield FamilySpec("tono-iia", (p1,))
+    ks = tuple(takewhile(lambda k: fibonacci(4 * k + 2) <= degree, range(1, top // 4)))
+    for kind in ("orevkov", "orevkov-star"):
+        yield from (FamilySpec(kind, (k,)) for k in ks)
+
+
 def _reference_attribution(degree, newton):
-    # attribution that builds the family record of each matching spec and
-    # keeps it only when the record validates and carries no flag
-    for spec in _specs_of_pairs(degree, newton):
+    # attribution that tries every level of every kind, builds the family
+    # record of each matching spec and keeps it only when the record
+    # validates and carries no flag
+    for spec in _every_level_specs(degree, newton):
         try:
             if _family_data(spec) == (degree, newton) and not family_curve(spec).flags:
                 return spec
@@ -357,10 +428,22 @@ def _reference_attribution(degree, newton):
     return None
 
 
+def _random_data(rng):
+    # pair sequences whose entries and degree are often a Fibonacci number,
+    # its square or its double, so that levels of every kind are named
+    def value():
+        F = fibonacci(rng.randint(3, 25))
+        return rng.choice((rng.randint(2, 500), F, F * F))
+
+    newton = tuple((value(), value()) for _ in range(rng.randint(1, 3)))
+    return rng.choice((value(), 2 * value())), newton
+
+
 def test_attribution_by_data_agrees_with_the_record_building_reference():
     # equal data are enough because every spec of a kind that attribution
     # tries, once its data are accepted, builds a strict record (family_curve
-    # raises otherwise) with no flag: 2,299 such specs in these grids
+    # raises otherwise) with no flag: 2,299 such specs in these grids; one
+    # level per kind is enough because each kind's data name their level
     from cuspidal.enumerate import classify_range
 
     inputs = [(r.degree, r.newton) for r in classify_range(60)]
@@ -377,9 +460,50 @@ def test_attribution_by_data_agrees_with_the_record_building_reference():
             tried += 1
     assert tried == 2299
     assert len(inputs) == 447 + 2299 + 1816
+    for spec in (*kashiwara_grid(40, 1, 2), *orevkov_grid(60)):
+        try:
+            inputs.append(_family_data(spec))
+        except FamilyParameterError:
+            continue
+    rng = random.Random(2311)
+    inputs += [_random_data(rng) for _ in range(2000)]
+    assert len(inputs) == 447 + 2299 + 1816 + 689 + 2000
     found = [attribute_family(*data) for data in inputs]
     assert found == [_reference_attribution(*data) for data in inputs]
     assert sum(spec is not None for spec in found[:447]) == 420
+    assert sum(spec is not None for spec in found) == 420 + 2299 + 445
+
+
+def test_attribution_makes_at_most_one_data_call_per_kind(monkeypatch):
+    from cuspidal.enumerate import classify_range
+
+    records = [(r.degree, r.newton) for r in classify_range(40)]
+    grid = []
+    for spec in _wide_grids():
+        try:
+            grid.append(_family_data(spec))
+        except FamilyParameterError:
+            continue
+    large = _family_data(FamilySpec("orevkov", (2000,)))
+    calls = Counter()
+
+    def counted(spec):
+        calls[spec.kind] += 1
+        return _family_data(spec)
+
+    monkeypatch.setattr(families, "_family_data", counted)
+    totals = []
+    for inputs in (records, grid, [large]):
+        total = 0
+        for data in inputs:
+            calls.clear()
+            attribute_family(*data)
+            assert max(calls.values()) == 1, data
+            total += sum(calls.values())
+        totals.append(total)
+    # the every-level scan made 679 calls on the records and 18,004 on the
+    # large Orevkov member
+    assert totals == [336, 14_683, 5]
 
 
 def test_wrong_parameter_count_is_a_family_error():
@@ -436,14 +560,25 @@ def test_bunyakovsky_evidence():
 
 
 def test_attribution_tries_every_level_within_the_fibonacci_bound():
-    # Kashiwara level l needs phi_(2l+5) and Orevkov k phi_(4k+4): the last
-    # ones tried are the last within the bound
-    specs = list(_specs_of_pairs(10**4299, ((2, 3),)))
-    levels = [s.params[0] for s in specs if s.kind == "kashiwara-ii-sp"]
-    ks = [s.params[0] for s in specs if s.kind == "orevkov"]
+    # Kashiwara level l needs phi_(2l+5) and Orevkov k phi_(4k+4): the top
+    # members within the bound are attributed to themselves, and data that
+    # name a level past it are attributed to None without raising
     top = inv.FIBONACCI_INDEX_BOUND
-    assert levels == list(range(5144)) and 2 * 5143 + 5 <= top < 2 * 5144 + 5
-    assert ks == list(range(1, 2573)) and 4 * 2572 + 4 <= top < 4 * 2573 + 4
+    assert 2 * 5143 + 5 <= top < 2 * 5144 + 5 and 4 * 2572 + 4 <= top < 4 * 2573 + 4
+    for spec in (FamilySpec("kashiwara-ii-sp", (5143,)), FamilySpec("orevkov", (2572,))):
+        assert attribute_family(*_family_data(spec)) == spec
+    phi = [0, 1]
+    while len(phi) <= top + 4:
+        phi.append(phi[-1] + phi[-2])
+    l, k = 5144, 2573
+    past = (
+        (phi[2 * l + 3], ((phi[2 * l + 1], phi[2 * l + 5]),)),  # kashiwara-ii-sp
+        (phi[2 * l + 3] * phi[2 * l + 5], ((phi[2 * l + 3] ** 2, phi[2 * l + 5] ** 2),)),  # ii-ge
+        (phi[4 * k + 2], ((phi[4 * k] // 3, phi[4 * k + 4] // 3), (3, 1))),  # orevkov
+        (2 * phi[4 * k + 2], ((phi[4 * k] // 3, phi[4 * k + 4] // 3), (6, 1))),  # orevkov-star
+    )
+    for degree, newton in past:
+        assert attribute_family(degree, newton) is None
 
 
 def test_fibonacci_loops_stop_at_the_bound(monkeypatch):
@@ -455,7 +590,8 @@ def test_fibonacci_loops_stop_at_the_bound(monkeypatch):
             set(one_pair_rows(300)),
             set(two_pair_rows(3000)),
             set(prime_degree_scan(300)),
-            set(_specs_of_pairs(10**6, ((2, 3),))),
+            # kashiwara-ii-sp at l = 4, whose phi_13 the bound 12 cuts
+            set(_specs_of_pairs(89, ((34, 233),))),
         )
 
     full = walks()
