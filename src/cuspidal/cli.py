@@ -34,7 +34,6 @@ from .families import (
     AMS,
     KASHIWARA_KINDS,
     PARAM_NAMES,
-    FamilyParameterError,
     family_curve,
     ordered_factorization_count,
     prime_degree_scan,
@@ -265,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (inv.InvalidCuspData, FamilyParameterError, ValueError) as exc:
+    except ValueError as exc:  # InvalidCuspData and FamilyParameterError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

@@ -107,16 +107,10 @@ def ams_newton_pairs(factors: tuple[int, ...]) -> inv.Pairs:
         raise FamilyParameterError("ordered factorization must be nonempty")
     if any(f < 2 for f in factors):
         raise FamilyParameterError(f"factors must all be >= 2, got {factors}")
-    if factors[0] == 2:
-        rest = factors[1:]
-        if not rest:
-            return ()
-        pairs = [(rest[0], 4 * rest[0] - 1)]
-        pairs += [(rest[i], rest[i - 1] * rest[i] - 1) for i in range(1, len(rest))]
-        return tuple(pairs)
-    pairs = [(factors[0] - 1, factors[0])]
-    pairs += [(factors[i], factors[i - 1] * factors[i] - 1) for i in range(1, len(factors))]
-    return tuple(pairs)
+    tail = [(f, e * f - 1) for e, f in zip(factors, factors[1:])]
+    if factors[0] != 2:
+        return ((factors[0] - 1, factors[0]), *tail)
+    return ((factors[1], 4 * factors[1] - 1), *tail[1:]) if tail else ()
 
 
 def ams_curve(factors: tuple[int, ...]) -> CurveRecord:
@@ -556,12 +550,14 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
     has last p = F^2 and iiplus-sp has last p = F; an Orevkov curve of
     level k has degree phi_(4k+2), or 2 phi_(4k+2) when starred.  These
     Fibonacci numbers strictly increase with the level, so at most one
-    level per kind can give back (degree, newton), and one scan of phi_j
-    for j >= 3 up to the degree finds every such level.  Kashiwara plus:
-    n_i = lambda_i F^2 + c_i with 0 <= c_i < F^2.  A Kashiwara level l
-    needs phi_(2l+5) and an Orevkov k phi_(4k+4), so the scan stops before
-    an index j with j + 2 past ``inv.FIBONACCI_INDEX_BOUND``: such a
-    member's genus has more than 4300 digits.  The Kashiwara minus kinds
+    level per kind can give back (degree, newton), and
+    :func:`~cuspidal.invariants.fibonacci_index` looks that level up from
+    the number's bit length in a few exact comparisons, with no scan over
+    the levels.  Kashiwara plus: n_i = lambda_i F^2 + c_i with
+    0 <= c_i < F^2.  A Kashiwara level l needs phi_(2l+5) and an Orevkov k
+    phi_(4k+4), so no index j with j + 2 past
+    ``inv.FIBONACCI_INDEX_BOUND`` is looked up: such a member's genus has
+    more than 4300 digits.  The Kashiwara minus kinds
     (never valid cusp data) and tono-iib (always flagged) are not tried."""
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -582,16 +578,9 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
         (KASHIWARA_IIPLUS_SP, ps[-1]),
     )
     orevkov = ((OREVKOV, degree), (OREVKOV_STAR, degree // 2))
-    named = tuple(F for _, F in kashiwara + orevkov)
-    index = {}
-    for j in range(3, inv.FIBONACCI_INDEX_BOUND - 1):
-        F = inv.fibonacci(j)
-        if F > degree:
-            break
-        if F in named:
-            index[F] = j
+    top = inv.FIBONACCI_INDEX_BOUND - 2
     for kind, F in kashiwara:
-        j = index.get(F, 0)
+        j = inv.fibonacci_index(F, top)
         if j % 2:
             plus = kind in (KASHIWARA_IIPLUS_GE, KASHIWARA_IIPLUS_SP)
             lambdas = tuple(n // (F * F) for n in ps[:-1]) if plus else ()
@@ -601,7 +590,7 @@ def _specs_of_pairs(degree: int, newton: inv.Pairs):
         yield FamilySpec(TONO_IB, (q1, ps[1]))
     yield FamilySpec(TONO_IIA, (p1,))
     for kind, F in orevkov:
-        j = index.get(F, 0)
+        j = inv.fibonacci_index(F, top)
         if j % 4 == 2:
             yield FamilySpec(kind, ((j - 2) // 4,))
 
@@ -611,11 +600,12 @@ def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
     pairs at this degree; None when no family matches.  The candidates are
     read off the data (:func:`_specs_of_pairs`): each kind's data name its
     level, a Fibonacci number that strictly increases with the level, so
-    each kind proposes at most one spec and at most 10 are tried, in kind
-    order.  The first whose :func:`_family_data` gives back (degree,
-    newton) is returned; no record is built.  Equal data are enough:
-    :func:`family_curve` builds its record from these same pairs, and no
-    kind tried is flagged or has data that fail a strict record.  Those are
+    each kind's level is one lookup of that number's index, not a scan,
+    and at most 10 specs are tried, in kind order.  The first whose
+    :func:`_family_data` gives back (degree, newton) is returned; no record
+    is built.  Equal data are enough: :func:`family_curve` builds its
+    record from these same pairs, and no kind tried is flagged or has data
+    that fail a strict record.  Those are
     tono-iib, the one flagged kind, and the Kashiwara "minus" kinds, whose
     data never validate; the tests check that every accepted spec of a
     tried kind in the wide family grids builds a strict, unflagged record.

@@ -329,6 +329,20 @@ def fibonacci(j: int) -> int:
     return _FIB[j + 1]
 
 
+def fibonacci_index(value: int, top: int) -> int:
+    """The index j in 3..top with phi_j = value, else 0.
+
+    For j >= 3, log2 phi_j lies within 0.08 of j log2(golden ratio) -
+    log2(sqrt 5), so a value of bit length b can only be phi_j for j one
+    or two past floor(b / log2(golden ratio)).  Those two indices are
+    checked exactly, and none past ``top`` is computed."""
+    guess = int(value.bit_length() * 1.4404200904125564)  # 1 / log2(golden ratio)
+    for j in (guess + 1, guess + 2):
+        if 3 <= j <= top and fibonacci(j) == value:
+            return j
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # textual formats
 

@@ -12,10 +12,12 @@ attached to that record with ``dataclasses.replace``.
 Records are written in three formats (JSON, CSV, Markdown) and never read
 back.  :class:`OutputDocument` writes them in the order it is given; every
 caller passes canonical order (degree, then lexicographic Newton pairs), so
-repeated runs are byte-identical.  The JSON text is written directly, record
-by record, and is byte-identical to ``json.dumps(payload, indent=2) + "\n"``
-with ASCII escapes, keys in :func:`record_to_json_dict` order; the oracle
-tests in ``tests/test_records.py`` hold it to that reference.
+repeated runs are byte-identical.  Each record's JSON text is written
+directly, without ``json.dumps``; the run metadata goes through
+``json.dumps``.  The document is byte-identical to
+``json.dumps(payload, indent=2) + "\n"`` with ASCII escapes, keys in
+:func:`record_to_json_dict` order; the oracle tests in
+``tests/test_records.py`` hold it to that reference.
 """
 
 from __future__ import annotations
@@ -277,17 +279,6 @@ def _record_json(record: CurveRecord) -> str:
     return _json_object(fields, _N4)
 
 
-def _json_value(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2)`` for a value placed as in
-    :func:`_json_list`; dict keys must be str."""
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        return _json_object([_str(k) + ": " + _json_value(v, inner) for k, v in obj.items()], pad)
-    if isinstance(obj, (list, tuple)):
-        return _json_list([_json_value(v, inner) for v in obj], pad)
-    return json.dumps(obj)
-
-
 CSV_COLUMNS = [
     "degree",
     "newton_pairs",
@@ -333,7 +324,9 @@ class OutputDocument:
 
     def to_json(self) -> str:
         records = _json_list(list(map(_record_json, self.records)), "\n  ")
-        metadata = _json_value(self.metadata, "\n  ")
+        # JSON escapes newlines inside strings, so each one json.dumps
+        # writes starts a line, which nesting indents by two more spaces
+        metadata = json.dumps(self.metadata, indent=2).replace("\n", "\n  ")
         return _json_object(['"metadata": ' + metadata, '"records": ' + records], "\n") + "\n"
 
     def to_csv(self) -> str:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspidal import __version__
+from cuspidal import __version__, cli
 from cuspidal import enumerate as search
 from cuspidal.cli import main
 from cuspidal.enumerate import classify_range
@@ -345,6 +345,20 @@ def test_factorizations_out_of_range_is_an_input_error(capsys):
     code, _, err = run(capsys, "factorizations", "--n", str(998244353 * 1000000007))
     assert code == 2 and "cannot factor" in err
     assert time.monotonic() - start < 1.0
+
+
+def test_exit_requests_with_a_code_are_not_caught(capsys, monkeypatch):
+    # argparse's own exit for --help leaves main untouched
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cuspidal")
+    # a handler's SystemExit with an int code is raised again, not reported
+    monkeypatch.setattr(cli, "_cmd_factorizations", lambda args: sys.exit(3))
+    with pytest.raises(SystemExit) as exc:
+        main(["factorizations", "--n", "12"])
+    assert exc.value.code == 3
+    assert capsys.readouterr().err == ""
 
 
 def test_prime_scan_command(capsys):

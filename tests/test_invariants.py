@@ -123,6 +123,23 @@ def test_fibonacci_index_bound_is_where_the_genus_passes_4300_digits():
         fibonacci(top + 1)
 
 
+def test_fibonacci_index_inverts_fibonacci_up_to_the_bound():
+    top = inv.FIBONACCI_INDEX_BOUND
+    for j in range(3, top + 1):
+        phi = fibonacci(j)
+        assert inv.fibonacci_index(phi, top) == j
+        # phi_j -+ 1 is a phi_i with i >= 3 only at phi_4 - 1 = phi_3 and
+        # phi_3 + 1 = phi_4
+        assert inv.fibonacci_index(phi - 1, top) == (3 if j == 4 else 0)
+        assert inv.fibonacci_index(phi + 1, top) == (4 if j == 3 else 0)
+    for value in (0, 1, 4, -5):
+        assert inv.fibonacci_index(value, top) == 0
+    assert inv.fibonacci_index(fibonacci(20), 19) == 0
+    assert inv.fibonacci_index(fibonacci(20), 20) == 20
+    # a value far past the bound builds no Fibonacci number
+    assert inv.fibonacci_index(fibonacci(top) ** 3, top) == 0
+
+
 def test_fibonacci_identities_exhaustive():
     # phi_{n-2} + phi_{n+2} = 3 phi_n and
     # phi_n^2 - phi_{n+r} phi_{n-r} = (-1)^{n-r} phi_r^2 for 1 <= r <= n <= 60
