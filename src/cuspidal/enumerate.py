@@ -51,6 +51,11 @@ Two modes produce identical sets and cross-validate each other:
     proves it), and the root runs its b_1 loop over that interval only.  It
     cuts exactly the b_1 that the probe would cut at j <= 2, without a
     table, and each b_1 left is still probed at every j <= J.
+  - one run per child gcd: the child's span T only loses members below
+    each point as b rises, so the b of one gcd g that pass the prefix cut
+    form one run (``_pruned_extend`` proves it).  Each node bisects for
+    its ends, O(log) probes per gcd, and enters every b between them
+    unprobed.
 
 * ``paranoid`` scans the full characteristic box with only
   provably-lossless cuts: the budget bound b_j <= (d-1)(d-2) + 1 (the
@@ -104,8 +109,9 @@ PRUNED = "pruned"
 PARANOID = "paranoid"
 
 # how long a call runs its tasks alone before it forks helpers (see
-# _run_tasks): about three times a d=60, k=3 search (~3 ms serial on 2 cores),
-# so short searches stay serial; a longer delay only costs long calls more
+# _run_tasks): about three times a d=60, k=3 search (2.9 ms serial at best on
+# a shared 2-core host, medians 3.0-5.0 ms as its load varies), so short
+# searches stay serial; a longer delay only costs long calls more
 _FORK_DELAY_S = 0.01
 
 
@@ -373,17 +379,48 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
 
     The children are grouped by their gcd g = gcd(P, b_(i+1)): for each
     proper divisor g of P with enough prime factors, ``_span_miss`` closes
-    the span of gens/g once, at the first such child (a gcd with no child
-    builds nothing), and each b with gcd(P, b) = g adds only its
-    generator w/g to it.  Such a child has Newton p' = P/g, and every later
-    generator of a leaf below it is at least p' w + 1: w_(m+1) = p_m w_m +
-    Q_m with Q_m >= 1, and the generators increase.  So each leaf's
+    the span of gens/g once, when the group has a b (a gcd with no child
+    builds nothing), and each probe of a b with gcd(P, b) = g adds only
+    its generator w/g to it.  Such a child has Newton p' = P/g, and every
+    later generator of a leaf below it is at least p' w + 1: w_(m+1) =
+    p_m w_m + Q_m with Q_m >= 1, and the generators increase.  So each leaf's
     semigroup contains the child's span and agrees with it below that
     floor, and a child whose span misses the criterion there is not
     entered.  At the root (bs = ()) the b range of each gcd is first
     narrowed to the window of b_1 whose span <a, b_1> passes j <= min(J, 2)
     (``_first_pair_window``); a b_1 outside it would miss there, so the
     narrowing cuts what the probe would and builds no table for it.
+
+    The b of one group that the probe passes form one run, so the node
+    finds its ends by bisection (``_passing_run``) and enters every b
+    between them with no probe of its own.  Let n = P/g and write
+    P_l = gcd(w_1..w_l), n_l = P_(l-1)/P_l = p_(l-1).
+
+    - The gens are telescopic, so n w > F, the largest multiple of P
+      outside <gens>.  Each w_(l+1) = n_l w_l + b_l - b_(l-1) exceeds
+      n_l w_l, as b_l > b_(l-1) (Zariski's condition on the semigroup of a
+      plane branch).  Let F_l be the largest multiple of P_l outside
+      <w_1..w_l>, so F_1 = -w_1 < n_1 w_1 = 0.  If F_(l-1) <
+      n_(l-1) w_(l-1), then n_l w_l, a multiple of P_(l-1) and at least
+      w_l > n_(l-1) w_(l-1) > F_(l-1), lies in <w_1..w_(l-1)>, so F_l =
+      F_(l-1) + (n_l - 1) w_l (Kirfel-Pellikaan 1995), which is below
+      n_l w_l.  So F = F_(i+1) < p w_(i+1) < w < n w.
+    - So each member of T = <gens, w> has one representation s + c w with
+      s in <gens> and 0 <= c < n: n w is a multiple of P above F, so it
+      lies in <gens>, and gcd(P, w) = gcd(P, b) = g, so no c w with
+      0 < c < n is a multiple of P.
+    - So R_T(M) = sum over c < n of R_<gens>(M - c w), and R_T(j*d + 1) can
+      only fall as b, and with it w, rises.
+    - So the passing b lie between a down-set and an up-set.  A b that
+      over-counts at j makes every smaller b over-count at j.  A b that
+      misses on the exact side at j (R_T(j*d + 1) below (j+1)(j+2)/2 with
+      j*d <= n w) makes every larger b miss there too, since R_T only
+      falls and the floor n w + 1 only rises.  The passing b are those in
+      neither set.
+
+    A b in both sets fails, every smaller b over-counts and every larger
+    one misses: the group has no passing b, so whichever way the
+    bisection steps from it, it loses nothing.
     """
     depth = len(bs) + 1
     target = (degree - 1) * (degree - 2)
@@ -402,6 +439,8 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
     # term of b, increasing in b, may use at most `room`
     room = target - partial - later
     last_j = _prefix_last_j(degree, ks[-1])
+    # a child's generator w_(i+2) = p_i w_(i+1) + b_(i+1) - b_i = b + shift
+    shift = p * gens[-1] - prev
     for g in range(2, P // 2 + 1):
         if P % g or not _omega_at_least(g, later):
             continue
@@ -409,18 +448,57 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
         if not bs:  # b_1 outside the window fails the probe at j <= 2
             lo, hi = _first_pair_window(degree, last_j, P, g)
             start, top = max(start, lo), min(top, hi)
-        miss = None
+        ws = []
         for b in range(start // g * g + g, top + 1, g):
-            if gcd(P, b) != g:
-                continue
-            if miss is None:
-                miss = _span_miss(degree, last_j, gens, g)
-            # w_(i+2) = p_i w_(i+1) + b_(i+1) - b_i
-            w = p * gens[-1] + b - prev
-            if miss(w, P // g * w + 1):
-                continue
+            if gcd(P, b) == g:
+                ws.append(b + shift)
+        if not ws:
+            continue
+        miss = _span_miss(degree, last_j, gens, g)
+        for w in ws[_passing_run(miss, ws, P // g)]:
+            b = w - shift
             term = (P - 1) * (b - prev)
             yield from _pruned_extend(degree, ks, bs + (b,), partial + term, g, gens + (w,), P // g)
+
+
+def _passing_run(miss, ws: Sequence[int], n: int) -> slice:
+    """The w of the increasing list ``ws`` that pass ``miss(w, n*w + 1)``,
+    as a slice of it, found by bisection with O(log len(ws)) probes.
+
+    The passing w form one run (see :func:`_pruned_extend`): a w that
+    over-counts at some j puts the run above it, and a w that misses on the
+    exact side puts it below.  A w that does both leaves no run, so either
+    step is safe.  Bisection finds one passing w; below it every failing w
+    over-counts and above it every failing w misses on the exact side, so
+    two more bisections find the ends.
+    """
+    lo, hi = 0, len(ws) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        cut = miss(ws[mid], n * ws[mid] + 1)
+        if cut is None:
+            break
+        j, count = cut
+        if count > (j + 1) * (j + 2) // 2:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    else:
+        return slice(0)
+    first = last = mid
+    while lo < first:
+        t = (lo + first) // 2
+        if miss(ws[t], n * ws[t] + 1) is None:
+            first = t
+        else:
+            lo = t + 1
+    while last < hi:
+        t = (last + hi + 1) // 2
+        if miss(ws[t], n * ws[t] + 1) is None:
+            last = t
+        else:
+            hi = t - 1
+    return slice(first, last + 1)
 
 
 def _paranoid_extend(ks, target, a, bs, partial, P):

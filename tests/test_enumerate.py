@@ -248,12 +248,11 @@ def _every_k(degree):
 
 
 def test_one_walk_serves_every_pair_count(monkeypatch):
-    # at d = 300 one walk over every k probes each distinct (gens, e, w)
-    # whose b_1 lies in the first pair's window once, and finds the records
-    # of the searches for one k each
+    # at d = 300 one walk over every k bisects each gcd group of b once
+    # (2,774 probes), and finds the records of the searches for one k each
     probes = _counted_probes(monkeypatch)
     records = search._search([(300, _every_k(300))], PRUNED, 1)
-    assert probes == [12_775]
+    assert probes == [2_774]
     per_k = [r for k in _every_k(300) for r in enumerate_candidates(SearchConfig(300, k))]
     assert records == sorted(per_k, key=CurveRecord.sort_key)
     assert len(records) == 176
@@ -284,12 +283,12 @@ def test_one_paranoid_walk_serves_every_pair_count():
 
 
 def test_single_pair_count_search_is_pinned(monkeypatch):
-    # the --pairs path walks for its one k: 460 probes and 27 counting
+    # the --pairs path walks for its one k: 192 probes and 27 counting
     # checks give the 27 records at d = 60, k = 3 and 4
     probes = _counted_probes(monkeypatch)
     calls = _counted_checks(monkeypatch)
     records = [r for k in (3, 4) for r in enumerate_candidates(SearchConfig(60, k))]
-    assert probes == [460]
+    assert probes == [192]
     assert len(calls) == len(records) == 27
     text = OutputDocument(tuple(records), {}).to_json()
     assert (
@@ -299,18 +298,27 @@ def test_single_pair_count_search_is_pinned(monkeypatch):
 
 
 def test_one_walk_probe_counts_are_pinned(monkeypatch):
-    # one walk per degree, b_1 only in the first pair's window: 656 probes
-    # to d = 30, 316,925 to d = 200 (under half the 819,474 of a walk that
-    # probes every b_1), and 31,604 at d = 500 over every k
+    # one walk per degree, b_1 only in the first pair's window and each gcd
+    # group bisected: 485 probes to d = 30, 102,748 to d = 200 (a third of
+    # the 316,925 of a walk that probes every b of a group), and 5,039 at
+    # d = 500 over every k; the SHA-256 of the JSON pins every record's
+    # bytes to d = 200
     probes = _counted_probes(monkeypatch)
     assert len(search._search([(d, _every_k(d)) for d in range(3, 31)], PRUNED, 1)) == 138
-    assert probes == [656]
+    assert probes == [485]
     probes[0] = 0
-    assert len(search._search([(d, _every_k(d)) for d in range(3, 201)], PRUNED, 1)) == 3_319
-    assert probes == [316_925]
+    records = classify_range(200)
+    assert probes == [102_748]
+    assert len(records) == 3_319
+    assert sum(r.existence == "candidate" for r in records) == 121
+    text = OutputDocument(tuple(records), {}).to_json()
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "99fff56ac162f86c8e6874b40bd9227e78668e1aa01de0e93cdd40e1dfbce537"
+    )
     probes[0] = 0
     assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
-    assert probes == [31_604]
+    assert probes == [5_039]
 
 
 def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
@@ -391,6 +399,46 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
     assert all(calls)
 
 
+def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
+    # to d = 90 over every k, every b of each gcd group that the tree builds
+    # a counter for is probed (7,624 groups, 33,199 probes; ~0.7 s): the b
+    # that pass are one run in the group's b order, it is the run that the
+    # bisection finds, and the tree enters exactly the passing children
+    span_miss, passing_run, extend = search._span_miss, search._passing_run, search._pruned_extend
+    node_of = {}  # counter -> (degree, gens) of the node that built it
+    groups, passing, entered = [], set(), set()
+
+    def tagged(degree, last_j, gens, e):
+        miss = span_miss(degree, last_j, gens, e)
+        node_of[miss] = degree, gens
+        return miss
+
+    def checked(miss, ws, n):
+        passes = [t for t, w in enumerate(ws) if miss(w, n * w + 1) is None]
+        run = passing_run(miss, ws, n)
+        assert passes == list(range(len(ws))[run]), (node_of[miss], ws, passes)
+        degree, gens = node_of[miss]
+        passing.update((degree, gens + (ws[t],)) for t in passes)
+        groups.append(len(ws))
+        return run
+
+    def recorded(degree, ks, bs, partial, P, gens, p):
+        if bs:
+            entered.add((degree, gens))
+        return extend(degree, ks, bs, partial, P, gens, p)
+
+    monkeypatch.setattr(search, "_span_miss", tagged)
+    monkeypatch.setattr(search, "_passing_run", checked)
+    monkeypatch.setattr(search, "_pruned_extend", recorded)
+    for d in range(3, 91):
+        for k in _every_k(d):
+            passing.clear()
+            entered.clear()
+            enumerate_candidates(SearchConfig(d, k))
+            assert entered == passing, (d, k)
+    assert (len(groups), sum(groups)) == (7_624, 33_199)
+
+
 def _counted_everywhere(monkeypatch, module, name: str) -> list:
     # the positional arguments of every call of module.name from here on,
     # at every place a cuspidal module binds it
@@ -429,7 +477,7 @@ def test_classification_builds_each_record_once(monkeypatch):
     # classification keeps each built record's generators
     generators_of = {r.sort_key(): r.semigroup_generators for r in classify_range(40)}
     assert len(generators_of) == 227
-    assert probes == [1_878]
+    assert probes == [1_243]
     assert len(finalized) == len(checked) == 295
     passing = [(leaf, (d, gens)) for leaf, (d, gens, ok) in zip(finalized, checked) if ok]
     assert len(passing) == len(built) == 227
@@ -707,12 +755,12 @@ run(in_helper=lambda: time.sleep(60), in_caller=fail)
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):
     # the SHA-256 of the JSON pins every record's bytes; one walk per
-    # degree makes 36,912 probes, and 1,321 counting checks give the 1,043
+    # degree makes 16,640 probes, and 1,321 counting checks give the 1,043
     # records
     calls = _counted_checks(monkeypatch)
     probes = _counted_probes(monkeypatch)
     records = classify_range(100)
-    assert probes == [36_912]
+    assert probes == [16_640]
     assert len(calls) == 1_321
     assert len(records) == 1_043
     assert Counter(r.existence for r in records) == {
