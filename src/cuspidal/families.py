@@ -28,10 +28,12 @@ functions alone.  A Kashiwara or Orevkov kind's data name its level by one
 Fibonacci number (the first p of kashiwara-ii-ge is phi_(2l+3)^2, the
 degree of an Orevkov curve phi_(4k+2), and so on; see
 :func:`_specs_of_pairs`), and these numbers strictly increase with the
-level, so each kind proposes at most one spec.  Stored invariants always
-come from recomputation via :mod:`cuspidal.invariants`, never from the
-closed forms, so :func:`invariant_closed_forms` stays an independent
-cross-check; it builds no record.
+level, so each kind proposes at most one spec.  :func:`member_rows` walks
+the same data upward to list the one- and two-pair classifications.
+Stored invariants always come from recomputation via
+:mod:`cuspidal.invariants`, never from the closed forms, so
+:func:`invariant_closed_forms` stays an independent cross-check; it builds
+no record.
 """
 
 from __future__ import annotations
@@ -617,6 +619,73 @@ def attribute_family(degree: int, newton: inv.Pairs) -> FamilySpec | None:
         except FamilyParameterError:
             continue
     return None
+
+
+# ---------------------------------------------------------------------------
+# the one- and two-pair classifications, as family members
+
+# (pair count, kind, fixed params, least walked params): the members that
+# make up the one-pair list (Fernandez de Bobadilla, Luengo,
+# Melle-Hernandez and Nemethi) and the two-pair list (Bodnar)
+_PAIR_MEMBERS = (
+    (1, AMS, (), (3,)),
+    (1, AMS, (2,), (2,)),
+    (1, KASHIWARA_II_GE, (), (0,)),
+    (1, KASHIWARA_II_SP, (), (1,)),
+    (1, OREVKOV, (1,), ()),
+    (1, OREVKOV_STAR, (1,), ()),
+    (2, AMS, (), (3, 2)),
+    (2, AMS, (2,), (2, 2)),
+    (2, KASHIWARA_IIPLUS_GE, (), (0, 0)),
+    (2, KASHIWARA_IIPLUS_SP, (), (0, 0)),
+    (2, TONO_IA, (), (3,)),
+    (2, TONO_IIA, (), (2,)),
+    (2, OREVKOV, (), (2,)),
+    (2, OREVKOV_STAR, (), (2,)),
+)
+
+
+def member_rows(pair_count: int, max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
+    """The complete one- or two-pair classification up to max_degree:
+    (degree, Newton pairs) of each family member that ``_PAIR_MEMBERS``
+    lists for pair_count, sorted.  Each kind's parameters are walked
+    upward through :func:`_family_data` until its members lie past
+    max_degree (see :func:`_walk_members` for why none is lost); members
+    whose data need a Fibonacci index past ``inv.FIBONACCI_INDEX_BOUND``
+    are left out."""
+    rows = set()
+    for count, kind, fixed, least in _PAIR_MEMBERS:
+        if count == pair_count:
+            rows.update(_walk_members(kind, fixed, least, max_degree) or ())
+    return tuple(sorted(rows))
+
+
+def _walk_members(kind: str, fixed: tuple, least: tuple, max_degree: int):
+    """The (degree, pairs) of kind's members (*fixed, *walked) with walked
+    >= least entrywise and degree <= max_degree, each walked parameter
+    taken upward from its least value; None when the member (*fixed,
+    *least) lies past max_degree or past the Fibonacci index bound.
+
+    Each listed kind's degree grows with every parameter, so a member past
+    max_degree has only members past it above it: a parameter stops at the
+    first value whose members all lie past max_degree, and none is lost.
+    A spec outside the domain (:class:`FamilyParameterError`, such as
+    Kashiwara l = 0 with lambda = 0) is skipped; any other ValueError, the
+    Fibonacci index bound, ends that parameter as a member past
+    max_degree would."""
+    if not least:
+        try:
+            degree, pairs = _family_data(FamilySpec(kind, fixed))
+        except FamilyParameterError:
+            return []
+        except ValueError:
+            return None
+        return [(degree, pairs)] if degree <= max_degree else None
+    rows, x = [], least[0]
+    while (more := _walk_members(kind, (*fixed, x), least[1:], max_degree)) is not None:
+        rows += more
+        x += 1
+    return rows if x > least[0] else None
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ row from first principles with :func:`reproduce`:
 * ``induct`` -- the block-reduction chains proving existence of those
   curves, ending in the base registry;
 * ``onepair`` / ``twopairs`` -- the classical one- and two-pair
-  classifications, instantiated for degree <= 30 from their closed forms;
+  classifications for degree <= 30, which are exactly family members
+  (:func:`~cuspidal.families.member_rows`): one pair, the AMS curves (d)
+  and (2, m), kashiwara-ii-ge, kashiwara-ii-sp and the first Orevkov
+  curves, of degrees 8 and 16; two pairs, the AMS curves (n, m) and
+  (2, n, m), kashiwara-iiplus-ge and kashiwara-iiplus-sp with one lambda,
+  tono-ia, tono-iia and the Orevkov curves from k = 2;
 * ``lct-kashiwara`` / ``lct-tono`` / ``lct-orevkov`` -- closed-form log
   canonical thresholds and self-intersections over the standard parameter
   grids, cross-checked against recomputation from Newton pairs;
@@ -18,7 +23,8 @@ row from first principles with :func:`reproduce`:
   degree-<= 30 classification run.
 
 One registry holds the tables: ``_PAIR_TABLES`` maps each pair table to
-its number of Newton pairs and its rows, built on first use, and
+its number of Newton pairs and its rows, built on first use and once per
+process, and
 ``_LCT_GRIDS`` maps each ``lct-*`` table to its parameter grid.
 :data:`TABLE_IDS`, :func:`expected_table`, :func:`reproduce` and the
 expected rows of ``all`` all read it, and ``MAX_DEGREE``, the paper's
@@ -31,18 +37,15 @@ search over every degree with one task per (degree, a), as
 ``classify_range`` does for every pair count at once, and ``induct``
 reads existence and the reduction chain off those records.
 
-A note on ``twopairs``: the published closed-form list restricts its
-second item to k >= 3, but the k = 2, l >= 1 instantiation produces the
-genuine degree-25 curve with pairs (5,31),(2,3) (it is the same curve as
-the first special tangency family member at l = 0, lambda = 1), so the
-embedded table instantiates item 2 for k >= 2 with the degenerate
-first-pair cases filtered out.
+The degree-25 curve with pairs (5,31),(2,3) is in ``twopairs`` as
+kashiwara-iiplus-sp at l = 0, lambda = 1.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 from . import invariants as inv
 from .enumerate import PRUNED, _search, classify_range, classify_record, max_pairs_bound
@@ -52,6 +55,7 @@ from .families import (
     _closed_forms,
     family_curve,
     kashiwara_grid,
+    member_rows,
     orevkov_grid,
     tono_grid,
 )
@@ -113,103 +117,11 @@ REDUCTION_ROWS = (
 )
 
 
-def one_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
-    """The complete one-pair classification up to max_degree: the generic
-    (d-1, d) curve, the even-degree (d/2, 2d-1) curve, two Fibonacci
-    families and the sporadic degree-8 and degree-16 curves.  Here and in
-    :func:`two_pair_rows` the Fibonacci rows stop at
-    ``inv.FIBONACCI_INDEX_BOUND``."""
-    rows = set()
-    for d in range(3, max_degree + 1):
-        rows.add((d, ((d - 1, d),)))
-        if d % 2 == 0:
-            rows.add((d, ((d // 2, 2 * d - 1),)))
-    j = 5
-    # phi_(j-2) phi_j >= phi_j, so no row is left once phi_j passes max_degree
-    while j + 2 <= inv.FIBONACCI_INDEX_BOUND and inv.fibonacci(j) <= max_degree:
-        if j % 2 == 1:
-            d = inv.fibonacci(j - 2) * inv.fibonacci(j)  # = fib(j-1)^2 + 1
-            if d <= max_degree:
-                rows.add((d, ((inv.fibonacci(j - 2) ** 2, inv.fibonacci(j) ** 2),)))
-            if inv.fibonacci(j) <= max_degree:
-                rows.add((inv.fibonacci(j), ((inv.fibonacci(j - 2), inv.fibonacci(j + 2)),)))
-        j += 1
-    if max_degree >= 8:
-        rows.add((8, ((3, 22),)))
-    if max_degree >= 16:
-        rows.add((16, ((6, 43),)))
-    return tuple(sorted(rows))
-
-
-def two_pair_rows(max_degree: int) -> tuple[tuple[int, inv.Pairs], ...]:
-    """The complete two-pair classification up to max_degree (see the
-    module docstring for the k >= 2 reading of the second item)."""
-    rows = set()
-
-    def add(d, pairs):
-        try:
-            inv.validate_newton_pairs(pairs)
-        except inv.InvalidCuspData:
-            return  # degenerate instantiation (leading p = 1)
-        if d <= max_degree:
-            rows.add((d, pairs))
-
-    fib, top = inv.fibonacci, inv.FIBONACCI_INDEX_BOUND
-    k = 2
-    while 2 * k + 1 <= top and fib(2 * k - 1) * fib(2 * k + 1) * fib(2 * k - 3) ** 2 <= max_degree:
-        l = 0
-        while True:
-            head = l * fib(2 * k - 1) ** 2 + fib(2 * k - 3) ** 2
-            d = fib(2 * k - 1) * fib(2 * k + 1) * head
-            if d > max_degree:
-                break
-            if not (k == 2 and l == 0):
-                q1 = l * fib(2 * k + 1) ** 2 + fib(2 * k - 1) ** 2 + 2
-                add(d, ((head, q1), (fib(2 * k - 1) ** 2, head)))
-            l += 1
-        k += 1
-    k = 2
-    while 2 * k + 1 <= top and fib(2 * k + 1) * fib(2 * k - 3) ** 2 <= max_degree:
-        l = 0
-        while True:
-            head = l * fib(2 * k - 1) ** 2 + fib(2 * k - 3) ** 2
-            d = fib(2 * k + 1) * head
-            if d > max_degree:
-                break
-            q1 = l * fib(2 * k + 1) ** 2 + fib(2 * k - 1) ** 2 + 2
-            add(d, ((head, q1), (fib(2 * k - 1), l * fib(2 * k - 1) + fib(2 * k - 5))))
-            l += 1
-        k += 1
-    for n in range(3, max_degree + 1):
-        for m in range(2, max_degree // n + 1):
-            add(n * m, ((n - 1, n), (m, n * m - 1)))
-    for n in range(2, max_degree + 1):
-        for m in range(2, max_degree // (2 * n) + 1):
-            add(2 * n * m, ((n, 4 * n - 1), (m, n * m - 1)))
-    n = 3
-    while n * n + 1 <= max_degree:
-        add(n * n + 1, ((n - 1, n), (n, (n + 1) ** 2)))
-        n += 1
-    n = 2
-    while 8 * n * n + 4 * n + 1 <= max_degree:
-        add(8 * n * n + 4 * n + 1, ((n, 4 * n + 1), (4 * n + 1, (2 * n + 1) ** 2)))
-        n += 1
-    k = 2
-    while 4 * k + 4 <= top and fib(4 * k + 2) <= max_degree:
-        add(fib(4 * k + 2), ((fib(4 * k) // 3, fib(4 * k + 4) // 3), (3, 1)))
-        k += 1
-    k = 2
-    while 4 * k + 4 <= top and 2 * fib(4 * k + 2) <= max_degree:
-        add(2 * fib(4 * k + 2), ((fib(4 * k) // 3, fib(4 * k + 4) // 3), (6, 1)))
-        k += 1
-    return tuple(sorted(rows))
-
-
-# the classification tables: id -> (number of Newton pairs, rows); rows
-# are built on first use, not at import
+# the classification tables: id -> (number of Newton pairs, rows); the
+# family members' rows are built on first use, once per process
 _PAIR_TABLES = {
-    "onepair": (1, lambda: one_pair_rows(MAX_DEGREE)),
-    "twopairs": (2, lambda: two_pair_rows(MAX_DEGREE)),
+    "onepair": (1, cache(partial(member_rows, 1, MAX_DEGREE))),
+    "twopairs": (2, cache(partial(member_rows, 2, MAX_DEGREE))),
     "threepairs": (3, lambda: THREE_PAIR_ROWS),
     "fourpairs": (4, lambda: FOUR_PAIR_ROWS),
 }

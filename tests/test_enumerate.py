@@ -20,6 +20,7 @@ from cuspidal.enumerate import (
     enumerate_candidates,
     max_pairs_bound,
 )
+from cuspidal.families import member_rows
 from cuspidal.invariants import newton_to_puiseux
 from cuspidal.records import CurveRecord, OutputDocument, curve_record, record_to_flat_dict
 from cuspidal.semigroup import _generators, bl_check_unicuspidal
@@ -316,6 +317,25 @@ def test_one_walk_probe_counts_are_pinned(monkeypatch):
         hashlib.sha256(text.encode()).hexdigest()
         == "99fff56ac162f86c8e6874b40bd9227e78668e1aa01de0e93cdd40e1dfbce537"
     )
+    # the two-pair records hold every family row to d = 200, and the
+    # surplus is exactly the two-pair candidates: three series and three
+    # sporadic rows
+    two = [r for r in records if len(r.newton) == 2]
+    rows = set(member_rows(2, 200))
+    assert len(two) == 992 and len(rows) == 914
+    assert rows <= {(r.degree, r.newton) for r in two}
+    surplus = [r for r in two if (r.degree, r.newton) not in rows]
+    assert [r for r in two if r.existence == "candidate"] == surplus
+    expect = {
+        *((4 * a + 1, ((a, 4 * a + 1), (2, 2 * a + 1))) for a in range(2, 50)),
+        *((8 * b + 2, ((b, 4 * b + 1), (4, 4 * b + 1))) for b in range(2, 25)),
+        *((50 * c - 12, ((4 * c - 1, 25 * c - 6), (5, 5 * c - 1))) for c in range(1, 5)),
+        (17, ((2, 7), (4, 17))),
+        (20, ((2, 3), (6, 31))),
+        (190, ((3, 19), (25, 19))),
+    }
+    assert len(surplus) == len(expect) == 78
+    assert {(r.degree, r.newton) for r in surplus} == expect
     probes[0] = 0
     assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
     assert probes == [5_039]

@@ -22,6 +22,7 @@ from cuspidal.families import (
     invariant_closed_forms,
     kashiwara_curve,
     kashiwara_grid,
+    member_rows,
     ordered_factorization_count,
     ordered_factorizations,
     orevkov_curve,
@@ -34,7 +35,6 @@ from cuspidal import families
 from cuspidal import invariants as inv
 from cuspidal.invariants import fibonacci, format_multiplicity, genus_target
 from cuspidal.records import FLAG_INCONSISTENT, FamilySpec
-from cuspidal.tables import one_pair_rows, two_pair_rows
 
 
 def test_ams_curve_examples():
@@ -587,8 +587,8 @@ def test_fibonacci_loops_stop_at_the_bound(monkeypatch):
     # rows, witnesses and specs that these degrees would otherwise reach
     def walks():
         return (
-            set(one_pair_rows(300)),
-            set(two_pair_rows(3000)),
+            set(member_rows(1, 300)),
+            set(member_rows(2, 3000)),
             set(prime_degree_scan(300)),
             # kashiwara-ii-sp at l = 4, whose phi_13 the bound 12 cuts
             set(_specs_of_pairs(89, ((34, 233),))),
@@ -598,3 +598,19 @@ def test_fibonacci_loops_stop_at_the_bound(monkeypatch):
     monkeypatch.setattr(inv, "FIBONACCI_INDEX_BOUND", 12)
     for cut, whole in zip(walks(), full):
         assert cut < whole
+
+
+def test_member_rows_are_the_closed_form_lists():
+    # the rows of the closed-form one- and two-pair lists that the family
+    # walk replaced, by count and by the SHA-256 of their repr
+    pinned = (
+        (1, 30, 47, "b2bf1ec7abdfed4ecda77d7faa144c5cce04588362eccd81ac810b88cae747ae"),
+        (2, 30, 58, "d1d76fee142a00cf9ef024705a63c4bc58e0ab504758152f5f917729aa756200"),
+        (1, 300, 456, "eea1e3df3cc259b451d3e009851f10126921baeddbd583d6be0c48350fe8ccab"),
+        (2, 300, 1_544, "ab377e62c2072de7980b91bc3aa454931cc5cbf29fc1c1fcab32716f625b1cda"),
+        (2, 3000, 25_524, "186b2794d79ff0090b939cf0ca24ce00ffa3e1c92c32304170b304002223bf60"),
+    )
+    for pair_count, max_degree, count, digest in pinned:
+        rows = member_rows(pair_count, max_degree)
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest

@@ -3,15 +3,14 @@ import pytest
 from cuspidal import tables
 from cuspidal.cli import main
 from cuspidal.enumerate import SearchConfig, classify_record, enumerate_candidates, max_pairs_bound
+from cuspidal.families import member_rows
 from cuspidal.tables import (
     FOUR_PAIR_ROWS,
     REDUCTION_ROWS,
     THREE_PAIR_ROWS,
     TABLE_IDS,
     expected_table,
-    one_pair_rows,
     reproduce,
-    two_pair_rows,
 )
 
 
@@ -19,8 +18,8 @@ def test_embedded_row_counts():
     assert len(THREE_PAIR_ROWS) == 22
     assert len(FOUR_PAIR_ROWS) == 1
     assert len(REDUCTION_ROWS) == 20
-    assert len(one_pair_rows(30)) == 47
-    assert len(two_pair_rows(30)) == 58
+    assert len(member_rows(1, 30)) == 47
+    assert len(member_rows(2, 30)) == 58
 
 
 def test_expected_table_lookup():
@@ -31,7 +30,7 @@ def test_expected_table_lookup():
 
 
 def test_one_pair_rows_contains_sporadics():
-    rows = set(one_pair_rows(30))
+    rows = set(member_rows(1, 30))
     assert (8, ((3, 22),)) in rows
     assert (16, ((6, 43),)) in rows
     assert (5, ((2, 13),)) in rows
@@ -40,7 +39,14 @@ def test_one_pair_rows_contains_sporadics():
 
 
 def test_two_pair_rows_includes_degree25():
-    assert (25, ((5, 31), (2, 3))) in set(two_pair_rows(30))
+    assert (25, ((5, 31), (2, 3))) in set(member_rows(2, 30))
+
+
+def test_pair_table_rows_are_built_once():
+    # the family members' rows are walked on first use, then reused
+    for identifier, pair_count in (("onepair", 1), ("twopairs", 2)):
+        assert expected_table(identifier) is expected_table(identifier)
+        assert expected_table(identifier) == member_rows(pair_count, 30)
 
 
 def test_reproduce_unknown_id():
@@ -136,14 +142,14 @@ def test_one_pair_search_equals_the_closed_form_to_degree_300():
     # or a row the search lost, is a fault of the search
     rows = {(r.degree, r.newton) for r in _searched(1, 300)}
     assert len(rows) == 456
-    assert rows == set(one_pair_rows(300))
+    assert rows == set(member_rows(1, 300))
 
 
 def test_two_pair_search_covers_the_closed_form_to_degree_100():
     # every closed-form row is found; the surplus is exactly the unproved
     # two-pair candidates
     records = _searched(2, 100)
-    rows = set(two_pair_rows(100))
+    rows = set(member_rows(2, 100))
     assert len(rows) == 359
     assert rows <= {(r.degree, r.newton) for r in records}
     surplus = [r for r in records if (r.degree, r.newton) not in rows]
