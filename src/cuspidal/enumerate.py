@@ -11,8 +11,12 @@ data subject to:
       must equal (d-1)(d-2);
 (iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
       run once per delta-solved candidate that the cuts below leave, on
-      the semigroup generators of its gcd chain; only a survivor gets a
-      record.
+      the semigroup generators of its gcd chain.  The chain and the delta
+      solve prove what the general check would test, so ``pruned`` counts
+      straight off the chain's Apery box (``semigroup._leaf_check``);
+      ``paranoid`` runs the general ``bl_check_unicuspidal``.  Only a
+      survivor gets a record, built once with the generators that were
+      checked (``_finalize``).
 
 These are the only filters: repeated identical pairs and unit exponents
 (q_j = 1 for j >= 2) are legal and occur in genuine curves, so no ad-hoc
@@ -74,8 +78,10 @@ tree once for every k, while ``enumerate_candidates`` serves its one k
 
 The search is embarrassingly parallel over (degree, leading multiplicity
 a): each pair is one task, and one task list serves every caller
-(``_search``).  The calling process runs the tasks in order.  With more
-than one worker, once the call has run for a fixed delay (10 ms) and
+(``_search``).  For ``classify_range`` and the tables a task also
+classifies each record it builds, in the same step, so with more workers
+the helpers classify too.  The calling process runs the tasks in order.
+With more than one worker, once the call has run for a fixed delay (10 ms) and
 tasks remain, it forks helpers and works alongside them on the rest,
 every process taking the next task index from one token passed around
 through a pipe; so a search shorter than the delay never forks.  The
@@ -96,10 +102,11 @@ from math import gcd, inf, isqrt
 from . import invariants as inv
 from .existence import CANDIDATE, MAX_DEGREE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
-from .records import FLAG_FRONTIER, CurveRecord, curve_record
+from .records import FLAG_FRONTIER, CurveRecord, _record, cusp_data
 from .semigroup import (
     _first_pair_window,
     _generators,
+    _leaf_check,
     _prefix_last_j,
     _span_miss,
     bl_check_unicuspidal,
@@ -157,16 +164,19 @@ def enumerate_candidates(config: SearchConfig) -> list[CurveRecord]:
     return _search([(d, range(k, k + 1))], mode, config.worker_count)
 
 
-def _search(cells: Sequence[tuple[int, range]], mode: str, worker_count: int) -> list[CurveRecord]:
+def _search(
+    cells: Sequence[tuple[int, range]], mode: str, worker_count: int, classify: bool = False
+) -> list[CurveRecord]:
     """The records of every cell (degree, range of pair counts), in
-    canonical order, from the one ``_run_tasks`` call of a search.
+    canonical order, from the one ``_run_tasks`` call of a search;
+    attributed and existence-resolved when ``classify`` is set.
 
     One task per (degree, a) walks the tree below a once for every pair
     count of its cell.  The callers' cells hold each (degree, k) once, and
     k = len(newton), so no record repeats.
     """
     tasks = [(d, ks, a) for d, ks in cells for a in _a_range(d, mode)]
-    records = _run_tasks(lambda task: _search_a(*task, mode), tasks, worker_count)
+    records = _run_tasks(lambda task: _search_a(*task, mode, classify), tasks, worker_count)
     records.sort(key=CurveRecord.sort_key)
     return records
 
@@ -325,14 +335,14 @@ def _a_range(degree: int, mode: str) -> range:
     return range(2, isqrt(target) + 2)
 
 
-def _search_a(degree: int, ks: range, a: int, mode: str) -> list[CurveRecord]:
+def _search_a(degree: int, ks: range, a: int, mode: str, classify: bool) -> list[CurveRecord]:
     """The records with leading multiplicity a at degree d, for every pair
-    count in ``ks``."""
+    count in ``ks``, classified when ``classify`` is set."""
     if mode == PRUNED:
         leaves = _pruned_extend(degree, ks, (), 1 - a, a, (a,), 0)
     else:
         leaves = _paranoid_extend(ks, (degree - 1) * (degree - 2), a, (), 1 - a, a)
-    records = (_finalize(degree, a, bs) for _, bs in leaves)
+    records = (_finalize(degree, a, bs, mode=mode, classify=classify) for _, bs in leaves)
     return [record for record in records if record is not None]
 
 
@@ -522,18 +532,34 @@ def _paranoid_extend(ks, target, a, bs, partial, P):
             yield from _paranoid_extend(ks, target, a, bs + (b,), total, Pn)
 
 
-def _finalize(degree: int, a: int, bs: tuple[int, ...]) -> CurveRecord | None:
-    # The leaf's record, built only when the generators of its gcd chain,
-    # the record's own, pass the counting check.  The record needs no
-    # strict re-check: the chain proves the Newton pairs valid
-    # (``newton_from_characteristic``), and the delta equation the walk
-    # solved makes delta the genus.  No tangent-line filter is needed: the
-    # three smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for
-    # d >= 3 the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
+def _finalize(
+    degree: int, a: int, bs: tuple[int, ...], *, mode: str = PRUNED, classify: bool = False
+) -> CurveRecord | None:
+    """The leaf's record, or None when the generators of its gcd chain fail
+    the counting check.
+
+    ``pruned`` checks them with ``_leaf_check``, which counts off the
+    chain's Apery box, and ``paranoid`` with the general
+    ``bl_check_unicuspidal``, which proves the box before it uses it; the
+    two agree on every leaf, so the modes still cross-validate the cuts.
+    A passing leaf's record is built once, with the generators that were
+    checked and, when ``classify`` is set, with the fields of
+    ``classify_record`` (``_classification``).  It needs no strict
+    re-check: the chain proves the Newton pairs valid
+    (``newton_from_characteristic``), and the delta equation the walk
+    solved makes delta the genus.  No tangent-line filter is needed: the
+    three smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for
+    d >= 3 the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
+    """
     ps, Qs = inv.characteristic_chain(a, bs)
-    if not bl_check_unicuspidal(degree, _generators(ps, Qs)).passed:
+    gens = _generators(ps, Qs)
+    check = _leaf_check(degree, ps, gens) if mode == PRUNED else bl_check_unicuspidal(degree, gens)
+    if not check.passed:
         return None
-    return curve_record(degree, inv._newton_from_chain(a, ps, Qs), strict=False)
+    newton = inv._newton_from_chain(a, ps, Qs)
+    puiseux, mult, delta = cusp_data(degree, newton, strict=False)
+    classified = _classification(degree, newton, mult) if classify else {}
+    return _record(degree, newton, puiseux, mult, delta, gens, **classified)
 
 
 # ---------------------------------------------------------------------------
@@ -544,21 +570,27 @@ def classify_record(record: CurveRecord) -> CurveRecord:
 
     Existence is proved complete only for degrees <= MAX_DEGREE (30), so a
     record above it is flagged "frontier"."""
-    spec = attribute_family(record.degree, record.newton)
-    status, chain = resolve_existence(record.degree, record.mult)
+    return replace(
+        record, **_classification(record.degree, record.newton, record.mult, record.flags)
+    )
+
+
+def _classification(degree: int, newton: inv.Pairs, mult: inv.MultRuns, flags=()) -> dict:
+    # the fields classify_record attaches, for the search's leaves too,
+    # which are built with them
+    spec = attribute_family(degree, newton)
+    status, chain = resolve_existence(degree, mult)
     if status == CANDIDATE and spec is not None:
         status = PROVED_FAMILY
-    flags = record.flags
-    if record.degree > MAX_DEGREE and FLAG_FRONTIER not in flags:
+    if degree > MAX_DEGREE and FLAG_FRONTIER not in flags:
         flags = flags + (FLAG_FRONTIER,)
-    return replace(
-        record,
-        family=spec,
-        kodaira=None if spec is None else kodaira_of_kind(spec.kind),
-        existence=status,
-        reduction_chain=chain,
-        flags=flags,
-    )
+    return {
+        "family": spec,
+        "kodaira": None if spec is None else kodaira_of_kind(spec.kind),
+        "existence": status,
+        "reduction_chain": chain,
+        "flags": flags,
+    }
 
 
 def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
@@ -568,8 +600,9 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
     The candidate list is exhaustive at every degree.  Existence is proved
     complete only for degrees <= 30; records above 30 are flagged
     "frontier".  Each (degree, a) is one search task, whose one walk serves
-    every pair count of its degree; workers share the tasks of all degrees,
-    and the merge preserves canonical order.
+    every pair count of its degree and classifies each record as it builds
+    it, with the fields of :func:`classify_record`; workers share the tasks
+    of all degrees, and the merge preserves canonical order.
     """
     cells = [(d, range(1, max_pairs_bound(d) + 1)) for d in range(3, max_degree + 1)]
-    return [classify_record(record) for record in _search(cells, PRUNED, worker_count)]
+    return _search(cells, PRUNED, worker_count, classify=True)

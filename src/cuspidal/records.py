@@ -5,9 +5,10 @@ rational unicuspidal plane curve: degree, all four cusp representations,
 the scalar invariants, the semigroup generators, an optional family
 attribution with its logarithmic Kodaira dimension, an existence status and
 the reduction chain that proves it.  Records are immutable; derived fields
-are computed once by :func:`curve_record`, every stored invariant can be
-recomputed from the Newton pairs, and the classification fields are
-attached to that record with ``dataclasses.replace``.
+are computed once by :func:`curve_record`, or for a search leaf by
+:func:`_record`, and every stored invariant can be recomputed from the
+Newton pairs.  A search leaf gets its classification fields when it is
+built; any other record gets them attached with ``dataclasses.replace``.
 
 Records are written in three formats (JSON, CSV, Markdown) and never read
 back.  :class:`OutputDocument` writes them in the order it is given; every
@@ -119,29 +120,28 @@ def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> Curv
     family, existence "candidate" and no flag.  Callers attach the rest
     with ``dataclasses.replace`` (``family_curve`` its spec, Kodaira
     dimension, existence and flag; ``classify_record`` the attribution and
-    the existence proof).  Two callers build with ``strict=False``:
-    ``family_curve`` for known-bad source data, which it flags, and the
-    search for a leaf, whose gcd chain and delta equation have already
-    proved what strict checks.  The empty Newton sequence gives the smooth
-    conic.
+    the existence proof).  ``family_curve`` builds with ``strict=False``
+    for known-bad source data, which it flags.  The search does not call
+    this: a leaf, whose gcd chain and delta equation have already proved
+    what strict checks, builds its record once through :func:`_record`,
+    with its chain's generators and, when classified, its classification
+    fields.  The empty Newton sequence gives the smooth conic.
     """
     puiseux, mult, delta = cusp_data(degree, newton, strict=strict)
-    if newton:
-        gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
-        lct_value = inv._lct_from_puiseux(puiseux)
-        self_int = inv._self_intersection_from_puiseux(degree, puiseux)
-    else:
-        gens, lct_value, self_int = (1,), Fraction(1), 3 * degree - 2
-    return CurveRecord(
-        degree=degree,
-        newton=newton,
-        puiseux=puiseux,
-        mult=mult,
-        delta=delta,
-        semigroup_generators=gens,
-        lct=lct_value,
-        self_intersection=self_int,
-    )
+    if not newton:
+        return CurveRecord(degree, newton, puiseux, mult, delta, (1,), Fraction(1), 3 * degree - 2)
+    gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
+    return _record(degree, newton, puiseux, mult, delta, gens)
+
+
+def _record(degree, newton, puiseux, mult, delta, gens, **classified) -> CurveRecord:
+    """The record of a cusp from its :func:`cusp_data` and generators, with
+    the lct and the self-intersection read off the Puiseux pairs, built
+    once: ``classified`` holds any classification fields it carries
+    (family, Kodaira dimension, existence, chain and flags)."""
+    lct_value = inv._lct_from_puiseux(puiseux)
+    self_int = inv._self_intersection_from_puiseux(degree, puiseux)
+    return CurveRecord(degree, newton, puiseux, mult, delta, gens, lct_value, self_int, **classified)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ a numerical semigroup.  Its minimal generators come from the Newton pairs by
 the recursion ``w_1 = P_1``, ``w_2 = Q_1``, ``w_j = p_{j-2} w_{j-1} +
 Q_{j-1}`` (``_generators``, shared by every caller).  A search candidate
 is checked on the generators of its gcd chain, at O(k) cost, and only a
-passing one gets a record, with the same generators.  Membership up to a
-bound is materialized as a bitset inside one Python integer (bit x set iff
-x is in the semigroup), which keeps the closure computation and the
-counting function at C speed even for bounds in the tens of millions.
+passing one gets a record, built once with the same generators.
+Membership up to a bound is materialized as a bitset inside one Python
+integer (bit x set iff x is in the semigroup), which keeps the closure
+computation and the counting function at C speed even for bounds in the
+tens of millions.
 
 The Borodzik-Livingston counting criterion, specialized to a single cusp of
 a degree-d rational cuspidal curve, demands
@@ -56,6 +57,12 @@ bit it does not read, and each saving is lossless:
 Symmetry, the conductor and the telescopic order are not assumed: an
 O(k^2) test on the generators proves them.  No stage whose largest probe
 passes ``TABLE_BIT_CAP`` bits runs.
+
+A search leaf enters next to stages 1-2 (``_leaf_check``): its gcd chain
+gives the box caps p_j w_(j+1) and its delta solve the conductor
+(d-1)(d-2), so the leaf needs neither the test nor stage one's table and
+runs the stage-two sweep alone, from j = 0, which reports the same first
+failing j and R as the two stages would.
 """
 
 from __future__ import annotations
@@ -413,6 +420,10 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
        Telescopic generators give the Apery set as a box (``_apery``), any
        other input by round robin (``_round_robin``, O(k d) steps).
 
+    The search checks its leaves with ``_leaf_check``, which runs stage 2
+    alone from j = 0, on the box that the leaf's gcd chain gives, and
+    returns the same result.
+
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
 
@@ -452,5 +463,40 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         last_j = (degree - 3) // 2
     _check_table_size(degree, last_j * degree)
     apery = _round_robin(gens) if telescopic is None else _apery(gens, telescopic[1])
-    count = _apery_count if gcd(degree, gens[0]) < BUCKET_GCD else _bucket_count
-    return count(degree, gens[0], apery, last_j)
+    return _sweep(degree, gens[0], apery, last_j)
+
+
+def _sweep(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
+    # the first failing j in 0..last_j off the sorted Apery set of w_1, by
+    # the count that g = gcd(d, w_1) selects (item 3 of the module docstring)
+    count = _apery_count if gcd(degree, w1) < BUCKET_GCD else _bucket_count
+    return count(degree, w1, apery, last_j)
+
+
+def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> BLCheckResult:
+    """The counting check of a search leaf: the result of
+    ``bl_check_unicuspidal(degree, generators)``, field for field, for the
+    generators w_1 < ... < w_(k+1) of a valid gcd chain with Newton
+    p_1..p_k whose delta equals the genus (d-1)(d-2)/2.
+
+    The chain proves what stage two of ``bl_check_unicuspidal`` tests, so
+    the check goes straight to its sweep.  The generators of a plane branch
+    are telescopic (Kirfel-Pellikaan 1995; ``enumerate._pruned_extend``
+    proves it for a chain), with n_(j+1) = p_j, so the Apery set of w_1 is
+    the box below the caps p_j w_(j+1) (``_apery``).  Telescopic means
+    symmetric, and the conductor is 2 delta = (d-1)(d-2), which the delta
+    solve fixed, so J = floor((d-3)/2), the J of stage two.  Nothing is
+    lost by skipping stage one: the sweep starts at j = 0 and counts R
+    exactly, so a leaf that fails at j <= 2 gets the same first failing j
+    and R there as stage one would report.
+
+    Where J*d + 1 or 2d + 1 passes ``TABLE_BIT_CAP`` the leaf goes to
+    ``bl_check_unicuspidal`` itself, which checks j <= 2 on its stage-one
+    table and then raises ``TableTooLargeError`` with its message; the
+    box, of w_1 members, is built only below the cap.
+    """
+    last_j = (degree - 3) // 2
+    if max(last_j, 2) * degree >= TABLE_BIT_CAP:
+        return bl_check_unicuspidal(degree, generators)
+    apery = _apery(generators, [None, *(p * w for p, w in zip(ps, generators[1:]))])
+    return _sweep(degree, generators[0], apery, last_j)

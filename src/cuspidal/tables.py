@@ -30,8 +30,9 @@ process, and
 expected rows of ``all`` all read it, and ``MAX_DEGREE``, the paper's
 bound from :mod:`~cuspidal.existence`, is the one degree bound.
 
-Every classification table is diffed against classified records
-(:func:`~cuspidal.enumerate.classify_record`): the four pair tables and
+Every classification table is diffed against classified records, which
+carry the fields of :func:`~cuspidal.enumerate.classify_record` from the
+search task that builds them: the four pair tables and
 ``induct`` each search and classify their own pair count once, in one
 search over every degree with one task per (degree, a), as
 ``classify_range`` does for every pair count at once, and ``induct``
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from . import invariants as inv
-from .enumerate import PRUNED, _search, classify_range, classify_record, max_pairs_bound
+from .enumerate import PRUNED, _search, classify_range, max_pairs_bound
 from .existence import CANDIDATE, MAX_DEGREE, PROVED_REDUCTION
 from .families import (
     FamilyParameterError,
@@ -182,10 +183,11 @@ def _pair_row_str(degree: int, pairs: inv.Pairs, mult: str | None = None) -> str
 def _classified(pair_count: int, worker_count: int) -> list[CurveRecord]:
     """The classified records of one pair count over degrees <= MAX_DEGREE,
     from one search over the cells (degree, pair count), one task per
-    (degree, a), in canonical order for any worker count."""
+    (degree, a), each classifying the records it builds, in canonical order
+    for any worker count."""
     ks = range(pair_count, pair_count + 1)
     cells = [(d, ks) for d in range(3, MAX_DEGREE + 1) if max_pairs_bound(d) >= pair_count]
-    return [classify_record(record) for record in _search(cells, PRUNED, worker_count)]
+    return _search(cells, PRUNED, worker_count, classify=True)
 
 
 def _diff_pair_table(

@@ -315,6 +315,15 @@ def test_counting_table_is_bounded_for_huge_degrees(capsys):
     assert time.monotonic() - start < 5.0
 
 
+def test_search_past_the_counting_cap_exits_2(capsys):
+    # at d = 50,000 a leaf that passes j <= 2 would need
+    # floor((d-3)/2)*d + 1 points, over the table cap (~0.3 s)
+    code, out, err = run(capsys, "enumerate", "--degree", "50000", "--pairs", "1")
+    assert code == 2
+    assert out == ""
+    assert "needs a 1249900001-bit table" in err and "Traceback" not in err
+
+
 def test_factorizations_command(capsys):
     code, out, _ = run(capsys, "factorizations", "--n", "12")
     assert code == 0 and out.strip() == "8"

@@ -17,6 +17,7 @@ from cuspidal.enumerate import (
     PairCountBoundError,
     SearchConfig,
     classify_range,
+    classify_record,
     enumerate_candidates,
     max_pairs_bound,
 )
@@ -214,15 +215,16 @@ def test_classify_range_searches_five_pairs():
 
 
 def _counted_checks(monkeypatch):
-    # the degree of every counting check the search runs from here on
+    # the degree of every counting check the pruned search runs from here
+    # on: each leaf's, which counts off its chain's Apery box
     calls = []
-    check = search.bl_check_unicuspidal
+    check = search._leaf_check
 
-    def counted(degree, generators):
+    def counted(degree, ps, generators):
         calls.append(degree)
-        return check(degree, generators)
+        return check(degree, ps, generators)
 
-    monkeypatch.setattr(search, "bl_check_unicuspidal", counted)
+    monkeypatch.setattr(search, "_leaf_check", counted)
     return calls
 
 
@@ -477,20 +479,22 @@ def _counted_everywhere(monkeypatch, module, name: str) -> list:
 
 def test_classification_builds_each_record_once(monkeypatch):
     # each leaf that reaches _finalize is checked once, on its gcd chain's
-    # generators; only a passing leaf builds a record, with the generators
-    # that were checked, and attribution builds none
+    # generators; only a passing leaf builds a record, once, with the
+    # generators that were checked and its classification fields, and
+    # attribution builds none
     from cuspidal import families, invariants, records
 
     checked = []
-    check = search.bl_check_unicuspidal
+    check = search._leaf_check
 
-    def recorded_check(degree, generators):
-        verdict = check(degree, generators)
+    def recorded_check(degree, ps, generators):
+        verdict = check(degree, ps, generators)
         checked.append((degree, generators, verdict.passed))
         return verdict
 
-    monkeypatch.setattr(search, "bl_check_unicuspidal", recorded_check)
-    built = _counted_everywhere(monkeypatch, records, "curve_record")
+    monkeypatch.setattr(search, "_leaf_check", recorded_check)
+    built = _counted_everywhere(monkeypatch, records, "_record")
+    replaced = _counted_everywhere(monkeypatch, search, "replace")
     family_built = _counted_everywhere(monkeypatch, families, "family_curve")
     finalized = _counted_everywhere(monkeypatch, search, "_finalize")
     probes = _counted_probes(monkeypatch)
@@ -502,9 +506,24 @@ def test_classification_builds_each_record_once(monkeypatch):
     passing = [(leaf, (d, gens)) for leaf, (d, gens, ok) in zip(finalized, checked) if ok]
     assert len(passing) == len(built) == 227
     for ((d, a, bs), generators), args in zip(passing, built):
-        assert args == (d, invariants.newton_from_characteristic(a, bs))
-        assert (d, generators_of[args]) == generators
-    assert family_built == []
+        key = (d, invariants.newton_from_characteristic(a, bs))
+        assert args[:2] == key
+        assert (d, args[5]) == (d, generators_of[key]) == generators
+    assert replaced == family_built == []
+
+
+def test_classified_records_are_built_in_one_step(monkeypatch):
+    # each search task builds its leaves' records already classified, in
+    # the forked helpers too: the same records, field for field, as
+    # classifying a record rebuilt from each leaf's Newton pairs
+    leaves = search._search([(d, _every_k(d)) for d in range(3, 61)], PRUNED, 1)
+    expect = [classify_record(curve_record(r.degree, r.newton, strict=False)) for r in leaves]
+    assert len(expect) == 447
+    assert classify_range(60) == expect
+    _forking_at_once(monkeypatch)
+    forks = _recorded_forks(monkeypatch)
+    assert classify_range(60, worker_count=2) == expect
+    assert len(forks) == 1
 
 
 def _recorded_forks(monkeypatch) -> list[int]:

@@ -1,7 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd, inf, prod
 
 import pytest
@@ -28,6 +28,7 @@ from cuspidal.semigroup import (
     _close,
     _first_pair_window,
     _generators,
+    _leaf_check,
     _round_robin,
     _prefix_last_j,
     _span_miss,
@@ -258,10 +259,21 @@ def full_table_check(degree, generators):
 STAGE_TWO_GCDS = (BUCKET_GCD, 1, inf)
 
 
-def check_every_stage_two_count(monkeypatch, degree, gens, want):
+def check_every_stage_two_count(monkeypatch, degree, gens, want, leaf=False):
+    # ``leaf``: gens are a gcd chain's with delta = genus, so the search's
+    # leaf check must give the same result
     for bucket_gcd in STAGE_TWO_GCDS:
         monkeypatch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
         assert bl_check_unicuspidal(degree, gens) == want, (degree, gens, bucket_gcd)
+        if leaf:
+            assert _leaf_check(degree, chain_ps(gens), gens) == want, (degree, gens, bucket_gcd)
+
+
+def chain_ps(gens):
+    # the Newton p_j = P_j / P_(j+1) of a gcd chain's generators, with
+    # P_j = gcd(w_1, ..., w_j)
+    P = list(accumulate(gens, gcd))
+    return [e // f for e, f in zip(P, P[1:])]
 
 
 def delta_solved_sequences(max_degree):
@@ -320,6 +332,33 @@ def test_stage_one_cap_is_checked_before_any_table(monkeypatch):
     monkeypatch.setattr(semigroup, "_close", no_table)
     with pytest.raises(TableTooLargeError, match="1073741827-bit table"):
         bl_check_unicuspidal(2**29 + 1, (2, 3))
+
+
+def test_leaf_check_past_the_cap_keeps_stage_one(monkeypatch):
+    # a 256-bit cap at d = 30 admits stage one's 2d + 1 = 61 bits but not
+    # the J*d + 1 = 391 of the rest: a leaf that fails at j <= 2 still
+    # returns that failure, and one that passes j <= 2 raises, as the
+    # general check does
+    monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 256)
+    failed = raised = 0
+    for k in range(1, max_pairs_bound(30) + 1):
+        for a, bs in uncut_leaves(30, k):
+            ps, Qs = inv.characteristic_chain(a, bs)
+            gens = _generators(ps, Qs)
+            want = full_table_check(30, gens)
+            if not want.passed and want.first_failing_j <= 2:
+                assert _leaf_check(30, ps, gens) == bl_check_unicuspidal(30, gens) == want
+                failed += 1
+                continue
+            for check in (lambda: _leaf_check(30, ps, gens), lambda: bl_check_unicuspidal(30, gens)):
+                with pytest.raises(TableTooLargeError) as caught:
+                    check()
+                assert str(caught.value) == (
+                    "the counting check at degree 30 needs a 391-bit table, "
+                    "over the cap of 256 bits"
+                )
+            raised += 1
+    assert (failed, raised) == (1_760, 113)
 
 
 def test_span_cut_stays_under_the_table_cap(monkeypatch):
@@ -428,7 +467,7 @@ def test_bl_check_matches_full_table_on_candidates(monkeypatch):
         frobenius, _ = _telescopic(gens)
         assert frobenius + 1 == (degree - 1) * (degree - 2)
         expect = full_table_check(degree, gens)
-        check_every_stage_two_count(monkeypatch, degree, gens, expect)
+        check_every_stage_two_count(monkeypatch, degree, gens, expect, leaf=True)
         staged += expect.passed or expect.first_failing_j > 2
     assert staged == 1_174  # candidates that reach stage two
 
@@ -503,7 +542,8 @@ def test_bl_check_matches_full_table_on_family_members(monkeypatch):
     # the members that reach the per-bucket count unforced
     assert sum(gcd(degree, gens[0]) >= BUCKET_GCD for degree, gens in members) == 8
     for degree, gens in members:
-        check_every_stage_two_count(monkeypatch, degree, gens, full_table_check(degree, gens))
+        expect = full_table_check(degree, gens)
+        check_every_stage_two_count(monkeypatch, degree, gens, expect, leaf=True)
 
 
 def test_stage_two_count_is_selected_by_the_gcd(monkeypatch):
