@@ -95,8 +95,10 @@ import os
 import pickle
 import signal
 import time
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain, repeat
 from math import gcd, inf, isqrt
 
 from . import invariants as inv
@@ -175,10 +177,34 @@ def _search(
     count of its cell.  The callers' cells hold each (degree, k) once, and
     k = len(newton), so no record repeats.
     """
-    tasks = [(d, ks, a) for d, ks in cells for a in _a_range(d, mode)]
+    tasks = _Tasks(cells, mode)
     records = _run_tasks(lambda task: _search_a(*task, mode, classify), tasks, worker_count)
     records.sort(key=CurveRecord.sort_key)
     return records
+
+
+class _Tasks(Sequence):
+    """The (degree, ks, a) tasks of a search's cells, in task order, each
+    made when it is reached: a list of them all would grow with the degree,
+    as the a of one degree number about 2d/3.  Iterating makes them in C,
+    with no Python call per task; only a forked helper indexes, by a
+    bisection over the cells.
+    """
+
+    def __init__(self, cells: Sequence[tuple[int, range]], mode: str):
+        self._cells = [(d, ks, _a_range(d, mode)) for d, ks in cells]
+        self._starts = [0, *accumulate(len(a_range) for _, _, a_range in self._cells)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        return chain.from_iterable(zip(repeat(d), repeat(ks), a_s) for d, ks, a_s in self._cells)
+
+    def __getitem__(self, index: int) -> tuple[int, range, int]:
+        cell = bisect_right(self._starts, index) - 1
+        d, ks, a_range = self._cells[cell]
+        return d, ks, a_range[index - self._starts[cell]]
 
 
 def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:

@@ -45,21 +45,22 @@ bit it does not read, and each saving is lossless:
    and each is the least member of its class, since every member is
    a_1 w_1 plus one of them.  Any other generators get their Apery set
    from a round-robin pass (``_round_robin``).  At the point M = j*d the
-   sweep needs #{r <= M : r mod w_1 > s} for s = M mod w_1.  Every such s
-   is a multiple of g = gcd(d, w_1), and rho > s iff ceil(rho/g) > s/g, so
-   the count is exact from w_1/g + 1 counts of the added residues per
-   bucket ceil(rho/g), summed above s/g (``_bucket_count``).  The check
-   takes them when g >= ``BUCKET_GCD`` and otherwise keeps the residues as
-   the bits of a w_1-bit int, shifted and popcounted at each point
-   (``_apery_count``): a large g makes the bucket list short, while each
-   insert into the int costs O(w_1).
+   sweep (``_sweep``) needs #{r <= M : r mod w_1 > s} for s = M mod w_1.
+   Every such s is a multiple t g of g = gcd(d, w_1), so the sweep steps
+   M by d as (q, t) = (M//w_1, s/g), and it keeps the residues of the
+   Apery members added so far in one of two stores.  When
+   g >= ``BUCKET_GCD`` it keeps w_1/g + 1 counts, one per bucket
+   ceil(rho/g), and sums those above t, which is exact since rho > s iff
+   ceil(rho/g) > t.  Otherwise it keeps the residues as the bits of a
+   w_1-bit int, shifted and popcounted at each point.  A large g makes
+   the bucket list short, while each insert into the int costs O(w_1).
 
 Symmetry, the conductor and the telescopic order are not assumed: an
 O(k^2) test on the generators proves them.  No stage whose largest probe
 passes ``TABLE_BIT_CAP`` bits runs.
 
 A search leaf enters next to stages 1-2 (``_leaf_check``): its gcd chain
-gives the box caps p_j w_(j+1) and its delta solve the conductor
+gives the box sizes n_(j+1) = p_j and its delta solve the conductor
 (d-1)(d-2), so the leaf needs neither the test nor stage one's table and
 runs the stage-two sweep alone, from j = 0, which reports the same first
 failing j and R as the two stages would.
@@ -78,11 +79,12 @@ from .invariants import Pairs, newton_to_puiseux
 # a bound on the prefix-cut tables alive on one path of the search tree
 TABLE_BIT_CAP = 1 << 30
 
-# Least gcd(d, w_1) at which stage two counts residues per bucket
-# (``_bucket_count``) instead of in a w_1-bit int (``_apery_count``).  On
-# the criterion-7 family members up to d = 20,000, every threshold from 16
-# to 128 cut stage two by the same third and 256 by less; below 32 the
-# search leaves at d <= 60 (g <= 30) take the buckets and get slower
+# The store of the stage-two sweep (``_sweep``): from gcd(d, w_1) =
+# BUCKET_GCD up it keeps the added residues as per-bucket counts, below it
+# as the bits of a w_1-bit int.  On the criterion-7 family members up to
+# d = 20,000, every threshold from 16 to 128 cut stage two by the same third
+# and 256 by less; below 32 the search leaves at d <= 60 (g <= 30) take the
+# buckets and get slower
 BUCKET_GCD = 128
 
 
@@ -234,10 +236,9 @@ def _first_pair_window(degree: int, last_j: int, a: int, g: int) -> tuple[int, f
     return (0, degree) if 3 * a > 2 * degree else (0, 0)
 
 
-def _telescopic(
-    generators: tuple[int, ...],
-) -> tuple[int, list[int | None]] | None:
-    """Frobenius number and box caps of a telescopic semigroup, or None.
+def _telescopic(generators: tuple[int, ...]) -> tuple[int, list[int]] | None:
+    """Frobenius number and box sizes n_2..n_k of a telescopic semigroup,
+    or None.
 
     For sorted generators w_1 < ... < w_k with gcd 1 let e_i = gcd(w_1..w_i)
     and n_i = e_(i-1) / e_i.  The sequence is telescopic when n_i w_i lies
@@ -250,9 +251,8 @@ def _telescopic(
     for l = i-1 down to 2, a_l is fixed mod n_l by x - a_l w_l = 0 (mod e_(l-1)),
     and x is a member iff what is left for a_1 is >= 0.  O(k^2) steps.
 
-    The caps are n_i w_i for i >= 2 and None for w_1: by the representation,
-    coefficients a_i >= n_i add no new members, and the box below the caps
-    is the Apery set of w_1 (``_apery``).
+    By the representation, coefficients a_i >= n_i add no new members, and
+    the box 0 <= a_i < n_i is the Apery set of w_1 (``_apery``).
     """
     e = [generators[0]]
     n = [1]
@@ -265,18 +265,17 @@ def _telescopic(
         if x < 0:
             return None
     frobenius = sum((ni - 1) * w for ni, w in zip(n, generators)) - generators[0]
-    caps = [None] + [ni * w for ni, w in zip(n[1:], generators[1:])]
-    return frobenius, caps
+    return frobenius, n[1:]
 
 
-def _apery(generators: tuple[int, ...], caps: list[int | None]) -> list[int]:
+def _apery(generators: tuple[int, ...], ns: Sequence[int]) -> list[int]:
     """Sorted Apery set of w_1 in a telescopic semigroup, the least member
     of each residue class mod w_1: the w_1 box sums sum_(i>=2) a_i w_i with
-    0 <= a_i < n_i, where n_i w_i are the caps of ``_telescopic`` (item 3
-    of the module docstring says why)."""
+    0 <= a_i < n_i, for the n_2..n_k of ``_telescopic`` (item 3 of the
+    module docstring says why)."""
     sums = [0]
-    for w, cap in zip(generators[1:], caps[1:]):
-        sums = [s + t for t in range(0, cap, w) for s in sums]
+    for w, n in zip(generators[1:], ns):
+        sums = [s + t for t in range(0, n * w, w) for s in sums]
     return sorted(sums)
 
 
@@ -343,60 +342,6 @@ def _check_table_size(degree: int, bound: int) -> None:
         )
 
 
-def _apery_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
-    # R(j*d + 1) for j = 0..last_j off the sorted Apery set of w_1: with
-    # q, s = divmod(M, w_1), R(M + 1) = sum over r <= M of (M - r)//w_1 + 1
-    # = c(q + 1) - U - #{r <= M : r mod w_1 > s}, where c counts the r <= M
-    # and U sums their r//w_1.  One pointer adds each r once; the residues
-    # of the r added so far are the bits of a w_1-bit int.
-    c = u = residues = 0
-    for j in range(last_j + 1):
-        point = j * degree
-        while c < w1 and apery[c] <= point:
-            q_r, s_r = divmod(apery[c], w1)
-            u += q_r
-            residues |= 1 << s_r
-            c += 1
-        q, s = divmod(point, w1)
-        count = c * (q + 1) - u - (residues >> (s + 1)).bit_count()
-        if count != (j + 1) * (j + 2) // 2:
-            return BLCheckResult(degree, j, count)
-    return BLCheckResult(degree)
-
-
-def _bucket_count(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
-    # _apery_count with the residues counted per bucket ceil(rho/g) for
-    # g = gcd(d, w_1): g divides every s = j*d mod w_1, so rho > s iff
-    # ceil(rho/g) > s/g, and #{r <= M : r mod w_1 > s} is the sum of the
-    # w_1/g + 1 bucket counts above t = s/g.  point = q w_1 + t g steps by d.
-    g = gcd(degree, w1)
-    n = w1 // g
-    buckets = [0] * (n + 1)
-    step_q, step_t = divmod(degree, w1)
-    step_t //= g
-    c = u = q = t = point = 0
-    expected = 1
-    nxt = apery[0]
-    for j in range(last_j + 1):
-        while nxt <= point:
-            q_r, s_r = divmod(nxt, w1)
-            u += q_r
-            buckets[-(-s_r // g)] += 1
-            c += 1
-            nxt = apery[c] if c < w1 else inf
-        count = c * (q + 1) - u - sum(buckets[t + 1:])
-        if count != expected:
-            return BLCheckResult(degree, j, count)
-        expected += j + 2
-        point += degree
-        q += step_q
-        t += step_t
-        if t >= n:
-            t -= n
-            q += 1
-    return BLCheckResult(degree)
-
-
 def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckResult:
     """Check R(j*d + 1) = (j+1)(j+2)/2 for j = 0, 1, ..., d-2 in turn.
 
@@ -412,13 +357,14 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
        generators are telescopic (``_telescopic``) with Frobenius number
        (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
-       R is counted off the Apery set of w_1, with no table: R(d+1) = 3
-       puts w_1 <= d, so the sweep costs O(d) steps.  With
-       g = gcd(d, w_1) it counts the residues of the added Apery members
-       on a w_1-bit int when g < ``BUCKET_GCD`` (``_apery_count``) and in
-       w_1/g + 1 buckets ceil(rho/g) otherwise (``_bucket_count``).
-       Telescopic generators give the Apery set as a box (``_apery``), any
-       other input by round robin (``_round_robin``, O(k d) steps).
+       R is counted off the Apery set of w_1, with no table, by one sweep
+       (``_sweep``): R(d+1) = 3 puts w_1 <= d, so it costs O(d) steps.
+       With g = gcd(d, w_1) it keeps the residues of the added Apery
+       members in one of two stores: the bits of a w_1-bit int when
+       g < ``BUCKET_GCD``, and w_1/g + 1 bucket counts ceil(rho/g)
+       otherwise.  Telescopic generators give the Apery set as a box
+       (``_apery``), any other input by round robin (``_round_robin``,
+       O(k d) steps).
 
     The search checks its leaves with ``_leaf_check``, which runs stage 2
     alone from j = 0, on the box that the leaf's gcd chain gives, and
@@ -467,10 +413,43 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
 
 
 def _sweep(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
-    # the first failing j in 0..last_j off the sorted Apery set of w_1, by
-    # the count that g = gcd(d, w_1) selects (item 3 of the module docstring)
-    count = _apery_count if gcd(degree, w1) < BUCKET_GCD else _bucket_count
-    return count(degree, w1, apery, last_j)
+    # the first failing j in 0..last_j off the sorted Apery set of w_1 (item
+    # 3 of the module docstring): with q, s = divmod(M, w_1) at M = j*d,
+    # R(M + 1) = sum over r <= M of (M - r)//w_1 + 1 = c(q + 1) - U -
+    # #{r <= M : r mod w_1 > s}, where c counts the r <= M and U sums their
+    # r//w_1.  One pointer adds each r once.  The point steps by d as (q, t)
+    # with s = t g, g = gcd(d, w_1), and ``buckets`` is allocated only for
+    # the per-bucket store.
+    g = gcd(degree, w1)
+    n = w1 // g
+    buckets = [0] * (n + 1) if g >= BUCKET_GCD else None
+    step_q, step_t = divmod(degree, w1)
+    step_t //= g
+    c = u = q = t = point = residues = 0
+    expected = 1
+    nxt = apery[0]
+    for j in range(last_j + 1):
+        while nxt <= point:
+            q_r, s_r = divmod(nxt, w1)
+            u += q_r
+            if buckets is None:
+                residues |= 1 << s_r
+            else:
+                buckets[-(-s_r // g)] += 1
+            c += 1
+            nxt = apery[c] if c < w1 else inf
+        above = (residues >> (t * g + 1)).bit_count() if buckets is None else sum(buckets[t + 1:])
+        count = c * (q + 1) - u - above
+        if count != expected:
+            return BLCheckResult(degree, j, count)
+        expected += j + 2
+        point += degree
+        q += step_q
+        t += step_t
+        if t >= n:
+            t -= n
+            q += 1
+    return BLCheckResult(degree)
 
 
 def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> BLCheckResult:
@@ -483,9 +462,9 @@ def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> 
     the check goes straight to its sweep.  The generators of a plane branch
     are telescopic (Kirfel-Pellikaan 1995; ``enumerate._pruned_extend``
     proves it for a chain), with n_(j+1) = p_j, so the Apery set of w_1 is
-    the box below the caps p_j w_(j+1) (``_apery``).  Telescopic means
-    symmetric, and the conductor is 2 delta = (d-1)(d-2), which the delta
-    solve fixed, so J = floor((d-3)/2), the J of stage two.  Nothing is
+    the box 0 <= a_(j+1) < p_j: ``_apery`` takes the p's as they are.
+    Telescopic means symmetric, and the conductor is 2 delta = (d-1)(d-2),
+    which the delta solve fixed, so J = floor((d-3)/2), the J of stage two.  Nothing is
     lost by skipping stage one: the sweep starts at j = 0 and counts R
     exactly, so a leaf that fails at j <= 2 gets the same first failing j
     and R there as stage one would report.
@@ -498,5 +477,4 @@ def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> 
     last_j = (degree - 3) // 2
     if max(last_j, 2) * degree >= TABLE_BIT_CAP:
         return bl_check_unicuspidal(degree, generators)
-    apery = _apery(generators, [None, *(p * w for p, w in zip(ps, generators[1:]))])
-    return _sweep(degree, generators[0], apery, last_j)
+    return _sweep(degree, generators[0], _apery(generators, ps), last_j)

@@ -324,6 +324,30 @@ def test_search_past_the_counting_cap_exits_2(capsys):
     assert "needs a 1249900001-bit table" in err and "Traceback" not in err
 
 
+def test_search_memory_does_not_grow_with_the_degree():
+    # the d = 10^8 search makes its (degree, a) tasks as it reaches them: its
+    # first task exits 2 at the counting cap in ~0.2 s, where a list of all
+    # ~6.7 * 10^7 tasks would need gigabytes.  The child process alone runs
+    # under a 1 GiB address-space limit, so a list that grows with d ends in
+    # MemoryError (exit 1) instead of exhausting the host.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from cuspidal.cli import main\n"
+        "sys.exit(main(['enumerate', '--degree', '100000000', '--pairs', '1']))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "CUSPIDAL_JOBS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "needs a 4999999800000001-bit table" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_factorizations_command(capsys):
     code, out, _ = run(capsys, "factorizations", "--n", "12")
     assert code == 0 and out.strip() == "8"

@@ -32,6 +32,7 @@ from cuspidal.semigroup import (
     _round_robin,
     _prefix_last_j,
     _span_miss,
+    _sweep,
     _telescopic,
     bl_check_unicuspidal,
     generators_from_newton,
@@ -254,8 +255,8 @@ def full_table_check(degree, generators):
     return BLCheckResult(degree)
 
 
-# BUCKET_GCD selects the stage-two count; 1 forces the per-bucket count on
-# every input, inf the w_1-bit int
+# BUCKET_GCD selects the store of the stage-two sweep; 1 forces the
+# per-bucket counts on every input, inf the w_1-bit int
 STAGE_TWO_GCDS = (BUCKET_GCD, 1, inf)
 
 
@@ -506,19 +507,19 @@ def test_telescopic_matches_brute_force(generators):
         least.setdefault(m % gens[0], m)
     assert len(least) == gens[0]
     assert _round_robin(gens) == sorted(least.values())
-    caps = [None]
+    ns = []
     for i in range(1, len(gens)):
         n = reduce(gcd, gens[:i]) // reduce(gcd, gens[: i + 1])
         if n * gens[i] not in naive_members(gens[:i], n * gens[i]):
             assert _telescopic(gens) is None
             return
-        caps.append(n * gens[i])
-    frobenius, got_caps = _telescopic(gens)
-    assert got_caps == caps
+        ns.append(n)
+    frobenius, got_ns = _telescopic(gens)
+    assert got_ns == ns
     assert frobenius == max(gaps, default=-1)
     assert 2 * len(gaps) == frobenius + 1  # symmetric
-    # the box sums below the caps are the Apery set
-    assert _apery(gens, got_caps) == sorted(least.values())
+    # the box sums 0 <= a_i < n_i are the Apery set
+    assert _apery(gens, got_ns) == sorted(least.values())
 
 
 def family_members(max_degree):
@@ -549,18 +550,56 @@ def test_bl_check_matches_full_table_on_family_members(monkeypatch):
 def test_stage_two_count_is_selected_by_the_gcd(monkeypatch):
     # <2 * 127, w> at d = 5 * 127 and <2 * 128, w> at d = 5 * 128 pass stage
     # one (w > 2d): g = 127 keeps the w_1-bit int, g = BUCKET_GCD = 128
-    # takes the buckets
+    # takes the buckets.  Only the bucket store sums a list in the module
+    # (``_telescopic`` sums a generator), so the sums on a list show which
+    # store the sweep took.
     assert BUCKET_GCD == 128
-    calls = []
-    for name in ("_apery_count", "_bucket_count"):
-        def traced(*args, kernel=getattr(semigroup, name), name=name):
-            calls.append(name)
-            return kernel(*args)
+    bucket_sums = []
 
-        monkeypatch.setattr(semigroup, name, traced)
+    def traced_sum(items, *start):
+        if isinstance(items, list):
+            bucket_sums.append(len(items))
+        return sum(items, *start)
+
+    monkeypatch.setattr(semigroup, "sum", traced_sum, raising=False)
+    took_buckets = []
     for degree, gens in ((635, (254, 1271)), (640, (256, 1281))):
+        before = len(bucket_sums)
         assert bl_check_unicuspidal(degree, gens) == full_table_check(degree, gens)
-    assert calls == ["_apery_count", "_bucket_count"]
+        took_buckets.append(len(bucket_sums) > before)
+    assert took_buckets == [False, True]
+
+
+def apery_check(degree, w1, apery, last_j):
+    # the first j <= last_j where R(j*d + 1), summed over the Apery set of
+    # w_1 term by term, differs from (j+1)(j+2)/2
+    for j in range(last_j + 1):
+        point = j * degree
+        count = sum((point - r) // w1 + 1 for r in apery if r <= point)
+        if count != (j + 1) * (j + 2) // 2:
+            return BLCheckResult(degree, j, count)
+    return BLCheckResult(degree)
+
+
+@settings(max_examples=150, deadline=None)
+@given(characteristic_sequences(), st.data())
+def test_sweep_matches_the_apery_count_on_every_store(sequence, data):
+    # d = g m with g | w_1 and gcd(m, w_1/g) = 1 puts gcd(d, w_1) = g
+    # anywhere in 1..w_1; m runs past 3 w_1/g, so d lies on both sides of
+    # w_1 and t wraps past w_1/g
+    a, bs = sequence
+    ps, Qs = inv.characteristic_chain(a, bs)
+    gens = _generators(ps, Qs)
+    box = _apery(gens, ps)
+    g = data.draw(st.sampled_from([x for x in range(1, a + 1) if a % x == 0]))
+    m = data.draw(st.integers(1, 3 * a // g + 3).filter(lambda m: gcd(m, a // g) == 1))
+    degree = g * m
+    last_j = data.draw(st.integers(0, 12))
+    want = apery_check(degree, a, box, last_j)
+    for bucket_gcd in STAGE_TWO_GCDS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
+            assert _sweep(degree, a, box, last_j) == want, bucket_gcd
 
 
 def test_round_robin_inputs_match_full_table_on_every_stage_two_count(monkeypatch):
