@@ -44,17 +44,19 @@ Two modes produce identical sets and cross-validate each other:
     so S and T have the same members up to p_i w_(i+1).  If, for some
     j <= J = floor((d-3)/2), R_T(j*d + 1) > (j+1)(j+2)/2, or
     j*d <= p_i w_(i+1) and R_T(j*d + 1) != (j+1)(j+2)/2, every candidate
-    below fails (iii) and the node is not entered.  ``semigroup._span_miss``
-    owns the tables and the count, one counter per child gcd; J is lowered
-    where the tables would pass ``TABLE_BIT_CAP``, which only cuts less.
-    Only the leaves that survive it reach the counting check.
+    below fails (iii) and the node is not entered.  The probe builds no
+    table: each node carries the Apery set of a in the span of its
+    generators, a child's set follows from its parent's in one merge, and
+    the stage-two sweep of the counting check (``semigroup._sweep``)
+    counts R_T off it (``_span_miss``).  Only the leaves that survive the
+    cut reach the counting check.
   - the first pair's window: at the root, T = <a, b_1> for a child of gcd
     g, and every member of it is x a + y b_1 with 0 <= y < a/g in exactly
     one way.  So the b_1 that pass the prefix cut at j <= min(J, 2) form
     one interval per (a, g) in closed form (``semigroup._first_pair_window``
     proves it), and the root runs its b_1 loop over that interval only.  It
     cuts exactly the b_1 that the probe would cut at j <= 2, without a
-    table, and each b_1 left is still probed at every j <= J.
+    probe, and each b_1 left is still probed at every j <= J.
   - one run per child gcd: the child's span T only loses members below
     each point as b rises, so the b of one gcd g that pass the prefix cut
     form one run (``_pruned_extend`` proves it).  Each node bisects for
@@ -105,14 +107,7 @@ from . import invariants as inv
 from .existence import CANDIDATE, MAX_DEGREE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, _record, cusp_data
-from .semigroup import (
-    _first_pair_window,
-    _generators,
-    _leaf_check,
-    _prefix_last_j,
-    _span_miss,
-    bl_check_unicuspidal,
-)
+from .semigroup import _first_pair_window, _generators, _leaf_check, _sweep, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -365,7 +360,7 @@ def _search_a(degree: int, ks: range, a: int, mode: str, classify: bool) -> list
     """The records with leading multiplicity a at degree d, for every pair
     count in ``ks``, classified when ``classify`` is set."""
     if mode == PRUNED:
-        leaves = _pruned_extend(degree, ks, (), 1 - a, a, (a,), 0)
+        leaves = _pruned_extend(degree, ks, (), 1 - a, a, (a,), 0, [0])
     else:
         leaves = _paranoid_extend(ks, (degree - 1) * (degree - 2), a, (), 1 - a, a)
     records = (_finalize(degree, a, bs, mode=mode, classify=classify) for _, bs in leaves)
@@ -388,7 +383,7 @@ def _omega_at_least(n: int, count: int) -> bool:
     return found >= count
 
 
-def _pruned_extend(degree, ks, bs, partial, P, gens, p):
+def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     """Yield (a, (b_1..b_k)) for every pair count k in the range ``ks``,
     with the final exponent solved exactly.
 
@@ -410,14 +405,20 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
     adds at least 1 to the bracket, and the gcd drops at each of them, so g
     has at least k - i - 1 prime factors).  The leaf solve reads no bound,
     so every served k gets exactly the leaves of a walk of its own.  No
-    other cut depends on k but J, the last j of the prefix cut, which is
-    least for the largest k (``_prefix_last_j``); fewer j only cut less.
+    other cut depends on k: the prefix cut checks every j <= J =
+    floor((d-3)/2).
 
     The children are grouped by their gcd g = gcd(P, b_(i+1)): for each
-    proper divisor g of P with enough prime factors, ``_span_miss`` closes
-    the span of gens/g once, when the group has a b (a gcd with no child
-    builds nothing), and each probe of a b with gcd(P, b) = g adds only
-    its generator w/g to it.  Such a child has Newton p' = P/g, and every
+    proper divisor g of P with enough prime factors that has a b, the node
+    makes one probe (``_span_miss``; a gcd with no child makes none).  The
+    node carries ``apery``, the sorted Apery set of a = w_1 in <gens>: the
+    least member of each residue class mod a that <gens> meets, a/P of
+    them, the root's being [0].  Its child T = <gens, w> of gcd g gets
+    {s + c w : s in ``apery``, 0 <= c < n}, n = P/g (proved below), and
+    ``semigroup._sweep`` counts R_T(j*d + 1) off it as the counting check
+    counts R off the Apery set of w_1.  The probe builds the set once per
+    w, and the child entered with w reuses it.  Such a child has Newton
+    p' = P/g, and every
     later generator of a leaf below it is at least p' w + 1: w_(m+1) =
     p_m w_m + Q_m with Q_m >= 1, and the generators increase.  So each leaf's
     semigroup contains the child's span and agrees with it below that
@@ -425,7 +426,7 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
     entered.  At the root (bs = ()) the b range of each gcd is first
     narrowed to the window of b_1 whose span <a, b_1> passes j <= min(J, 2)
     (``_first_pair_window``); a b_1 outside it would miss there, so the
-    narrowing cuts what the probe would and builds no table for it.
+    narrowing cuts what the probe would, with no probe.
 
     The b of one group that the probe passes form one run, so the node
     finds its ends by bisection (``_passing_run``) and enters every b
@@ -445,6 +446,12 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
       s in <gens> and 0 <= c < n: n w is a multiple of P above F, so it
       lies in <gens>, and gcd(P, w) = gcd(P, b) = g, so no c w with
       0 < c < n is a multiple of P.
+    - So T's Apery set of a is {s + c w : s in ``apery``, 0 <= c < n}.
+      Every member of T is s + c w + t a with s in ``apery`` and t >= 0,
+      so the least member of each class has the form s + c w.  Two of
+      them in one class mod a, c >= c', have (c - c') w = s' - s (mod a);
+      P divides a, s and s', so P divides (c - c') w, n divides c - c'
+      and c = c'.  Then s = s', as ``apery`` holds one member per class.
     - So R_T(M) = sum over c < n of R_<gens>(M - c w), and R_T(j*d + 1) can
       only fall as b, and with it w, rises.
     - So the passing b lie between a down-set and an up-set.  A b that
@@ -474,7 +481,7 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
     # the budget: each later stage adds at least 1 to the bracket, so the
     # term of b, increasing in b, may use at most `room`
     room = target - partial - later
-    last_j = _prefix_last_j(degree, ks[-1])
+    last_j = (degree - 3) // 2
     # a child's generator w_(i+2) = p_i w_(i+1) + b_(i+1) - b_i = b + shift
     shift = p * gens[-1] - prev
     for g in range(2, P // 2 + 1):
@@ -490,11 +497,49 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p):
                 ws.append(b + shift)
         if not ws:
             continue
-        miss = _span_miss(degree, last_j, gens, g)
+        miss, span = _span_miss(degree, last_j, gens, apery, P // g)
         for w in ws[_passing_run(miss, ws, P // g)]:
             b = w - shift
             term = (P - 1) * (b - prev)
-            yield from _pruned_extend(degree, ks, bs + (b,), partial + term, g, gens + (w,), P // g)
+            yield from _pruned_extend(
+                degree, ks, bs + (b,), partial + term, g, gens + (w,), P // g, span(w)
+            )
+
+
+def _span_miss(degree, last_j, gens, apery, n):
+    """The prefix probe of a node's children of one gcd g, n = P/g:
+    ``miss(w, floor)``, the first (j, R_T(j*d + 1)) of T = <gens, w> that
+    ``semigroup._sweep`` reports with that floor, and ``span(w)``, T's
+    sorted Apery set of a, which the probe builds once per w and the child
+    entered with w reuses.
+
+    ``apery`` is the node's Apery set of a = w_1 in <gens>, a/P members.
+    T's is {s + c w : s in ``apery``, 0 <= c < n} (see
+    :func:`_pruned_extend`), so the sweep counts exactly what a table of
+    T's members would.
+
+    A miss means that every semigroup S which contains T and has the same
+    members below ``floor`` fails the counting criterion, which asks
+    R_S(j*d + 1) = (j+1)(j+2)/2 at every j <= d-2: T <= S gives
+    R_S(x) >= R_T(x), and S and T agree on [0, j*d] when j*d < floor, so
+    R_S(j*d + 1) = R_T(j*d + 1).  The search probes with floor n w + 1,
+    below every later generator of a leaf under the child, so a child that
+    misses is cut losslessly.
+    """
+    spans = {}
+
+    def span(w):
+        if w not in spans:
+            spans[w] = members = []
+            for s in apery:  # one ascending run per s, merged by the sort
+                members += range(s, s + n * w, w)
+            members.sort()
+        return spans[w]
+
+    def miss(w, floor):
+        return _sweep(degree, gens[0], span(w), last_j, floor)
+
+    return miss, span
 
 
 def _passing_run(miss, ws: Sequence[int], n: int) -> slice:

@@ -24,36 +24,38 @@ bit it does not read, and each saving is lossless:
 1. A table closed over [0, B] is exact on [0, B], so checking j <= 2 needs
    only [0, 2d].  Stage one checks j <= 2, where most candidates fail, on
    O(d) bits, with one popcount of the table int per j; only the survivors
-   go on to stage two, which builds no table.  Stage one is the span
-   counter ``_span_miss`` with no floor, the same popcount loop that the
-   search's prefix cut runs on the span of each node's generators.
+   go on to stage two, which builds no table.  Stage one's is the only
+   membership table the package closes: the search's prefix cut counts
+   each span off its Apery set with the stage-two sweep (item 3).
 2. A plane-branch semigroup is symmetric (Kunz 1970).  When S is symmetric
    with conductor (d-1)(d-2), i.e. delta equals the genus,
    R(j*d + 1) - (j+1)(j+2)/2 = R((d-3-j)*d + 1) - (d-2-j)(d-1-j)/2, so the
    first failing j is always <= floor((d-3)/2) and stage two stops there.
 3. Stage two needs no table: it counts R off the Apery set of w_1, the
-   least member of each residue class mod w_1.  In any numerical semigroup
-   the members <= M are r + t w_1 for Apery members r <= M and
-   0 <= t <= (M - r)//w_1, each once, which gives R(M + 1) in closed form
-   per Apery member; one ascending sweep over the sorted set serves every
-   j at w_1 <= d members.  The generators of a plane branch are telescopic
-   (Kirfel-Pellikaan 1995), and then the Apery set is a box: every member
-   has exactly one representation sum a_i w_i with a_1 >= 0 and
-   0 <= a_i < n_i for i >= 2, so the box sums sum_(i>=2) a_i w_i are
-   pairwise incongruent mod w_1 (two in one class, r < r', would give r'
-   the second representation r + t w_1), there are prod n_i = w_1 of them,
-   and each is the least member of its class, since every member is
-   a_1 w_1 plus one of them.  Any other generators get their Apery set
-   from a round-robin pass (``_round_robin``).  At the point M = j*d the
-   sweep (``_sweep``) needs #{r <= M : r mod w_1 > s} for s = M mod w_1.
-   Every such s is a multiple t g of g = gcd(d, w_1), so the sweep steps
-   M by d as (q, t) = (M//w_1, s/g), and it keeps the residues of the
-   Apery members added so far in one of two stores.  When
-   g >= ``BUCKET_GCD`` it keeps w_1/g + 1 counts, one per bucket
-   ceil(rho/g), and sums those above t, which is exact since rho > s iff
-   ceil(rho/g) > t.  Otherwise it keeps the residues as the bits of a
-   w_1-bit int, shifted and popcounted at each point.  A large g makes
-   the bucket list short, while each insert into the int costs O(w_1).
+   least member of each residue class mod w_1 that the semigroup meets.
+   In any semigroup of non-negative integers that contains w_1 the members
+   <= M are r + t w_1 for Apery members r <= M and 0 <= t <= (M - r)//w_1,
+   each once, which gives R(M + 1) in closed form per Apery member; one
+   ascending sweep over the sorted set serves every j, at w_1 <= d members
+   for a numerical semigroup that passes j = 1.  The generators of a plane
+   branch are telescopic (Kirfel-Pellikaan 1995), and then the Apery set
+   is a box: every member has exactly one representation sum a_i w_i with
+   a_1 >= 0 and 0 <= a_i < n_i for i >= 2, so the box sums
+   sum_(i>=2) a_i w_i are pairwise incongruent mod w_1 (two in one class,
+   r < r', would give r' the second representation r + t w_1), there are
+   prod n_i = w_1 of them, and each is the least member of its class,
+   since every member is a_1 w_1 plus one of them.  Any other generators
+   get their Apery set from a round-robin pass (``_round_robin``).  At
+   the point M = j*d the sweep (``_sweep``) needs
+   #{r <= M : r mod w_1 > s} for s = M mod w_1.  It steps M by d as
+   (M//w_1, s) and keeps the residues of the Apery members added so far
+   in one of two stores.  Every such s is a multiple
+   of g = gcd(d, w_1).  When g >= ``BUCKET_GCD`` it keeps w_1/g + 1
+   counts, one per bucket ceil(rho/g), and sums those above s/g, which is
+   exact since rho > s iff ceil(rho/g) > s/g.  Otherwise it keeps the
+   residues as the bits of a w_1-bit int, shifted and popcounted at each
+   point.  A large g makes the bucket list short, while each insert into
+   the int costs O(w_1).
 
 Symmetry, the conductor and the telescopic order are not assumed: an
 O(k^2) test on the generators proves them.  No stage whose largest probe
@@ -62,21 +64,22 @@ passes ``TABLE_BIT_CAP`` bits runs.
 A search leaf enters next to stages 1-2 (``_leaf_check``): its gcd chain
 gives the box sizes n_(j+1) = p_j and its delta solve the conductor
 (d-1)(d-2), so the leaf needs neither the test nor stage one's table and
-runs the stage-two sweep alone, from j = 0, which reports the same first
-failing j and R as the two stages would.
+runs the stage-two sweep alone, from j = 1, which reports the same first
+failing j and R as the two stages would.  The search's prefix probe
+(``enumerate._span_miss``) runs the same sweep, with a floor, on the Apery
+set of w_1 in the span of the generators a node has fixed.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from math import gcd, inf, prod
 from typing import NamedTuple
 
 from .invariants import Pairs, newton_to_puiseux
 
 # Largest range [0, J*d] a counting-check stage covers, in bits: the size of
-# stage one's membership table, and for stage two a bound on its work; also
-# a bound on the prefix-cut tables alive on one path of the search tree
+# stage one's membership table, and for stage two a bound on its work
 TABLE_BIT_CAP = 1 << 30
 
 # The store of the stage-two sweep (``_sweep``): from gcd(d, w_1) =
@@ -118,18 +121,18 @@ def _sorted_generators(generators: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(set(generators)))
 
 
-def _close(generators: Sequence[int], bound: int, bits: int = 1) -> int:
-    """Bitset of the members of <B, generators> in [0, bound], where
-    ``bits`` is the table of a semigroup B over [0, bound] ({0} by default).
+def _close(generators: Sequence[int], bound: int) -> int:
+    """Bitset of the members of <generators> in [0, bound].
 
-    Closes the table under addition of each generator g by shift-or with
+    Closes the table {0} under addition of each generator g by shift-or with
     doubling strides g, 2g, 4g, ... up to the bound: after the strides up to
     2^t g every multiple m g with m < 2^(t+1) has been added.  The table is
-    exact on [0, bound] whatever the bound: a member x <= bound is a member
-    of B plus a sum of generators, whose partial sums all stay <= x, so the
-    mask never drops one that is needed.
+    exact on [0, bound] whatever the bound: a member x <= bound is a sum of
+    generators, whose partial sums all stay <= x, so the mask never drops
+    one that is needed.
     """
     mask = (1 << (bound + 1)) - 1
+    bits = 1
     for g in generators:
         shift = g
         while shift <= bound:
@@ -138,65 +141,11 @@ def _close(generators: Sequence[int], bound: int, bits: int = 1) -> int:
     return bits
 
 
-def _prefix_last_j(degree: int, pair_count: int) -> int:
-    """The last j the search's prefix cut (``_span_miss``) checks:
-    floor((d-3)/2), lowered so that the tables alive on one root-to-leaf
-    path of a k-pair search stay under ``TABLE_BIT_CAP`` bits.
-
-    A node at depth l < k (one that has fixed b_1..b_(l-1)) holds one base
-    table and one child table at a time, each over [0, J*d//g] for a child
-    gcd g with at least k - l prime factors, so g >= 2^(k-l) and the two
-    hold at most 2 (J*d/2^(k-l) + 1) bits.  Summed over l = 1..k-1 that is
-    below 2 (J*d + k).  Fewer j cut less, so a lowered J stays lossless.
-    """
-    return max(0, min((degree - 3) // 2, (TABLE_BIT_CAP // 2 - pair_count) // degree))
-
-
-def _span_miss(
-    degree: int, last_j: int, gens: tuple[int, ...], e: int
-) -> Callable[[int, float], tuple[int, int] | None]:
-    """The counter of the spans T = <gens, w> for one ``gens`` and gcd e.
-
-    Closes B = <gens/e> once over [0, last_j*d//e] and returns
-    ``miss(w, floor)``: the first (j, R_T(j*d + 1)), j in 1..last_j, with
-
-    - R_T(j*d + 1) > (j+1)(j+2)/2, or
-    - j*d < floor and R_T(j*d + 1) != (j+1)(j+2)/2,
-
-    or None if there is none.  e divides every generator, and a member
-    t <= M of T is e t' with t' <= M//e in <B, w/e>, so one shift-or of
-    w/e into the table of B (``_close``, exact on [0, last_j*d//e]) gives
-    every count by a popcount.
-
-    A miss means that every semigroup S which contains T and has the same
-    members below ``floor`` fails the counting criterion, which asks
-    R_S(j*d + 1) = (j+1)(j+2)/2 at every j <= d-2: T <= S gives
-    R_S(x) >= R_T(x), and S and T agree on [0, j*d] when j*d < floor, so
-    R_S(j*d + 1) = R_T(j*d + 1).  So a search node whose candidates all
-    have such an S, because their later generators are all >= floor, is
-    cut losslessly.  With no floor (floor = inf, S = T) the miss is the
-    first failing j of T itself: stage one of the counting check.
-    """
-    bound = last_j * degree // e
-    base = _close([w // e for w in gens], bound)
-
-    def miss(w: int, floor: float) -> tuple[int, int] | None:
-        bits = _close((w // e,), bound, base)
-        for j in range(1, last_j + 1):
-            point = j * degree
-            count = (bits & ((2 << point // e) - 1)).bit_count()
-            expected = (j + 1) * (j + 2) // 2
-            if count > expected or (count != expected and point < floor):
-                return j, count
-        return None
-
-    return miss
-
-
 def _first_pair_window(degree: int, last_j: int, a: int, g: int) -> tuple[int, float]:
     """(lo, hi) such that, for d/3 < a < b with gcd(a, b) = g < a, the span
-    T = <a, b> passes ``_span_miss``'s probe with floor n b + 1, n = a/g,
-    at every j <= min(last_j, 2) iff lo < b <= hi.
+    T = <a, b> passes the search's prefix probe (``enumerate._span_miss``)
+    with floor n b + 1, n = a/g, at every j <= min(last_j, 2) iff
+    lo < b <= hi.
 
     The probe at j asks R_T(j*d + 1) <= (j+1)(j+2)/2, with equality when
     j*d <= n b.  Every member of T is x a + y b with x >= 0 and
@@ -352,8 +301,7 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     1. J = min(d-2, 2), on a membership table closed over [0, J*d], the
        bits below the largest point it probes.  Most candidates fail here,
        on O(d) bits.  R(d+1) and R(2d+1) are popcounts of the masked table
-       int (``_span_miss`` with no floor); j = 0 is not probed, as
-       R(1) = 1 always holds.
+       int; j = 0 is not probed, as R(1) = 1 always holds.
     2. Only for a cusp that passes stage 1: J = d-2, unless the sorted
        generators are telescopic (``_telescopic``) with Frobenius number
        (d-1)(d-2) - 1, i.e. delta equals the genus; then J = floor((d-3)/2).
@@ -367,7 +315,7 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
        O(k d) steps).
 
     The search checks its leaves with ``_leaf_check``, which runs stage 2
-    alone from j = 0, on the box that the leaf's gcd chain gives, and
+    alone from j = 1, on the box that the leaf's gcd chain gives, and
     returns the same result.
 
     Each saving is lossless, so the result equals, field for field, that of
@@ -398,9 +346,11 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     # stage one: j <= min(d-2, 2) on a table over [0, J*d]
     last_j = min(degree - 2, 2)
     _check_table_size(degree, last_j * degree)
-    miss = _span_miss(degree, last_j, gens[:-1], 1)(gens[-1], inf)
-    if miss is not None:
-        return BLCheckResult(degree, *miss)
+    bits = _close(gens, last_j * degree)
+    for j in range(1, last_j + 1):
+        count = (bits & ((2 << j * degree) - 1)).bit_count()
+        if count != (j + 1) * (j + 2) // 2:
+            return BLCheckResult(degree, j, count)
     if degree <= 4:  # every j checked
         return BLCheckResult(degree)
     last_j = degree - 2
@@ -409,26 +359,40 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
         last_j = (degree - 3) // 2
     _check_table_size(degree, last_j * degree)
     apery = _round_robin(gens) if telescopic is None else _apery(gens, telescopic[1])
-    return _sweep(degree, gens[0], apery, last_j)
+    return BLCheckResult(degree, *(_sweep(degree, gens[0], apery, last_j) or ()))
 
 
-def _sweep(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult:
-    # the first failing j in 0..last_j off the sorted Apery set of w_1 (item
-    # 3 of the module docstring): with q, s = divmod(M, w_1) at M = j*d,
-    # R(M + 1) = sum over r <= M of (M - r)//w_1 + 1 = c(q + 1) - U -
-    # #{r <= M : r mod w_1 > s}, where c counts the r <= M and U sums their
-    # r//w_1.  One pointer adds each r once.  The point steps by d as (q, t)
-    # with s = t g, g = gcd(d, w_1), and ``buckets`` is allocated only for
-    # the per-bucket store.
+def _sweep(
+    degree: int, w1: int, apery: list[int], last_j: int, floor: float = inf
+) -> tuple[int, int] | None:
+    """The first (j, R(j*d + 1)), j in 1..last_j, with R(j*d + 1) >
+    (j+1)(j+2)/2, or with R(j*d + 1) != (j+1)(j+2)/2 and j*d < floor, or
+    None if there is none; R counts the members of a semigroup S that
+    contains w1, off the sorted Apery set ``apery`` of w1 in S.
+
+    With no floor (floor = inf) that is the first failing j of the counting
+    check past j = 0, where R(1) = 1 always holds; stage two of
+    ``bl_check_unicuspidal``, ``_leaf_check`` and the search's prefix probe
+    (``enumerate._span_miss``) all count here.  S need not be numerical:
+    its members are r + t w1 for r in ``apery`` and t >= 0, each once, in
+    whatever residue classes mod w1 S meets, so the set may hold fewer than
+    w1 members (item 3 of the module docstring).
+    """
+    # with q, s = divmod(M, w_1) at M = j*d, R(M + 1) = sum over r <= M of
+    # (M - r)//w_1 + 1 = c(q + 1) - U - #{r <= M : r mod w_1 > s}, where c
+    # counts the r <= M and U sums their r//w_1.  One pointer adds each r
+    # once, and the point steps by d as (q + 1, s).  ``buckets`` is
+    # allocated only for the per-bucket store, g = gcd(d, w_1) >= BUCKET_GCD,
+    # whose buckets ceil(rho/g) above s/g hold the residues above s.
     g = gcd(degree, w1)
-    n = w1 // g
-    buckets = [0] * (n + 1) if g >= BUCKET_GCD else None
-    step_q, step_t = divmod(degree, w1)
-    step_t //= g
-    c = u = q = t = point = residues = 0
-    expected = 1
+    buckets = [0] * (w1 // g + 1) if g >= BUCKET_GCD else None
+    step_q, step_s = divmod(degree, w1)
+    q, s, point = step_q + 1, step_s, degree
+    c = u = residues = 0
+    size = len(apery)
+    expected = 3
     nxt = apery[0]
-    for j in range(last_j + 1):
+    for j in range(1, last_j + 1):
         while nxt <= point:
             q_r, s_r = divmod(nxt, w1)
             u += q_r
@@ -437,19 +401,19 @@ def _sweep(degree: int, w1: int, apery: list[int], last_j: int) -> BLCheckResult
             else:
                 buckets[-(-s_r // g)] += 1
             c += 1
-            nxt = apery[c] if c < w1 else inf
-        above = (residues >> (t * g + 1)).bit_count() if buckets is None else sum(buckets[t + 1:])
-        count = c * (q + 1) - u - above
-        if count != expected:
-            return BLCheckResult(degree, j, count)
+            nxt = apery[c] if c < size else inf
+        above = (residues >> s + 1).bit_count() if buckets is None else sum(buckets[s // g + 1:])
+        count = c * q - u - above
+        if count != expected and (count > expected or point < floor):
+            return j, count
         expected += j + 2
         point += degree
         q += step_q
-        t += step_t
-        if t >= n:
-            t -= n
+        s += step_s
+        if s >= w1:
+            s -= w1
             q += 1
-    return BLCheckResult(degree)
+    return None
 
 
 def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> BLCheckResult:
@@ -465,9 +429,9 @@ def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> 
     the box 0 <= a_(j+1) < p_j: ``_apery`` takes the p's as they are.
     Telescopic means symmetric, and the conductor is 2 delta = (d-1)(d-2),
     which the delta solve fixed, so J = floor((d-3)/2), the J of stage two.  Nothing is
-    lost by skipping stage one: the sweep starts at j = 0 and counts R
-    exactly, so a leaf that fails at j <= 2 gets the same first failing j
-    and R there as stage one would report.
+    lost by skipping stage one: the sweep counts R exactly from j = 1 on
+    (R(1) = 1 always holds), so a leaf that fails at j <= 2 gets the same
+    first failing j and R there as stage one would report.
 
     Where J*d + 1 or 2d + 1 passes ``TABLE_BIT_CAP`` the leaf goes to
     ``bl_check_unicuspidal`` itself, which checks j <= 2 on its stage-one
@@ -477,4 +441,5 @@ def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> 
     last_j = (degree - 3) // 2
     if max(last_j, 2) * degree >= TABLE_BIT_CAP:
         return bl_check_unicuspidal(degree, generators)
-    return _sweep(degree, generators[0], _apery(generators, ps), last_j)
+    miss = _sweep(degree, generators[0], _apery(generators, ps), last_j)
+    return BLCheckResult(degree, *(miss or ()))

@@ -11,6 +11,7 @@ import pytest
 
 from cuspidal import enumerate as search
 from cuspidal import invariants as inv
+from cuspidal import semigroup
 from cuspidal.enumerate import (
     PARANOID,
     PRUNED,
@@ -25,7 +26,7 @@ from cuspidal.families import member_rows
 from cuspidal.invariants import newton_to_puiseux
 from cuspidal.records import CurveRecord, OutputDocument, curve_record, record_to_flat_dict
 from cuspidal.semigroup import _generators, bl_check_unicuspidal
-from uncut_search import pruned_leaves, uncut_leaves
+from uncut_search import naive_miss, pruned_leaves, uncut_leaves
 
 
 def test_max_pairs_bound():
@@ -233,14 +234,14 @@ def _counted_probes(monkeypatch):
     probes = [0]
     span_miss = search._span_miss
 
-    def counted(degree, last_j, gens, e):
-        miss = span_miss(degree, last_j, gens, e)
+    def counted(*group):
+        miss, span = span_miss(*group)
 
         def counted_miss(w, floor):
             probes[0] += 1
             return miss(w, floor)
 
-        return counted_miss
+        return counted_miss, span
 
     monkeypatch.setattr(search, "_span_miss", counted)
     return probes
@@ -364,8 +365,8 @@ def test_prefix_cut_is_lossless(monkeypatch):
     cuts = []
     span_miss = search._span_miss
 
-    def counted(degree, last_j, gens, e):
-        miss = span_miss(degree, last_j, gens, e)
+    def counted(*group):
+        miss, span = span_miss(*group)
 
         def counted_miss(w, floor):
             cut = miss(w, floor)
@@ -373,7 +374,7 @@ def test_prefix_cut_is_lossless(monkeypatch):
             cuts.append((cut is not None, miss(w, 0) is not None))
             return cut
 
-        return counted_miss
+        return counted_miss, span
 
     monkeypatch.setattr(search, "_span_miss", counted)
     leaves = 0
@@ -395,13 +396,13 @@ def test_prefix_cut_is_lossless(monkeypatch):
 
 
 def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
-    # a counter closes a base table, so the tree builds one only at the
-    # first child of its gcd, and every counter built is then called
+    # the tree makes a gcd group's probe only once the group has a child,
+    # and every probe made is then called
     calls = []
     span_miss = search._span_miss
 
-    def counted(degree, last_j, gens, e):
-        miss = span_miss(degree, last_j, gens, e)
+    def counted(*group):
+        miss, span = span_miss(*group)
         index = len(calls)
         calls.append(0)
 
@@ -409,7 +410,7 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
             calls[index] += 1
             return miss(w, floor)
 
-        return counted_miss
+        return counted_miss, span
 
     monkeypatch.setattr(search, "_span_miss", counted)
     leaves = 0
@@ -422,18 +423,18 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
 
 
 def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
-    # to d = 90 over every k, every b of each gcd group that the tree builds
-    # a counter for is probed (7,624 groups, 33,199 probes; ~0.7 s): the b
+    # to d = 90 over every k, every b of each gcd group that the tree makes
+    # a probe for is probed (7,624 groups, 33,199 probes; ~0.7 s): the b
     # that pass are one run in the group's b order, it is the run that the
     # bisection finds, and the tree enters exactly the passing children
     span_miss, passing_run, extend = search._span_miss, search._passing_run, search._pruned_extend
-    node_of = {}  # counter -> (degree, gens) of the node that built it
+    node_of = {}  # probe -> (degree, gens) of the node that made it
     groups, passing, entered = [], set(), set()
 
-    def tagged(degree, last_j, gens, e):
-        miss = span_miss(degree, last_j, gens, e)
+    def tagged(degree, last_j, gens, apery, n):
+        miss, span = span_miss(degree, last_j, gens, apery, n)
         node_of[miss] = degree, gens
-        return miss
+        return miss, span
 
     def checked(miss, ws, n):
         passes = [t for t, w in enumerate(ws) if miss(w, n * w + 1) is None]
@@ -444,10 +445,10 @@ def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
         groups.append(len(ws))
         return run
 
-    def recorded(degree, ks, bs, partial, P, gens, p):
+    def recorded(degree, ks, bs, partial, P, gens, p, apery):
         if bs:
             entered.add((degree, gens))
-        return extend(degree, ks, bs, partial, P, gens, p)
+        return extend(degree, ks, bs, partial, P, gens, p, apery)
 
     monkeypatch.setattr(search, "_span_miss", tagged)
     monkeypatch.setattr(search, "_passing_run", checked)
@@ -459,6 +460,94 @@ def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
             enumerate_candidates(SearchConfig(d, k))
             assert entered == passing, (d, k)
     assert (len(groups), sum(groups)) == (7_624, 33_199)
+
+
+def test_prefix_probe_equals_a_naive_count(monkeypatch):
+    # every probe of the per-degree walks over every k to d = 60 returns
+    # the (j, R) of a brute-force count of <gens, w>, at the search's floor
+    # n w + 1 and at floor 0 (the over-count side alone), with the search's
+    # J = floor((d-3)/2); each side cuts somewhere
+    probes = []
+    span_miss = search._span_miss
+
+    def recorded(degree, last_j, gens, apery, n):
+        miss, span = span_miss(degree, last_j, gens, apery, n)
+
+        def recorded_miss(w, floor):
+            cut = miss(w, floor)
+            probes.append((degree, last_j, gens + (w,), n * w + 1, floor, cut, miss(w, 0)))
+            return cut
+
+        return recorded_miss, span
+
+    monkeypatch.setattr(search, "_span_miss", recorded)
+    for d in range(3, 61):
+        search._search([(d, _every_k(d))], PRUNED, 1)
+    assert len(probes) == 4_000
+    for degree, last_j, gens, floor, searched_floor, cut, over in probes:
+        assert (last_j, searched_floor) == ((degree - 3) // 2, floor)
+        assert cut == naive_miss(degree, last_j, gens, floor), (degree, gens)
+        assert over == naive_miss(degree, last_j, gens, 0), (degree, gens)
+    assert any(over for *_, over in probes)
+    assert any(cut and not over for *_, cut, over in probes)
+
+
+def test_search_closes_no_table(monkeypatch):
+    # the probes and the leaf checks count off Apery sets, so with no
+    # membership table to close the search still gives the pinned records
+    def no_table(*args, **kwargs):
+        raise AssertionError("a membership table was closed")
+
+    monkeypatch.setattr(semigroup, "_close", no_table)
+    for records, digest in (
+        (classify_range(40), "42fb8f1d9ae7f90c66c81c34d5184f396477806cea8993c5a5875f7e3823af98"),
+        (
+            [r for k in (3, 4) for r in enumerate_candidates(SearchConfig(60, k))],
+            "0fdbc2512799fa6656fdc7601e63f2ac8f15e2b98db14b90113a42e23c218ea6",
+        ),
+        (
+            search._search([(300, _every_k(300))], PRUNED, 1),
+            "146e59f4a3bdf226c6b8aeb1dfb462b29d9fd3b5826b1b9a01a6469e52e4a5fc",
+        ),
+    ):
+        text = OutputDocument(tuple(records), {}).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_passing_run_finds_every_run():
+    # synthetic probes over ws = 0..L-1, L = 0..12: every w below the run
+    # over-counts and every w above it misses on the exact side, and the
+    # bisection returns the whole run, whatever its start and length, in
+    # O(log L) probes.  With no run, one w may do both (the probe reports
+    # whichever j comes first), every smaller w over-counts and every larger
+    # one misses: nothing passes.
+    over, exact = (1, 4), (1, 2)  # R(d+1) = 4 > 3, and 2 < 3 with d < floor
+    n = 3
+
+    def run_of(ws, first_miss):
+        floors = []
+
+        def miss(w, floor):
+            floors.append((w, floor))
+            return first_miss(w)
+
+        run = search._passing_run(miss, ws, n)
+        assert all(floor == n * w + 1 for w, floor in floors)
+        assert len(floors) <= 3 * len(ws).bit_length()
+        return ws[run]
+
+    for size in range(13):
+        ws = list(range(size))
+        for start in range(size + 1):
+            for stop in range(start, size + 1):
+                found = run_of(ws, lambda w: over if w < start else exact if w >= stop else None)
+                assert found == ws[start:stop], (size, start, stop)
+        for both in range(size):
+            for reported in (over, exact):
+                found = run_of(
+                    ws, lambda w: over if w < both else exact if w > both else reported
+                )
+                assert found == [], (size, both, reported)
 
 
 def _counted_everywhere(monkeypatch, module, name: str) -> list:

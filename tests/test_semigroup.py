@@ -30,14 +30,12 @@ from cuspidal.semigroup import (
     _generators,
     _leaf_check,
     _round_robin,
-    _prefix_last_j,
-    _span_miss,
     _sweep,
     _telescopic,
     bl_check_unicuspidal,
     generators_from_newton,
 )
-from uncut_search import pruned_leaves, uncut_leaves
+from uncut_search import naive_miss, uncut_leaves
 
 
 def naive_members(generators, bound):
@@ -362,49 +360,13 @@ def test_leaf_check_past_the_cap_keeps_stage_one(monkeypatch):
     assert (failed, raised) == (1_760, 113)
 
 
-def test_span_cut_stays_under_the_table_cap(monkeypatch):
-    # the tables on one root-to-leaf path hold under 2 (J*d + k) bits: a
-    # 256-bit cap leaves J = 4 of 13 at d = 30, k = 3, and every table has
-    # at most J*d/2 + 1 bits; fewer j cut less, so only leaves that fail
-    # the counting check are added
-    def leaves():
-        return set(pruned_leaves(30, 3))
-
-    full = leaves()
-    close = semigroup._close
-    built = []
-
-    def recorded(generators, bound, bits=1):
-        built.append(bound + 1)
-        return close(generators, bound, bits)
-
-    # the search builds its tables only through semigroup
-    assert not hasattr(search, "_close")
-    monkeypatch.setattr(semigroup, "_close", recorded)
-    monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 256)
-    assert _prefix_last_j(30, 3) == 4
-    capped = leaves()
-    assert built and max(built) <= 4 * 30 // 2 + 1
-    # no j fits: only one-bit tables, nothing is checked, nothing raises
-    monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 64)
-    assert _prefix_last_j(30, 3) == 0
-    built.clear()
-    uncapped = leaves()
-    assert set(built) == {1}
-    assert uncapped == {(a, bs) for a, bs in uncut_leaves(30, 3) if a > 10}
-    monkeypatch.undo()
-    assert full < capped < uncapped
-    assert all(search._finalize(30, a, bs) is None for a, bs in uncapped - full)
-
-
 def test_prefix_cut_exact_side():
     # d = 10, the node a = 6, b_1 = 14: T = <6, 14> = 2 <3, 7>, p' = 6/2 = 3,
     # so every later generator is at least 3 * 14 + 1 = 43.  R_T(11) = 2
     # counts {0, 6} where the criterion asks 3, and T has no more members
     # than asked at j = 2, 3, so only the exact side cuts it
-    miss = _span_miss(10, 3, (6,), 2)
-    assert miss(14, 43) == (1, 2)
-    assert miss(14, 0) is None
+    assert naive_miss(10, 3, (6, 14), 43) == (1, 2)
+    assert naive_miss(10, 3, (6, 14), 0) is None
     # and indeed every candidate below that node fails the check
     below = [bs for a, bs in uncut_leaves(10, 2) if a == 6 and bs[0] == 14]
     assert below
@@ -419,13 +381,9 @@ def test_prefix_cut_keeps_the_prefixes_of_a_record():
     a, bs = inv.characteristic_seq(newton)
     ps, Qs = inv.characteristic_chain(a, bs)
     gens = _generators(ps, Qs)
-    last_j = _prefix_last_j(degree, len(newton))
-    P = a
     for i in range(1, len(newton)):
-        g = P // ps[i - 1]
         floor = ps[i - 1] * gens[i] + 1
-        assert _span_miss(degree, last_j, gens[:i], g)(gens[i], floor) is None, i
-        P = g
+        assert naive_miss(degree, (degree - 3) // 2, gens[: i + 1], floor) is None, i
 
 
 def test_first_pair_window_equals_the_probe():
@@ -438,7 +396,7 @@ def test_first_pair_window_equals_the_probe():
     cut_at = [0, 0, 0]  # b first missed at j = 1, at j = 2, and not missed
     for degree in range(3, 201):
         target = (degree - 1) * (degree - 2)
-        last_j = _prefix_last_j(degree, max_pairs_bound(degree))
+        last_j = (degree - 3) // 2
         for a in search._a_range(degree, search.PRUNED):
             top = (target + a - 2) // (a - 1)
             for g in (g for g in range(2, a) if a % g == 0):
@@ -446,11 +404,10 @@ def test_first_pair_window_equals_the_probe():
                 assert window[0] == (0, inf)
                 assert _first_pair_window(degree, last_j, a, g) == window[min(last_j, 2)]
                 (lo1, hi1), (lo2, hi2) = window[1:]
-                miss = _span_miss(degree, 2, (a,), g)
                 for b in range(a + g, top + 1, g):
                     if gcd(a, b) != g:
                         continue
-                    first = miss(b, a // g * b + 1)
+                    first = naive_miss(degree, 2, (a, b), a // g * b + 1)
                     first_j = 3 if first is None else first[0]
                     in_window = (lo1 < b <= hi1, lo2 < b <= hi2)
                     assert in_window == (first_j > 1, first_j > 2), (degree, a, b)
@@ -570,15 +527,17 @@ def test_stage_two_count_is_selected_by_the_gcd(monkeypatch):
     assert took_buckets == [False, True]
 
 
-def apery_check(degree, w1, apery, last_j):
-    # the first j <= last_j where R(j*d + 1), summed over the Apery set of
-    # w_1 term by term, differs from (j+1)(j+2)/2
-    for j in range(last_j + 1):
+def apery_check(degree, w1, apery, last_j, floor=inf):
+    # the first (j, R(j*d + 1)), j = 1..last_j, with R, summed over the
+    # Apery set of w_1 term by term, above (j+1)(j+2)/2, or other than it
+    # with j*d < floor
+    for j in range(1, last_j + 1):
         point = j * degree
         count = sum((point - r) // w1 + 1 for r in apery if r <= point)
-        if count != (j + 1) * (j + 2) // 2:
-            return BLCheckResult(degree, j, count)
-    return BLCheckResult(degree)
+        expected = (j + 1) * (j + 2) // 2
+        if count > expected or (count != expected and point < floor):
+            return j, count
+    return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -586,7 +545,7 @@ def apery_check(degree, w1, apery, last_j):
 def test_sweep_matches_the_apery_count_on_every_store(sequence, data):
     # d = g m with g | w_1 and gcd(m, w_1/g) = 1 puts gcd(d, w_1) = g
     # anywhere in 1..w_1; m runs past 3 w_1/g, so d lies on both sides of
-    # w_1 and t wraps past w_1/g
+    # w_1 and s wraps past w_1; the floor lies at and just past each point
     a, bs = sequence
     ps, Qs = inv.characteristic_chain(a, bs)
     gens = _generators(ps, Qs)
@@ -595,11 +554,13 @@ def test_sweep_matches_the_apery_count_on_every_store(sequence, data):
     m = data.draw(st.integers(1, 3 * a // g + 3).filter(lambda m: gcd(m, a // g) == 1))
     degree = g * m
     last_j = data.draw(st.integers(0, 12))
-    want = apery_check(degree, a, box, last_j)
+    floors = [inf, 0, *(j * degree + e for j in range(1, last_j + 1) for e in (0, 1))]
     for bucket_gcd in STAGE_TWO_GCDS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
-            assert _sweep(degree, a, box, last_j) == want, bucket_gcd
+            for floor in floors:
+                want = apery_check(degree, a, box, last_j, floor)
+                assert _sweep(degree, a, box, last_j, floor) == want, (bucket_gcd, floor)
 
 
 def test_round_robin_inputs_match_full_table_on_every_stage_two_count(monkeypatch):
@@ -643,7 +604,7 @@ def test_bucket_count_matches_full_table_on_failing_inputs(monkeypatch):
     staged = [
         (degree, gens)
         for degree, gens in inputs
-        if _span_miss(degree, 2, gens[:-1], 1)(gens[-1], inf) is None
+        if naive_miss(degree, 2, gens, inf) is None
     ]
     failing_j = set()
     telescopic = 0
@@ -665,9 +626,9 @@ def test_stage_two_of_telescopic_inputs_builds_no_table(monkeypatch):
     close = semigroup._close
     limit = 0
 
-    def small_close(generators, bound, bits=1):
+    def small_close(generators, bound):
         assert bound <= limit, f"a {bound + 1}-bit table was built"
-        return close(generators, bound, bits)
+        return close(generators, bound)
 
     monkeypatch.setattr(semigroup, "_close", small_close)
     for (degree, gens), want in zip(inputs, expect):
@@ -705,9 +666,9 @@ def test_stage_two_of_any_input_builds_no_table(monkeypatch):
     close = semigroup._close
     limit = 0
 
-    def small_close(generators, bound, bits=1):
+    def small_close(generators, bound):
         assert bound <= limit, f"a {bound + 1}-bit table was built"
-        return close(generators, bound, bits)
+        return close(generators, bound)
 
     monkeypatch.setattr(semigroup, "_close", small_close)
     for degree, gens, want in staged:

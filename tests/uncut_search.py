@@ -5,6 +5,7 @@ would hand to the counting check if no inner node were cut and the
 leading multiplicity ran over 2..d-1.  The full-table and naive-count
 oracles and the losslessness test of the cut read their inputs from it.
 ``pruned_leaves`` yields the leaves the cut search itself hands on.
+``naive_miss`` is the prefix-cut probe by brute-force membership.
 """
 
 from math import gcd
@@ -54,4 +55,27 @@ def uncut_leaves(degree, k):
 def pruned_leaves(degree, k):
     """Every (a, (b_1..b_k)) leaf of the pruned search at (degree, k)."""
     for a in _a_range(degree, PRUNED):
-        yield from _pruned_extend(degree, range(k, k + 1), (), 1 - a, a, (a,), 0)
+        yield from _pruned_extend(degree, range(k, k + 1), (), 1 - a, a, (a,), 0, [0])
+
+
+def naive_miss(degree, last_j, gens, floor):
+    """The first (j, R(j*d + 1)), j in 1..last_j, of the semigroup <gens>
+    with R(j*d + 1) > (j+1)(j+2)/2, or with R(j*d + 1) != (j+1)(j+2)/2 and
+    j*d < floor; None if there is none.
+
+    Membership in [0, last_j*d] is closed one multiple of one generator at
+    a time, bound//w shifts of the table by w, and R is a popcount of the
+    table below each point.
+    """
+    bound = last_j * degree
+    mask = (2 << bound) - 1
+    bits = 1
+    for w in gens:
+        for _ in range(bound // w):
+            bits |= (bits << w) & mask
+    for j in range(1, last_j + 1):
+        count = (bits & ((2 << j * degree) - 1)).bit_count()
+        expected = (j + 1) * (j + 2) // 2
+        if count > expected or (count != expected and j * degree < floor):
+            return j, count
+    return None
