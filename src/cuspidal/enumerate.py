@@ -11,11 +11,14 @@ data subject to:
       must equal (d-1)(d-2);
 (iii) the unicuspidal counting criterion (see :mod:`cuspidal.semigroup`),
       run once per delta-solved candidate that the cuts below leave, on
-      the semigroup generators of its gcd chain.  The chain and the delta
-      solve prove what the general check would test, so ``pruned`` counts
-      straight off the chain's Apery box (``semigroup._leaf_check``);
-      ``paranoid`` runs the general ``bl_check_unicuspidal``.  Only a
-      survivor gets a record, built once with the generators that were
+      the semigroup generators of its gcd chain, where the walk solves
+      it.  The chain and the delta solve prove what the general check
+      would test, so ``pruned`` counts straight off the Apery set of the
+      node that solved the leaf, joined with the last generator, and
+      resumes past the j that the probe which entered the node checked
+      (``semigroup._leaf_check``); ``paranoid`` runs the general
+      ``bl_check_unicuspidal``.  Only a survivor leaves the walk, and its
+      record is built after the walk, once, with the generators that were
       checked (``_finalize``).
 
 These are the only filters: repeated identical pairs and unit exponents
@@ -48,8 +51,10 @@ Two modes produce identical sets and cross-validate each other:
     table: each node carries the Apery set of a in the span of its
     generators, a child's set follows from its parent's in one merge, and
     the stage-two sweep of the counting check (``semigroup._sweep``)
-    counts R_T off it (``_span_miss``).  Only the leaves that survive the
-    cut reach the counting check.
+    counts R_T off it (``_span_miss``), stopping at the last j that can
+    still cut (``_sweep`` proves the bound).  Only the leaves that survive
+    the cut reach the counting check, and a leaf's check skips the j*d <=
+    p_i w_(i+1) that the probe entering its node found exact.
   - the first pair's window: at the root, T = <a, b_1> for a child of gcd
     g, and every member of it is x a + y b_1 with 0 <= y < a/g in exactly
     one way.  So the b_1 that pass the prefix cut at j <= min(J, 2) form
@@ -80,9 +85,11 @@ tree once for every k, while ``enumerate_candidates`` serves its one k
 
 The search is embarrassingly parallel over (degree, leading multiplicity
 a): each pair is one task, and one task list serves every caller
-(``_search``).  For ``classify_range`` and the tables a task also
-classifies each record it builds, in the same step, so with more workers
-the helpers classify too.  The calling process runs the tasks in order.
+(``_search``).  A search runs in two passes: the tasks walk their trees
+and return only the leaves that pass the counting check, and then the
+caller builds their records in task order, classified for
+``classify_range`` and the tables.  The calling process runs the tasks
+in order.
 With more than one worker, once the call has run for a fixed delay (10 ms) and
 tasks remain, it forks helpers and works alongside them on the rest,
 every process taking the next task index from one token passed around
@@ -107,7 +114,8 @@ from . import invariants as inv
 from .existence import CANDIDATE, MAX_DEGREE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, _record, cusp_data
-from .semigroup import _first_pair_window, _generators, _leaf_check, _sweep, bl_check_unicuspidal
+from .semigroup import _first_pair_window, _generators, _join, _leaf_check, _sweep
+from .semigroup import bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -168,12 +176,21 @@ def _search(
     canonical order, from the one ``_run_tasks`` call of a search;
     attributed and existence-resolved when ``classify`` is set.
 
-    One task per (degree, a) walks the tree below a once for every pair
-    count of its cell.  The callers' cells hold each (degree, k) once, and
+    Two passes.  In the first, one task per (degree, a) walks the tree
+    below a once for every pair count of its cell and checks each leaf
+    where it is solved, and only the passing leaves come back.  In the
+    second, the caller builds their records, in task order
+    (``_finalize``).  The callers' cells hold each (degree, k) once, and
     k = len(newton), so no record repeats.
+
+    A task that built its own records would switch between the walk and
+    the record code once per task, and that costs more than building them
+    all in one run.  Building them in the caller keeps one fork per search,
+    and helpers send back leaves, which pickle smaller than records.
     """
     tasks = _Tasks(cells, mode)
-    records = _run_tasks(lambda task: _search_a(*task, mode, classify), tasks, worker_count)
+    leaves = _run_tasks(lambda task: _search_a(*task, mode), tasks, worker_count)
+    records = [_finalize(*leaf, classify=classify) for leaf in leaves]
     records.sort(key=CurveRecord.sort_key)
     return records
 
@@ -356,15 +373,22 @@ def _a_range(degree: int, mode: str) -> range:
     return range(2, isqrt(target) + 2)
 
 
-def _search_a(degree: int, ks: range, a: int, mode: str, classify: bool) -> list[CurveRecord]:
-    """The records with leading multiplicity a at degree d, for every pair
-    count in ``ks``, classified when ``classify`` is set."""
+def _search_a(degree: int, ks: range, a: int, mode: str) -> list[tuple]:
+    """(degree, (b_1..b_k), generators) of every leaf with leading
+    multiplicity a at degree d that passes the counting check, for every
+    pair count in ``ks``.
+
+    Each walk checks a leaf where it solves it: ``pruned`` off its node's
+    Apery set (``semigroup._leaf_check``), ``paranoid`` on the generators
+    of the leaf's gcd chain with the general ``bl_check_unicuspidal``,
+    which proves what the leaf check assumes.  The two agree on every
+    leaf, so the modes still cross-validate the cuts.
+    """
     if mode == PRUNED:
         leaves = _pruned_extend(degree, ks, (), 1 - a, a, (a,), 0, [0])
     else:
-        leaves = _paranoid_extend(ks, (degree - 1) * (degree - 2), a, (), 1 - a, a)
-    records = (_finalize(degree, a, bs, mode=mode, classify=classify) for _, bs in leaves)
-    return [record for record in records if record is not None]
+        leaves = _paranoid_extend(degree, ks, a, (), 1 - a, a)
+    return [(degree, bs, gens) for bs, gens in leaves]
 
 
 def _omega_at_least(n: int, count: int) -> bool:
@@ -384,8 +408,9 @@ def _omega_at_least(n: int, count: int) -> bool:
 
 
 def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
-    """Yield (a, (b_1..b_k)) for every pair count k in the range ``ks``,
-    with the final exponent solved exactly.
+    """Yield ((b_1..b_k), (w_1..w_(k+1))) of every leaf that passes the
+    counting check, for every pair count k in the range ``ks``, with the
+    final exponent solved exactly.
 
     The node has fixed bs = (b_1..b_i), the gcd P = P_(i+1) of a, b_1..b_i,
     the delta bracket ``partial`` of those stages and the generators
@@ -395,6 +420,16 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     (a-1)(b_1-1) = (a-1)(b_1 - b_0) + 1 - a, so every stage adds
     (P-1)(b - prev), w_2 = p_0 w_1 + b_1 - b_0 = b_1, and one rule serves
     every depth.  Every b exceeds max(prev, a).
+
+    The node solves its leaf, b = prev + Q, and checks it on the spot
+    (``semigroup._leaf_check``).  The leaf's last generator is w = p
+    w_(i+1) + Q with gcd(P, w) = gcd(P, Q) = 1, so by the span rule below,
+    with g = 1 and n = P, its Apery set of a is {s + c w : s in ``apery``,
+    0 <= c < P}.  Its semigroup agrees with the node's span below w, and
+    the probe that entered the node (or the run it lies in) found R exact
+    at every j*d <= p w_(i+1), so the check resumes past that prefix; the
+    root, p = 0, checks from j = 1.  Only a passing leaf is yielded, with
+    its generators.
 
     One walk serves every k in ``ks``: the node solves the leaf with
     k = i + 1 pairs when that k is served, and enters its children only
@@ -473,7 +508,10 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     if depth >= ks.start:
         Q, r = divmod(target - partial, P - 1)
         if r == 0 and prev + Q > low and gcd(P, Q) == 1:
-            yield gens[0], bs + (prev + Q,)
+            # the probe that entered this node checked every j*d <= p w_(i+1)
+            leaf = gens + (p * gens[-1] + Q,)
+            if _leaf_check(degree, leaf, apery, p * gens[-1]).passed:
+                yield bs + (prev + Q,), leaf
         if depth == ks[-1]:
             return
     # the stages after this one, for the loosest k served below the node
@@ -530,10 +568,7 @@ def _span_miss(degree, last_j, gens, apery, n):
 
     def span(w):
         if w not in spans:
-            spans[w] = members = []
-            for s in apery:  # one ascending run per s, merged by the sort
-                members += range(s, s + n * w, w)
-            members.sort()
+            spans[w] = _join(apery, w, n)
         return spans[w]
 
     def miss(w, floor):
@@ -582,14 +617,16 @@ def _passing_run(miss, ws: Sequence[int], n: int) -> slice:
     return slice(first, last + 1)
 
 
-def _paranoid_extend(ks, target, a, bs, partial, P):
-    """Scan every exponent level explicitly (no solving), for every pair
-    count in ``ks``.  Nodes follow the convention of
+def _paranoid_extend(degree, ks, a, bs, partial, P):
+    """Yield ((b_1..b_k), (w_1..w_(k+1))) of every leaf that passes the
+    general counting check, for every pair count k in ``ks``, scanning every
+    exponent level explicitly (no solving).  Nodes follow the convention of
     :func:`_pruned_extend`: the root has b_0 = 0, the bracket ``partial`` =
     1 - a and P = a, every stage adds (P-1)(b - prev), and every b exceeds
     max(prev, a); the budget break takes the loosest k served at or below
     the node."""
     depth = len(bs) + 1
+    target = (degree - 1) * (degree - 2)
     prev = bs[-1] if bs else 0
     later = max(ks.start, depth) - depth
     for b in range(max(prev, a) + 1, target + 2):
@@ -598,36 +635,28 @@ def _paranoid_extend(ks, target, a, bs, partial, P):
             return
         Pn = gcd(P, b)
         if depth in ks and total == target and Pn == 1:
-            yield a, bs + (b,)
+            gens = _generators(*inv.characteristic_chain(a, bs + (b,)))
+            if bl_check_unicuspidal(degree, gens).passed:
+                yield bs + (b,), gens
         elif depth < ks[-1] and 2 <= Pn < P:
-            yield from _paranoid_extend(ks, target, a, bs + (b,), total, Pn)
+            yield from _paranoid_extend(degree, ks, a, bs + (b,), total, Pn)
 
 
 def _finalize(
-    degree: int, a: int, bs: tuple[int, ...], *, mode: str = PRUNED, classify: bool = False
-) -> CurveRecord | None:
-    """The leaf's record, or None when the generators of its gcd chain fail
-    the counting check.
+    degree: int, bs: tuple[int, ...], gens: tuple[int, ...], *, classify: bool = False
+) -> CurveRecord:
+    """The record of a leaf (a; ``bs``), a = gens[0], that passed the
+    counting check in the search's first pass (``_search_a``), built once
+    with the generators that were checked and, when ``classify`` is set,
+    with the fields of ``classify_record`` (``_classification``).
 
-    ``pruned`` checks them with ``_leaf_check``, which counts off the
-    chain's Apery box, and ``paranoid`` with the general
-    ``bl_check_unicuspidal``, which proves the box before it uses it; the
-    two agree on every leaf, so the modes still cross-validate the cuts.
-    A passing leaf's record is built once, with the generators that were
-    checked and, when ``classify`` is set, with the fields of
-    ``classify_record`` (``_classification``).  It needs no strict
-    re-check: the chain proves the Newton pairs valid
+    It needs no strict re-check: the chain proves the Newton pairs valid
     (``newton_from_characteristic``), and the delta equation the walk
     solved makes delta the genus.  No tangent-line filter is needed: the
     three smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for
     d >= 3 the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
     """
-    ps, Qs = inv.characteristic_chain(a, bs)
-    gens = _generators(ps, Qs)
-    check = _leaf_check(degree, ps, gens) if mode == PRUNED else bl_check_unicuspidal(degree, gens)
-    if not check.passed:
-        return None
-    newton = inv._newton_from_chain(a, ps, Qs)
+    newton = inv.newton_from_characteristic(gens[0], bs)
     puiseux, mult, delta = cusp_data(degree, newton, strict=False)
     classified = _classification(degree, newton, mult) if classify else {}
     return _record(degree, newton, puiseux, mult, delta, gens, **classified)
@@ -671,9 +700,10 @@ def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:
     The candidate list is exhaustive at every degree.  Existence is proved
     complete only for degrees <= 30; records above 30 are flagged
     "frontier".  Each (degree, a) is one search task, whose one walk serves
-    every pair count of its degree and classifies each record as it builds
-    it, with the fields of :func:`classify_record`; workers share the tasks
-    of all degrees, and the merge preserves canonical order.
+    every pair count of its degree; workers share the tasks of all
+    degrees, and after the walk each passing leaf's record is built once,
+    with the fields of :func:`classify_record`, and the merge preserves
+    canonical order.
     """
     cells = [(d, range(1, max_pairs_bound(d) + 1)) for d in range(3, max_degree + 1)]
     return _search(cells, PRUNED, worker_count, classify=True)

@@ -61,13 +61,17 @@ Symmetry, the conductor and the telescopic order are not assumed: an
 O(k^2) test on the generators proves them.  No stage whose largest probe
 passes ``TABLE_BIT_CAP`` bits runs.
 
-A search leaf enters next to stages 1-2 (``_leaf_check``): its gcd chain
-gives the box sizes n_(j+1) = p_j and its delta solve the conductor
-(d-1)(d-2), so the leaf needs neither the test nor stage one's table and
-runs the stage-two sweep alone, from j = 1, which reports the same first
-failing j and R as the two stages would.  The search's prefix probe
+A search leaf enters next to stages 1-2 (``_leaf_check``), where the walk
+solves it: its gcd chain makes the generators telescopic and its delta
+solve fixes the conductor (d-1)(d-2), so the leaf needs neither the test
+nor stage one's table and runs the stage-two sweep alone, which reports
+the same first failing j and R as the two stages would.  It counts off
+the Apery set of its node, the one that node's prefix probe used, joined
+with the last generator (``_join``), and resumes past the j that the probe
+which entered the node already checked exactly.  The search's prefix probe
 (``enumerate._span_miss``) runs the same sweep, with a floor, on the Apery
-set of w_1 in the span of the generators a node has fixed.
+set of w_1 in the span of the generators a node has fixed, and stops at
+the last j that can still cut (``_sweep``).
 """
 
 from __future__ import annotations
@@ -315,8 +319,9 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
        O(k d) steps).
 
     The search checks its leaves with ``_leaf_check``, which runs stage 2
-    alone from j = 1, on the box that the leaf's gcd chain gives, and
-    returns the same result.
+    alone, off the Apery set of the node that solved the leaf, from the
+    first j that node's prefix probe has not checked, and returns the same
+    result.
 
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
@@ -363,20 +368,33 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
 
 
 def _sweep(
-    degree: int, w1: int, apery: list[int], last_j: int, floor: float = inf
+    degree: int, w1: int, apery: list[int], last_j: int, floor: float = inf, first_j: int = 1
 ) -> tuple[int, int] | None:
-    """The first (j, R(j*d + 1)), j in 1..last_j, with R(j*d + 1) >
+    """The first (j, R(j*d + 1)), j in first_j..last_j, with R(j*d + 1) >
     (j+1)(j+2)/2, or with R(j*d + 1) != (j+1)(j+2)/2 and j*d < floor, or
     None if there is none; R counts the members of a semigroup S that
     contains w1, off the sorted Apery set ``apery`` of w1 in S.
 
-    With no floor (floor = inf) that is the first failing j of the counting
-    check past j = 0, where R(1) = 1 always holds; stage two of
-    ``bl_check_unicuspidal``, ``_leaf_check`` and the search's prefix probe
-    (``enumerate._span_miss``) all count here.  S need not be numerical:
-    its members are r + t w1 for r in ``apery`` and t >= 0, each once, in
-    whatever residue classes mod w1 S meets, so the set may hold fewer than
-    w1 members (item 3 of the module docstring).
+    With no floor (floor = inf) and first_j = 1 that is the first failing j
+    of the counting check past j = 0, where R(1) = 1 always holds; stage two
+    of ``bl_check_unicuspidal``, ``_leaf_check`` (from the first j its node
+    has not checked) and the search's prefix probe (``enumerate._span_miss``)
+    all count here.  S need not be numerical: its members are r + t w1 for r
+    in ``apery`` and t >= 0, each once, in whatever residue classes mod w1 S
+    meets, so the set may hold fewer than w1 members (item 3 of the module
+    docstring).
+
+    With a floor the sweep stops at the last j that can still cut,
+    L = max(first_j, floor((floor - 1)/d), |apery| ceil(d/w1) - 2), and
+    that loses nothing.  A step of the point from M to M + d adds at most
+    ceil(d/w1) points r + t w1 per Apery member r, whether r <= M or
+    M < r <= M + d (then M + d - r < d), so R((j+1)d + 1) - R(j*d + 1) <=
+    |apery| ceil(d/w1) <= j + 2, the step of (j+1)(j+2)/2, once
+    j >= |apery| ceil(d/w1) - 2.  So from L on the excess R(j*d + 1) -
+    (j+1)(j+2)/2 never rises.  If L, which the sweep checks, does not cut,
+    its excess is 0 (L*d < floor) or at most 0 (L*d >= floor), so no later
+    j over-counts; and every j > L has j*d >= floor, where only an
+    over-count cuts.
     """
     # with q, s = divmod(M, w_1) at M = j*d, R(M + 1) = sum over r <= M of
     # (M - r)//w_1 + 1 = c(q + 1) - U - #{r <= M : r mod w_1 > s}, where c
@@ -384,15 +402,19 @@ def _sweep(
     # once, and the point steps by d as (q + 1, s).  ``buckets`` is
     # allocated only for the per-bucket store, g = gcd(d, w_1) >= BUCKET_GCD,
     # whose buckets ceil(rho/g) above s/g hold the residues above s.
+    if floor < inf:
+        stop = max(first_j, (floor - 1) // degree, len(apery) * -(-degree // w1) - 2)
+        last_j = min(last_j, stop)
     g = gcd(degree, w1)
     buckets = [0] * (w1 // g + 1) if g >= BUCKET_GCD else None
     step_q, step_s = divmod(degree, w1)
-    q, s, point = step_q + 1, step_s, degree
+    point = first_j * degree
+    q, s = divmod(point + w1, w1)
     c = u = residues = 0
     size = len(apery)
-    expected = 3
+    expected = (first_j + 1) * (first_j + 2) // 2
     nxt = apery[0]
-    for j in range(1, last_j + 1):
+    for j in range(first_j, last_j + 1):
         while nxt <= point:
             q_r, s_r = divmod(nxt, w1)
             u += q_r
@@ -416,30 +438,59 @@ def _sweep(
     return None
 
 
-def _leaf_check(degree: int, ps: Sequence[int], generators: tuple[int, ...]) -> BLCheckResult:
-    """The counting check of a search leaf: the result of
-    ``bl_check_unicuspidal(degree, generators)``, field for field, for the
-    generators w_1 < ... < w_(k+1) of a valid gcd chain with Newton
-    p_1..p_k whose delta equals the genus (d-1)(d-2)/2.
+def _join(apery: list[int], w: int, n: int) -> list[int]:
+    """Sorted {s + c w : s in ``apery``, 0 <= c < n}: the Apery set of w_1
+    in <S, w> from the sorted set ``apery`` of w_1 in S, when every member
+    of <S, w> is s' + c w with s' in S and 0 <= c < n in one way
+    (``enumerate._pruned_extend`` proves it for a search node's child)."""
+    members = []
+    for s in apery:  # one ascending run per s, merged by the sort
+        members += range(s, s + n * w, w)
+    members.sort()
+    return members
+
+
+def _leaf_check(
+    degree: int, generators: tuple[int, ...], apery: list[int], checked: int
+) -> BLCheckResult:
+    """The counting check of a search leaf, off the Apery set of the node
+    that solved it: the result of ``bl_check_unicuspidal(degree,
+    generators)``, field for field, for the generators w_1 < ... < w_(k+1)
+    of a valid gcd chain with Newton p_1..p_k whose delta equals the genus
+    (d-1)(d-2)/2, given the sorted Apery set ``apery`` of w_1 in
+    <w_1..w_k> and that R(j*d + 1) = (j+1)(j+2)/2 holds at every j with
+    j*d <= ``checked``.
 
     The chain proves what stage two of ``bl_check_unicuspidal`` tests, so
     the check goes straight to its sweep.  The generators of a plane branch
     are telescopic (Kirfel-Pellikaan 1995; ``enumerate._pruned_extend``
-    proves it for a chain), with n_(j+1) = p_j, so the Apery set of w_1 is
-    the box 0 <= a_(j+1) < p_j: ``_apery`` takes the p's as they are.
-    Telescopic means symmetric, and the conductor is 2 delta = (d-1)(d-2),
-    which the delta solve fixed, so J = floor((d-3)/2), the J of stage two.  Nothing is
-    lost by skipping stage one: the sweep counts R exactly from j = 1 on
-    (R(1) = 1 always holds), so a leaf that fails at j <= 2 gets the same
-    first failing j and R there as stage one would report.
+    proves it for a chain), so every member is s + c w_(k+1) with s in
+    <w_1..w_k> and 0 <= c < p_k in one way, and the leaf's Apery set of w_1
+    is {s + c w_(k+1) : s in ``apery``, 0 <= c < p_k} (``_join``); ``apery``
+    holds w_1/p_k members, which gives p_k.  Telescopic means symmetric, and
+    the conductor is 2 delta = (d-1)(d-2), which the delta solve fixed, so
+    J = floor((d-3)/2), the J of stage two.  Nothing is lost by skipping
+    stage one: the sweep counts R exactly, so a leaf that fails at j <= 2
+    gets the same first failing j and R there as stage one would report.
+
+    The search solves the leaf at a node with generators w_1..w_k, entered
+    because its span T passed the prefix probe with floor p_(k-1) w_k + 1
+    (the root, k = 1, with p_0 = 0, passed none): R_T(j*d + 1) =
+    (j+1)(j+2)/2 at every j*d <= p_(k-1) w_k.  The leaf's semigroup agrees
+    with T up to w_(k+1) - 1 >= p_(k-1) w_k, so those j hold for the leaf
+    too, and the sweep starts at the first j past ``checked`` =
+    p_(k-1) w_k.  With ``checked`` = 0 it sweeps from j = 1 and needs no
+    node.
 
     Where J*d + 1 or 2d + 1 passes ``TABLE_BIT_CAP`` the leaf goes to
     ``bl_check_unicuspidal`` itself, which checks j <= 2 on its stage-one
     table and then raises ``TableTooLargeError`` with its message; the
-    box, of w_1 members, is built only below the cap.
+    leaf's set, of w_1 members, is built only below the cap.
     """
     last_j = (degree - 3) // 2
     if max(last_j, 2) * degree >= TABLE_BIT_CAP:
         return bl_check_unicuspidal(degree, generators)
-    miss = _sweep(degree, generators[0], _apery(generators, ps), last_j)
+    w1 = generators[0]
+    box = _join(apery, generators[-1], w1 // len(apery))
+    miss = _sweep(degree, w1, box, last_j, first_j=checked // degree + 1)
     return BLCheckResult(degree, *(miss or ()))

@@ -22,7 +22,16 @@ from cuspidal.enumerate import (
     enumerate_candidates,
     max_pairs_bound,
 )
-from cuspidal.families import member_rows
+from cuspidal import families
+from cuspidal.families import (
+    FamilyParameterError,
+    ams_grid,
+    kashiwara_grid,
+    member_rows,
+    orevkov_grid,
+    prime_degree_scan,
+    tono_grid,
+)
 from cuspidal.invariants import newton_to_puiseux
 from cuspidal.records import CurveRecord, OutputDocument, curve_record, record_to_flat_dict
 from cuspidal.semigroup import _generators, bl_check_unicuspidal
@@ -217,13 +226,13 @@ def test_classify_range_searches_five_pairs():
 
 def _counted_checks(monkeypatch):
     # the degree of every counting check the pruned search runs from here
-    # on: each leaf's, which counts off its chain's Apery box
+    # on: each leaf's, where the walk solves it, off its node's Apery set
     calls = []
     check = search._leaf_check
 
-    def counted(degree, ps, generators):
+    def counted(degree, generators, apery, checked):
         calls.append(degree)
-        return check(degree, ps, generators)
+        return check(degree, generators, apery, checked)
 
     monkeypatch.setattr(search, "_leaf_check", counted)
     return calls
@@ -306,7 +315,7 @@ def test_one_walk_probe_counts_are_pinned(monkeypatch):
     # group bisected: 485 probes to d = 30, 102,748 to d = 200 (a third of
     # the 316,925 of a walk that probes every b of a group), and 5,039 at
     # d = 500 over every k; the SHA-256 of the JSON pins every record's
-    # bytes to d = 200
+    # bytes to d = 200, and the closed-form routes agree with its records
     probes = _counted_probes(monkeypatch)
     assert len(search._search([(d, _every_k(d)) for d in range(3, 31)], PRUNED, 1)) == 138
     assert probes == [485]
@@ -339,9 +348,45 @@ def test_one_walk_probe_counts_are_pinned(monkeypatch):
     }
     assert len(surplus) == len(expect) == 78
     assert {(r.degree, r.newton) for r in surplus} == expect
+    _closed_forms_agree_with_the_walk(records)
     probes[0] = 0
     assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
     assert probes == [5_039]
+
+
+def _closed_forms_agree_with_the_walk(records):
+    # the closed-form routes against the records of classify_range(200),
+    # with no search of their own (~0.07 s).  The prime scan lists exactly
+    # the prime degrees that hold a proved record other than the one-pair
+    # (p-1, p): 19 primes with 27 such records.  Every family member of
+    # degree 3-200 whose data builds is a record and none is a candidate,
+    # the 3- and 4-pair members above d = 30 included.  Left out, as never
+    # attributed: tono-iib, whose published data is inconsistent, and the
+    # Kashiwara minus kinds, whose data never builds
+    by_key = {(r.degree, r.newton): r for r in records}
+    nontrivial = [
+        r for r in records if r.existence != "candidate" and r.newton != ((r.degree - 1, r.degree),)
+    ]
+    scan = [p for p, _ in prime_degree_scan(200)]
+    primes = {d for d in {r.degree for r in nontrivial} if all(d % f for f in range(2, d))}
+    assert sorted(primes) == scan
+    assert len(scan) == 19
+    assert sum(r.degree in scan for r in nontrivial) == 27
+    excepted = {families.TONO_IIB, families.KASHIWARA_IIMINUS_GE, families.KASHIWARA_IIMINUS_SP}
+    grids = (ams_grid(200), kashiwara_grid(6, 4, 4), tono_grid(40, 40, 40), orevkov_grid(6))
+    members = Counter()
+    for spec in (spec for grid in grids for spec in grid if spec.kind not in excepted):
+        try:
+            degree, newton = families._family_data(spec)
+        except FamilyParameterError:
+            continue
+        if 3 <= degree <= 200:
+            record = by_key.get((degree, newton))
+            assert record is not None and record.existence != "candidate", (spec, degree, newton)
+            members[len(newton)] += 1
+    # 3,193 members, each a different record; 1,956 of them have 3 or more
+    # pairs and degree above 30
+    assert members == {1: 305, 2: 909, 3: 1_117, 4: 642, 5: 193, 6: 26, 7: 1}
 
 
 def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
@@ -350,7 +395,7 @@ def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
     for d in range(3, 31):
         for k in range(1, min(4, max_pairs_bound(d)) + 1):
             enumerate_candidates(SearchConfig(d, k))
-            leaves += sum(1 for _ in pruned_leaves(d, k))
+            leaves += len(pruned_leaves(d, k))
             uncut += sum(1 for _ in uncut_leaves(d, k))
     # the two-sided prefix cut leaves 180 of the 10,136 delta-solved
     # candidates
@@ -383,12 +428,11 @@ def test_prefix_cut_is_lossless(monkeypatch):
             uncut = list(uncut_leaves(d, k))
             leaves += len(uncut)
             # a record is built only for a leaf whose generators pass
+            chains = ((bs, _generators(*inv.characteristic_chain(a, bs))) for a, bs in uncut)
             passed = (
-                search._finalize(d, a, bs)
-                for a, bs in uncut
-                if bl_check_unicuspidal(d, _generators(*inv.characteristic_chain(a, bs))).passed
+                search._finalize(d, bs, gens) for bs, gens in chains if bl_check_unicuspidal(d, gens)
             )
-            expect = sorted((r for r in passed if r is not None), key=CurveRecord.sort_key)
+            expect = sorted(passed, key=CurveRecord.sort_key)
             assert enumerate_candidates(SearchConfig(d, k)) == expect, (d, k)
     assert leaves == 145_322
     assert any(over for _, over in cuts)
@@ -416,7 +460,7 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
     leaves = 0
     for d in range(3, 41):
         for k in range(1, max_pairs_bound(d) + 1):
-            leaves += sum(1 for _ in pruned_leaves(d, k))
+            leaves += len(pruned_leaves(d, k))
     assert leaves == 295
     assert len(calls) == 828
     assert all(calls)
@@ -567,17 +611,17 @@ def _counted_everywhere(monkeypatch, module, name: str) -> list:
 
 
 def test_classification_builds_each_record_once(monkeypatch):
-    # each leaf that reaches _finalize is checked once, on its gcd chain's
-    # generators; only a passing leaf builds a record, once, with the
-    # generators that were checked and its classification fields, and
-    # attribution builds none
+    # each leaf the walk solves is checked once, on its gcd chain's
+    # generators; only a passing leaf reaches _finalize, after the walk,
+    # and builds a record, once, with the generators that were checked and
+    # its classification fields, and attribution builds none
     from cuspidal import families, invariants, records
 
     checked = []
     check = search._leaf_check
 
-    def recorded_check(degree, ps, generators):
-        verdict = check(degree, ps, generators)
+    def recorded_check(degree, generators, apery, prefix):
+        verdict = check(degree, generators, apery, prefix)
         checked.append((degree, generators, verdict.passed))
         return verdict
 
@@ -591,20 +635,21 @@ def test_classification_builds_each_record_once(monkeypatch):
     generators_of = {r.sort_key(): r.semigroup_generators for r in classify_range(40)}
     assert len(generators_of) == 227
     assert probes == [1_243]
-    assert len(finalized) == len(checked) == 295
-    passing = [(leaf, (d, gens)) for leaf, (d, gens, ok) in zip(finalized, checked) if ok]
-    assert len(passing) == len(built) == 227
-    for ((d, a, bs), generators), args in zip(passing, built):
-        key = (d, invariants.newton_from_characteristic(a, bs))
+    assert len(checked) == 295
+    passing = [(d, gens) for d, gens, ok in checked if ok]
+    assert len(passing) == len(finalized) == len(built) == 227
+    for (d, bs, gens), generators, args in zip(finalized, passing, built):
+        key = (d, invariants.newton_from_characteristic(gens[0], bs))
         assert args[:2] == key
         assert (d, args[5]) == (d, generators_of[key]) == generators
     assert replaced == family_built == []
 
 
 def test_classified_records_are_built_in_one_step(monkeypatch):
-    # each search task builds its leaves' records already classified, in
-    # the forked helpers too: the same records, field for field, as
-    # classifying a record rebuilt from each leaf's Newton pairs
+    # the search builds each passing leaf's record already classified,
+    # after a walk shared with a forked helper too: the same records, field
+    # for field, as classifying a record rebuilt from each leaf's Newton
+    # pairs
     leaves = search._search([(d, _every_k(d)) for d in range(3, 61)], PRUNED, 1)
     expect = [classify_record(curve_record(r.degree, r.newton, strict=False)) for r in leaves]
     assert len(expect) == 447

@@ -260,12 +260,26 @@ STAGE_TWO_GCDS = (BUCKET_GCD, 1, inf)
 
 def check_every_stage_two_count(monkeypatch, degree, gens, want, leaf=False):
     # ``leaf``: gens are a gcd chain's with delta = genus, so the search's
-    # leaf check must give the same result
+    # leaf check must give the same result, off the Apery set of the node
+    # that would solve the leaf: from j = 1, and resumed past the node's
+    # checked prefix p_(k-1) w_k whenever no j there fails
     for bucket_gcd in STAGE_TWO_GCDS:
         monkeypatch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
         assert bl_check_unicuspidal(degree, gens) == want, (degree, gens, bucket_gcd)
         if leaf:
-            assert _leaf_check(degree, chain_ps(gens), gens) == want, (degree, gens, bucket_gcd)
+            node, prefix = node_of(gens)
+            assert _leaf_check(degree, gens, node, 0) == want, (degree, gens, bucket_gcd)
+            if want.passed or want.first_failing_j * degree > prefix:
+                got = _leaf_check(degree, gens, node, prefix)
+                assert got == want, (degree, gens, bucket_gcd)
+
+
+def node_of(gens):
+    # the sorted Apery set of w_1 in <w_1..w_k> for a gcd chain's
+    # generators w_1..w_(k+1), and the prefix p_(k-1) w_k that the probe
+    # entering that node checks (0 at the root, k = 1)
+    ps = chain_ps(gens)
+    return _apery(gens[:-1], ps[:-1]), (ps[-2] * gens[-2] if len(ps) > 1 else 0)
 
 
 def chain_ps(gens):
@@ -342,14 +356,17 @@ def test_leaf_check_past_the_cap_keeps_stage_one(monkeypatch):
     failed = raised = 0
     for k in range(1, max_pairs_bound(30) + 1):
         for a, bs in uncut_leaves(30, k):
-            ps, Qs = inv.characteristic_chain(a, bs)
-            gens = _generators(ps, Qs)
+            gens = _generators(*inv.characteristic_chain(a, bs))
+            node, prefix = node_of(gens)
             want = full_table_check(30, gens)
             if not want.passed and want.first_failing_j <= 2:
-                assert _leaf_check(30, ps, gens) == bl_check_unicuspidal(30, gens) == want
+                assert _leaf_check(30, gens, node, prefix) == bl_check_unicuspidal(30, gens) == want
                 failed += 1
                 continue
-            for check in (lambda: _leaf_check(30, ps, gens), lambda: bl_check_unicuspidal(30, gens)):
+            for check in (
+                lambda: _leaf_check(30, gens, node, prefix),
+                lambda: bl_check_unicuspidal(30, gens),
+            ):
                 with pytest.raises(TableTooLargeError) as caught:
                     check()
                 assert str(caught.value) == (
@@ -367,10 +384,12 @@ def test_prefix_cut_exact_side():
     # than asked at j = 2, 3, so only the exact side cuts it
     assert naive_miss(10, 3, (6, 14), 43) == (1, 2)
     assert naive_miss(10, 3, (6, 14), 0) is None
-    # and indeed every candidate below that node fails the check
-    below = [bs for a, bs in uncut_leaves(10, 2) if a == 6 and bs[0] == 14]
-    assert below
-    assert all(search._finalize(10, 6, bs) is None for bs in below)
+    # and indeed the search's leaf check fails every candidate below that
+    # node, off the node's Apery set {0, 14, 28} of 6 in T
+    below = [_generators(*inv.characteristic_chain(a, bs)) for a, bs in uncut_leaves(10, 2)]
+    below = [gens for gens in below if gens[:2] == (6, 14)]
+    assert below and all(node_of(gens)[0] == [0, 14, 28] for gens in below)
+    assert all(not _leaf_check(10, gens, [0, 14, 28], 0).passed for gens in below)
 
 
 def test_prefix_cut_keeps_the_prefixes_of_a_record():
@@ -428,6 +447,32 @@ def test_bl_check_matches_full_table_on_candidates(monkeypatch):
         check_every_stage_two_count(monkeypatch, degree, gens, expect, leaf=True)
         staged += expect.passed or expect.first_failing_j > 2
     assert staged == 1_174  # candidates that reach stage two
+
+
+def test_leaf_check_in_the_walk_matches_the_general_check(monkeypatch):
+    # every leaf the pruned walk solves, over every k at each d <= 60,
+    # failing ones included, gets the verdict of bl_check_unicuspidal on its
+    # generators field for field, under each stage-two store; the check
+    # runs off the walk's own node set and resumes past the prefix that the
+    # probe entering the node checked, which is past j = 1 for most leaves
+    checks = []
+
+    def recorded(degree, generators, apery, checked):
+        verdict = _leaf_check(degree, generators, apery, checked)
+        checks.append((degree, generators, checked, verdict))
+        return verdict
+
+    monkeypatch.setattr(search, "_leaf_check", recorded)
+    for bucket_gcd in STAGE_TWO_GCDS:
+        monkeypatch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
+        checks.clear()
+        for degree in range(3, 61):
+            search._search([(degree, range(1, max_pairs_bound(degree) + 1))], search.PRUNED, 1)
+        for degree, gens, _, verdict in checks:
+            assert verdict == bl_check_unicuspidal(degree, gens), (degree, gens, bucket_gcd)
+        assert len(checks) == 577
+        assert sum(not verdict.passed for *_, verdict in checks) == 130
+        assert sum(checked >= degree for degree, _, checked, _ in checks) == 375
 
 
 def test_bl_check_matches_full_table_on_two_generator_semigroups(monkeypatch):
@@ -527,11 +572,11 @@ def test_stage_two_count_is_selected_by_the_gcd(monkeypatch):
     assert took_buckets == [False, True]
 
 
-def apery_check(degree, w1, apery, last_j, floor=inf):
-    # the first (j, R(j*d + 1)), j = 1..last_j, with R, summed over the
-    # Apery set of w_1 term by term, above (j+1)(j+2)/2, or other than it
-    # with j*d < floor
-    for j in range(1, last_j + 1):
+def apery_check(degree, w1, apery, last_j, floor=inf, first_j=1):
+    # the first (j, R(j*d + 1)), j = first_j..last_j, with R, summed over
+    # the Apery set of w_1 term by term, above (j+1)(j+2)/2, or other than
+    # it with j*d < floor
+    for j in range(first_j, last_j + 1):
         point = j * degree
         count = sum((point - r) // w1 + 1 for r in apery if r <= point)
         expected = (j + 1) * (j + 2) // 2
@@ -545,22 +590,27 @@ def apery_check(degree, w1, apery, last_j, floor=inf):
 def test_sweep_matches_the_apery_count_on_every_store(sequence, data):
     # d = g m with g | w_1 and gcd(m, w_1/g) = 1 puts gcd(d, w_1) = g
     # anywhere in 1..w_1; m runs past 3 w_1/g, so d lies on both sides of
-    # w_1 and s wraps past w_1; the floor lies at and just past each point
+    # w_1 and s wraps past w_1; the floor lies at and just past each point.
+    # The sets are the Apery sets of w_1 in every prefix span <w_1..w_i>,
+    # the full box included: the small ones put the stop of a sweep with a
+    # floor well before last_j.  The sweep starts at any first_j
     a, bs = sequence
     ps, Qs = inv.characteristic_chain(a, bs)
     gens = _generators(ps, Qs)
-    box = _apery(gens, ps)
+    spans = [_apery(gens[: i + 1], ps[:i]) for i in range(len(ps) + 1)]
     g = data.draw(st.sampled_from([x for x in range(1, a + 1) if a % x == 0]))
     m = data.draw(st.integers(1, 3 * a // g + 3).filter(lambda m: gcd(m, a // g) == 1))
     degree = g * m
-    last_j = data.draw(st.integers(0, 12))
+    last_j = data.draw(st.integers(0, 20))
+    first_j = data.draw(st.sampled_from([1, 1, 2, max(1, last_j // 2), last_j + 1]))
     floors = [inf, 0, *(j * degree + e for j in range(1, last_j + 1) for e in (0, 1))]
     for bucket_gcd in STAGE_TWO_GCDS:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
-            for floor in floors:
-                want = apery_check(degree, a, box, last_j, floor)
-                assert _sweep(degree, a, box, last_j, floor) == want, (bucket_gcd, floor)
+            for apery, floor in ((apery, floor) for apery in spans for floor in floors):
+                want = apery_check(degree, a, apery, last_j, floor, first_j)
+                got = _sweep(degree, a, apery, last_j, floor, first_j)
+                assert got == want, (apery, bucket_gcd, floor)
 
 
 def test_round_robin_inputs_match_full_table_on_every_stage_two_count(monkeypatch):

@@ -4,13 +4,18 @@
 would hand to the counting check if no inner node were cut and the
 leading multiplicity ran over 2..d-1.  The full-table and naive-count
 oracles and the losslessness test of the cut read their inputs from it.
-``pruned_leaves`` yields the leaves the cut search itself hands on.
+``pruned_leaves`` lists the leaves the cut search itself solves and
+checks.
 ``naive_miss`` is the prefix-cut probe by brute-force membership.
 """
 
 from math import gcd
 
-from cuspidal.enumerate import PRUNED, _a_range, _omega_at_least, _pruned_extend
+import pytest
+
+from cuspidal import enumerate as search
+from cuspidal.enumerate import PRUNED, _omega_at_least
+from cuspidal.semigroup import _leaf_check
 
 
 def _uncut_extend(k, target, a, bs, partial, P, depth):
@@ -53,9 +58,19 @@ def uncut_leaves(degree, k):
 
 
 def pruned_leaves(degree, k):
-    """Every (a, (b_1..b_k)) leaf of the pruned search at (degree, k)."""
-    for a in _a_range(degree, PRUNED):
-        yield from _pruned_extend(degree, range(k, k + 1), (), 1 - a, a, (a,), 0, [0])
+    """The generators of every leaf that the pruned search at (degree, k)
+    solves and checks, passing or not: its walk's calls of the leaf check,
+    recorded in place of any wrapper the caller has set on it."""
+    checked = []
+
+    def recorded(degree, generators, apery, prefix):
+        checked.append(generators)
+        return _leaf_check(degree, generators, apery, prefix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_leaf_check", recorded)
+        search._search([(degree, range(k, k + 1))], PRUNED, 1)
+    return checked
 
 
 def naive_miss(degree, last_j, gens, floor):
