@@ -53,8 +53,9 @@ Two modes produce identical sets and cross-validate each other:
     the stage-two sweep of the counting check (``semigroup._sweep``)
     counts R_T off it (``_span_miss``), stopping at the last j that can
     still cut (``_sweep`` proves the bound).  Only the leaves that survive
-    the cut reach the counting check, and a leaf's check skips the j*d <=
-    p_i w_(i+1) that the probe entering its node found exact.
+    the cut reach the counting check.  Every count below a node, its
+    children's probes and its leaf's check, starts past the j*d <=
+    p_i w_(i+1) that the probe entering the node found exact.
   - the first pair's window: at the root, T = <a, b_1> for a child of gcd
     g, and every member of it is x a + y b_1 with 0 <= y < a/g in exactly
     one way.  So the b_1 that pass the prefix cut at j <= min(J, 2) form
@@ -85,7 +86,11 @@ tree once for every k, while ``enumerate_candidates`` serves its one k
 
 The search is embarrassingly parallel over (degree, leading multiplicity
 a): each pair is one task, and one task list serves every caller
-(``_search``).  A search runs in two passes: the tasks walk their trees
+(``_search``).  Before it makes any task the search refuses a degree whose
+leaves the counting check would refuse (``semigroup._check_leaf_size``),
+from d = 46,343 on: no record of such a degree exists, as every leaf there
+fails at j <= 2 or needs more than ``TABLE_BIT_CAP`` bits, so the task list
+stays bounded.  A search runs in two passes: the tasks walk their trees
 and return only the leaves that pass the counting check, and then the
 caller builds their records in task order, classified for
 ``classify_range`` and the tables.  The calling process runs the tasks
@@ -104,18 +109,16 @@ import os
 import pickle
 import signal
 import time
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, repeat
 from math import gcd, inf, isqrt
 
 from . import invariants as inv
 from .existence import CANDIDATE, MAX_DEGREE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
 from .records import FLAG_FRONTIER, CurveRecord, _record, cusp_data
-from .semigroup import _first_pair_window, _generators, _join, _leaf_check, _sweep
-from .semigroup import bl_check_unicuspidal
+from .semigroup import _check_leaf_size, _first_pair_window, _generators, _join, _leaf_check
+from .semigroup import _sweep, bl_check_unicuspidal
 
 PRUNED = "pruned"
 PARANOID = "paranoid"
@@ -187,36 +190,22 @@ def _search(
     the record code once per task, and that costs more than building them
     all in one run.  Building them in the caller keeps one fork per search,
     and helpers send back leaves, which pickle smaller than records.
+
+    Each cell's degree is first checked against the counting cap
+    (``semigroup._check_leaf_size``), which raises the error of the leaf
+    check before any task is made; past the cap no leaf can pass, so no
+    record is lost.  The task list is then bounded: for one degree at
+    most 30,894 tasks, 3.0 MiB (d = 46,342; ``paranoid`` 46,340 and
+    4.5 MiB), and about N^2/3 tasks for ``classify_range(N)``, 0.8 MiB at
+    N = 200 and 31 MiB at N = 1,000.
     """
-    tasks = _Tasks(cells, mode)
+    for degree, _ in cells:
+        _check_leaf_size(degree)
+    tasks = [(d, ks, a) for d, ks in cells for a in _a_range(d, mode)]
     leaves = _run_tasks(lambda task: _search_a(*task, mode), tasks, worker_count)
     records = [_finalize(*leaf, classify=classify) for leaf in leaves]
     records.sort(key=CurveRecord.sort_key)
     return records
-
-
-class _Tasks(Sequence):
-    """The (degree, ks, a) tasks of a search's cells, in task order, each
-    made when it is reached: a list of them all would grow with the degree,
-    as the a of one degree number about 2d/3.  Iterating makes them in C,
-    with no Python call per task; only a forked helper indexes, by a
-    bisection over the cells.
-    """
-
-    def __init__(self, cells: Sequence[tuple[int, range]], mode: str):
-        self._cells = [(d, ks, _a_range(d, mode)) for d, ks in cells]
-        self._starts = [0, *accumulate(len(a_range) for _, _, a_range in self._cells)]
-
-    def __len__(self) -> int:
-        return self._starts[-1]
-
-    def __iter__(self):
-        return chain.from_iterable(zip(repeat(d), repeat(ks), a_s) for d, ks, a_s in self._cells)
-
-    def __getitem__(self, index: int) -> tuple[int, range, int]:
-        cell = bisect_right(self._starts, index) - 1
-        d, ks, a_range = self._cells[cell]
-        return d, ks, a_range[index - self._starts[cell]]
 
 
 def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:
@@ -239,6 +228,9 @@ def _run_tasks(fn, tasks: Sequence, worker_count: int) -> list:
     the call ends.  When the delay passes inside a long task near the end
     of the list, the call forks with almost no work left and pays the fork
     for nothing.
+
+    The search hands it a list of every task, bounded because the search
+    refuses a degree past the counting cap before it makes one.
     """
     workers = min(worker_count, len(tasks), _cpu_count()) if hasattr(os, "fork") else 1
     fork_at = time.perf_counter() + _FORK_DELAY_S if workers > 1 else inf
@@ -421,15 +413,18 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     (P-1)(b - prev), w_2 = p_0 w_1 + b_1 - b_0 = b_1, and one rule serves
     every depth.  Every b exceeds max(prev, a).
 
+    Every count below the node starts at first_j = p w_(i+1)//d + 1.  The
+    probe that entered the node (or the run it lies in) found the node's
+    span exact at every j*d <= p w_(i+1), that is at every j < first_j.  A
+    child's span and the leaf's semigroup add a generator w > p w_(i+1) to
+    the node's span, so at those j they count what the node's span does,
+    and no floor can cut there; the root, p = 0, counts from j = 1.
+
     The node solves its leaf, b = prev + Q, and checks it on the spot
     (``semigroup._leaf_check``).  The leaf's last generator is w = p
     w_(i+1) + Q with gcd(P, w) = gcd(P, Q) = 1, so by the span rule below,
     with g = 1 and n = P, its Apery set of a is {s + c w : s in ``apery``,
-    0 <= c < P}.  Its semigroup agrees with the node's span below w, and
-    the probe that entered the node (or the run it lies in) found R exact
-    at every j*d <= p w_(i+1), so the check resumes past that prefix; the
-    root, p = 0, checks from j = 1.  Only a passing leaf is yielded, with
-    its generators.
+    0 <= c < P}.  Only a passing leaf is yielded, with its generators.
 
     One walk serves every k in ``ks``: the node solves the leaf with
     k = i + 1 pairs when that k is served, and enters its children only
@@ -451,17 +446,17 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     them, the root's being [0].  Its child T = <gens, w> of gcd g gets
     {s + c w : s in ``apery``, 0 <= c < n}, n = P/g (proved below), and
     ``semigroup._sweep`` counts R_T(j*d + 1) off it as the counting check
-    counts R off the Apery set of w_1.  The probe builds the set once per
-    w, and the child entered with w reuses it.  Such a child has Newton
-    p' = P/g, and every
-    later generator of a leaf below it is at least p' w + 1: w_(m+1) =
-    p_m w_m + Q_m with Q_m >= 1, and the generators increase.  So each leaf's
-    semigroup contains the child's span and agrees with it below that
-    floor, and a child whose span misses the criterion there is not
-    entered.  At the root (bs = ()) the b range of each gcd is first
-    narrowed to the window of b_1 whose span <a, b_1> passes j <= min(J, 2)
-    (``_first_pair_window``); a b_1 outside it would miss there, so the
-    narrowing cuts what the probe would, with no probe.
+    counts R off the Apery set of w_1.  The probe builds the set of each w
+    it probes, and a child the node enters builds its own (``_join``).
+    Such a child has Newton p' = P/g, and every later generator of a leaf
+    below it is at least p' w + 1: w_(m+1) = p_m w_m + Q_m with Q_m >= 1,
+    and the generators increase.  So each leaf's semigroup contains the
+    child's span and agrees with it below that floor, and a child whose
+    span misses the criterion there is not entered.  At the root (bs = ())
+    the b range of each gcd is first narrowed to the window of b_1 whose
+    span <a, b_1> passes j <= min(J, 2) (``_first_pair_window``); a b_1
+    outside it would miss there, so the narrowing cuts what the probe
+    would, with no probe.
 
     The b of one group that the probe passes form one run, so the node
     finds its ends by bisection (``_passing_run``) and enters every b
@@ -504,13 +499,14 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     target = (degree - 1) * (degree - 2)
     prev = bs[-1] if bs else 0
     low = max(prev, gens[0])
+    # the probe that entered this node checked every j*d <= p w_(i+1)
+    first_j = p * gens[-1] // degree + 1
     # depth <= ks[-1] at every node, so depth >= ks.start means depth in ks
     if depth >= ks.start:
         Q, r = divmod(target - partial, P - 1)
         if r == 0 and prev + Q > low and gcd(P, Q) == 1:
-            # the probe that entered this node checked every j*d <= p w_(i+1)
             leaf = gens + (p * gens[-1] + Q,)
-            if _leaf_check(degree, leaf, apery, p * gens[-1]).passed:
+            if _leaf_check(degree, leaf, apery, first_j).passed:
                 yield bs + (prev + Q,), leaf
         if depth == ks[-1]:
             return
@@ -535,26 +531,25 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
                 ws.append(b + shift)
         if not ws:
             continue
-        miss, span = _span_miss(degree, last_j, gens, apery, P // g)
-        for w in ws[_passing_run(miss, ws, P // g)]:
+        n = P // g
+        miss = _span_miss(degree, last_j, first_j, gens, apery, n)
+        for w in ws[_passing_run(miss, ws, n)]:
             b = w - shift
             term = (P - 1) * (b - prev)
             yield from _pruned_extend(
-                degree, ks, bs + (b,), partial + term, g, gens + (w,), P // g, span(w)
+                degree, ks, bs + (b,), partial + term, g, gens + (w,), n, _join(apery, w, n)
             )
 
 
-def _span_miss(degree, last_j, gens, apery, n):
+def _span_miss(degree, last_j, first_j, gens, apery, n):
     """The prefix probe of a node's children of one gcd g, n = P/g:
     ``miss(w, floor)``, the first (j, R_T(j*d + 1)) of T = <gens, w> that
-    ``semigroup._sweep`` reports with that floor, and ``span(w)``, T's
-    sorted Apery set of a, which the probe builds once per w and the child
-    entered with w reuses.
+    ``semigroup._sweep`` reports with that floor, counted from ``first_j``.
 
     ``apery`` is the node's Apery set of a = w_1 in <gens>, a/P members.
     T's is {s + c w : s in ``apery``, 0 <= c < n} (see
-    :func:`_pruned_extend`), so the sweep counts exactly what a table of
-    T's members would.
+    :func:`_pruned_extend`), built by ``semigroup._join`` for each w
+    probed, so the sweep counts exactly what a table of T's members would.
 
     A miss means that every semigroup S which contains T and has the same
     members below ``floor`` fails the counting criterion, which asks
@@ -562,19 +557,16 @@ def _span_miss(degree, last_j, gens, apery, n):
     R_S(x) >= R_T(x), and S and T agree on [0, j*d] when j*d < floor, so
     R_S(j*d + 1) = R_T(j*d + 1).  The search probes with floor n w + 1,
     below every later generator of a leaf under the child, so a child that
-    misses is cut losslessly.
+    misses is cut losslessly.  Starting at ``first_j`` = p w_(i+1)//d + 1
+    changes no answer, at any floor: for j*d <= p w_(i+1) < w, T counts
+    what the node's span does, and the probe that entered the node found
+    that exact, so neither side can cut there.
     """
-    spans = {}
-
-    def span(w):
-        if w not in spans:
-            spans[w] = _join(apery, w, n)
-        return spans[w]
 
     def miss(w, floor):
-        return _sweep(degree, gens[0], span(w), last_j, floor)
+        return _sweep(degree, gens[0], _join(apery, w, n), last_j, floor, first_j)
 
-    return miss, span
+    return miss
 
 
 def _passing_run(miss, ws: Sequence[int], n: int) -> slice:

@@ -66,12 +66,14 @@ solves it: its gcd chain makes the generators telescopic and its delta
 solve fixes the conductor (d-1)(d-2), so the leaf needs neither the test
 nor stage one's table and runs the stage-two sweep alone, which reports
 the same first failing j and R as the two stages would.  It counts off
-the Apery set of its node, the one that node's prefix probe used, joined
-with the last generator (``_join``), and resumes past the j that the probe
-which entered the node already checked exactly.  The search's prefix probe
-(``enumerate._span_miss``) runs the same sweep, with a floor, on the Apery
-set of w_1 in the span of the generators a node has fixed, and stops at
-the last j that can still cut (``_sweep``).
+the Apery set of its node joined with the last generator (``_join``), and
+resumes past the j that the probe which entered the node already checked
+exactly.  The search's prefix probe (``enumerate._span_miss``) runs the
+same sweep, with a floor, on the Apery set of w_1 in the span of the
+generators a node has fixed, resumes past the same j, and stops at the
+last j that can still cut (``_sweep``).  The search refuses a degree past
+the cap before it makes any task (``_check_leaf_size``), so a leaf is
+only ever checked below it.
 """
 
 from __future__ import annotations
@@ -320,8 +322,9 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
 
     The search checks its leaves with ``_leaf_check``, which runs stage 2
     alone, off the Apery set of the node that solved the leaf, from the
-    first j that node's prefix probe has not checked, and returns the same
-    result.
+    first j that the probe entering that node has not checked, and returns
+    the same result.  It checks the cap once per degree, before any task
+    (``_check_leaf_size``), and raises there what this check would.
 
     Each saving is lossless, so the result equals, field for field, that of
     one pass over the full table:
@@ -377,12 +380,12 @@ def _sweep(
 
     With no floor (floor = inf) and first_j = 1 that is the first failing j
     of the counting check past j = 0, where R(1) = 1 always holds; stage two
-    of ``bl_check_unicuspidal``, ``_leaf_check`` (from the first j its node
-    has not checked) and the search's prefix probe (``enumerate._span_miss``)
-    all count here.  S need not be numerical: its members are r + t w1 for r
-    in ``apery`` and t >= 0, each once, in whatever residue classes mod w1 S
-    meets, so the set may hold fewer than w1 members (item 3 of the module
-    docstring).
+    of ``bl_check_unicuspidal``, ``_leaf_check`` and the search's prefix
+    probe (``enumerate._span_miss``) all count here, the last two from the
+    first j that the probe entering their node has not checked.  S need not
+    be numerical: its members are r + t w1 for r in ``apery`` and t >= 0,
+    each once, in whatever residue classes mod w1 S meets, so the set may
+    hold fewer than w1 members (item 3 of the module docstring).
 
     With a floor the sweep stops at the last j that can still cut,
     L = max(first_j, floor((floor - 1)/d), |apery| ceil(d/w1) - 2), and
@@ -450,16 +453,30 @@ def _join(apery: list[int], w: int, n: int) -> list[int]:
     return members
 
 
+def _check_leaf_size(degree: int) -> None:
+    """Raise what ``bl_check_unicuspidal`` raises for a search leaf of this
+    degree that passes j <= 2, and nothing where it raises nothing: stage
+    one's bound 2d first, then the leaf's J*d, J = floor((d-3)/2) (see
+    ``_leaf_check``), each through ``_check_table_size``.
+
+    Past either bound every leaf of the degree fails at j <= 2 or raises,
+    so no record of that degree exists, and the search calls this for each
+    of its degrees before it makes any task (``enumerate._search``).
+    """
+    _check_table_size(degree, min(degree - 2, 2) * degree)
+    _check_table_size(degree, (degree - 3) // 2 * degree)
+
+
 def _leaf_check(
-    degree: int, generators: tuple[int, ...], apery: list[int], checked: int
+    degree: int, generators: tuple[int, ...], apery: list[int], first_j: int
 ) -> BLCheckResult:
     """The counting check of a search leaf, off the Apery set of the node
     that solved it: the result of ``bl_check_unicuspidal(degree,
     generators)``, field for field, for the generators w_1 < ... < w_(k+1)
     of a valid gcd chain with Newton p_1..p_k whose delta equals the genus
     (d-1)(d-2)/2, given the sorted Apery set ``apery`` of w_1 in
-    <w_1..w_k> and that R(j*d + 1) = (j+1)(j+2)/2 holds at every j with
-    j*d <= ``checked``.
+    <w_1..w_k> and that R(j*d + 1) = (j+1)(j+2)/2 holds at every j below
+    ``first_j``.
 
     The chain proves what stage two of ``bl_check_unicuspidal`` tests, so
     the check goes straight to its sweep.  The generators of a plane branch
@@ -478,19 +495,14 @@ def _leaf_check(
     (the root, k = 1, with p_0 = 0, passed none): R_T(j*d + 1) =
     (j+1)(j+2)/2 at every j*d <= p_(k-1) w_k.  The leaf's semigroup agrees
     with T up to w_(k+1) - 1 >= p_(k-1) w_k, so those j hold for the leaf
-    too, and the sweep starts at the first j past ``checked`` =
-    p_(k-1) w_k.  With ``checked`` = 0 it sweeps from j = 1 and needs no
-    node.
+    too, and the sweep starts at ``first_j`` = p_(k-1) w_k // d + 1, the
+    first j past them.  With ``first_j`` = 1 it needs no node.
 
-    Where J*d + 1 or 2d + 1 passes ``TABLE_BIT_CAP`` the leaf goes to
-    ``bl_check_unicuspidal`` itself, which checks j <= 2 on its stage-one
-    table and then raises ``TableTooLargeError`` with its message; the
-    leaf's set, of w_1 members, is built only below the cap.
+    The check runs below the cap only: the search refuses a degree whose
+    2d + 1 or J*d + 1 passes ``TABLE_BIT_CAP`` before any task
+    (``_check_leaf_size``), with the error ``bl_check_unicuspidal`` raises.
     """
-    last_j = (degree - 3) // 2
-    if max(last_j, 2) * degree >= TABLE_BIT_CAP:
-        return bl_check_unicuspidal(degree, generators)
     w1 = generators[0]
     box = _join(apery, generators[-1], w1 // len(apery))
-    miss = _sweep(degree, w1, box, last_j, first_j=checked // degree + 1)
+    miss = _sweep(degree, w1, box, (degree - 3) // 2, first_j=first_j)
     return BLCheckResult(degree, *(miss or ()))

@@ -14,6 +14,7 @@ from cuspidal import enumerate as search
 from cuspidal.cli import main
 from cuspidal.enumerate import classify_range
 from cuspidal.records import record_to_json_dict
+from cuspidal.semigroup import TableTooLargeError, bl_check_unicuspidal
 
 
 def run(capsys, *argv):
@@ -324,28 +325,56 @@ def test_search_past_the_counting_cap_exits_2(capsys):
     assert "needs a 1249900001-bit table" in err and "Traceback" not in err
 
 
+# enumerate inputs past the counting cap: the degrees 10^8 (one and two
+# pairs, and one pair with --paranoid), 46,343 (the first refused), 50,000
+# and 2^29 + 1 (past stage one's bound 2d + 1 as well)
+PAST_THE_CAP = (
+    ("--degree", "100000000", "--pairs", "1"),
+    ("--degree", "100000000", "--pairs", "2"),
+    ("--degree", "46343", "--pairs", "3"),
+    ("--degree", "50000", "--pairs", "2"),
+    ("--degree", "536870913", "--pairs", "1"),
+    ("--degree", "100000000", "--pairs", "1", "--paranoid"),
+)
+
+
 def test_search_memory_does_not_grow_with_the_degree():
-    # the d = 10^8 search makes its (degree, a) tasks as it reaches them: its
-    # first task exits 2 at the counting cap in ~0.2 s, where a list of all
-    # ~6.7 * 10^7 tasks would need gigabytes.  The child process alone runs
-    # under a 1 GiB address-space limit, so a list that grows with d ends in
-    # MemoryError (exit 1) instead of exhausting the host.
+    # every search past the counting cap exits 2 before its walk, within a
+    # second, with no traceback and the error that the counting check gives
+    # a leaf of that degree passing j <= 2, here the one-pair (d-1, d).
+    # Each child runs under its own 1 GiB address-space limit and a
+    # timeout, so a task list or walk that grows with d ends in MemoryError
+    # or the timeout instead of exhausting the host.
     src = str(Path(__file__).resolve().parent.parent / "src")
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from cuspidal.cli import main\n"
-        "sys.exit(main(['enumerate', '--degree', '100000000', '--pairs', '1']))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
     )
     env = {key: value for key, value in os.environ.items() if key != "CUSPIDAL_JOBS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 2, result.stderr
-    assert result.stdout == ""
-    assert "needs a 4999999800000001-bit table" in result.stderr
-    assert "Traceback" not in result.stderr
+    messages = {}
+    for args in PAST_THE_CAP:
+        degree = int(args[1])
+        with pytest.raises(TableTooLargeError) as caught:
+            bl_check_unicuspidal(degree, (degree - 1, degree))
+        messages[args] = str(caught.value)
+        start = time.monotonic()
+        result = subprocess.run(
+            [sys.executable, "-c", child, "enumerate", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        elapsed = time.monotonic() - start
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stdout == ""
+        assert result.stderr == f"error: {messages[args]}\n", args
+        assert elapsed < 1.0, (args, elapsed)
+    assert "needs a 4999999800000001-bit table" in messages[PAST_THE_CAP[0]]
+    assert "needs a 1073741827-bit table" in messages[PAST_THE_CAP[4]]
 
 
 def test_factorizations_command(capsys):

@@ -34,7 +34,7 @@ from cuspidal.families import (
 )
 from cuspidal.invariants import newton_to_puiseux
 from cuspidal.records import CurveRecord, OutputDocument, curve_record, record_to_flat_dict
-from cuspidal.semigroup import _generators, bl_check_unicuspidal
+from cuspidal.semigroup import TableTooLargeError, _generators, bl_check_unicuspidal
 from uncut_search import naive_miss, pruned_leaves, uncut_leaves
 
 
@@ -230,9 +230,9 @@ def _counted_checks(monkeypatch):
     calls = []
     check = search._leaf_check
 
-    def counted(degree, generators, apery, checked):
+    def counted(degree, generators, apery, first_j):
         calls.append(degree)
-        return check(degree, generators, apery, checked)
+        return check(degree, generators, apery, first_j)
 
     monkeypatch.setattr(search, "_leaf_check", counted)
     return calls
@@ -244,13 +244,13 @@ def _counted_probes(monkeypatch):
     span_miss = search._span_miss
 
     def counted(*group):
-        miss, span = span_miss(*group)
+        miss = span_miss(*group)
 
         def counted_miss(w, floor):
             probes[0] += 1
             return miss(w, floor)
 
-        return counted_miss, span
+        return counted_miss
 
     monkeypatch.setattr(search, "_span_miss", counted)
     return probes
@@ -411,7 +411,7 @@ def test_prefix_cut_is_lossless(monkeypatch):
     span_miss = search._span_miss
 
     def counted(*group):
-        miss, span = span_miss(*group)
+        miss = span_miss(*group)
 
         def counted_miss(w, floor):
             cut = miss(w, floor)
@@ -419,7 +419,7 @@ def test_prefix_cut_is_lossless(monkeypatch):
             cuts.append((cut is not None, miss(w, 0) is not None))
             return cut
 
-        return counted_miss, span
+        return counted_miss
 
     monkeypatch.setattr(search, "_span_miss", counted)
     leaves = 0
@@ -446,7 +446,7 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
     span_miss = search._span_miss
 
     def counted(*group):
-        miss, span = span_miss(*group)
+        miss = span_miss(*group)
         index = len(calls)
         calls.append(0)
 
@@ -454,7 +454,7 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
             calls[index] += 1
             return miss(w, floor)
 
-        return counted_miss, span
+        return counted_miss
 
     monkeypatch.setattr(search, "_span_miss", counted)
     leaves = 0
@@ -475,10 +475,10 @@ def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
     node_of = {}  # probe -> (degree, gens) of the node that made it
     groups, passing, entered = [], set(), set()
 
-    def tagged(degree, last_j, gens, apery, n):
-        miss, span = span_miss(degree, last_j, gens, apery, n)
+    def tagged(degree, last_j, first_j, gens, apery, n):
+        miss = span_miss(degree, last_j, first_j, gens, apery, n)
         node_of[miss] = degree, gens
-        return miss, span
+        return miss
 
     def checked(miss, ws, n):
         passes = [t for t, w in enumerate(ws) if miss(w, n * w + 1) is None]
@@ -514,15 +514,15 @@ def test_prefix_probe_equals_a_naive_count(monkeypatch):
     probes = []
     span_miss = search._span_miss
 
-    def recorded(degree, last_j, gens, apery, n):
-        miss, span = span_miss(degree, last_j, gens, apery, n)
+    def recorded(degree, last_j, first_j, gens, apery, n):
+        miss = span_miss(degree, last_j, first_j, gens, apery, n)
 
         def recorded_miss(w, floor):
             cut = miss(w, floor)
             probes.append((degree, last_j, gens + (w,), n * w + 1, floor, cut, miss(w, 0)))
             return cut
 
-        return recorded_miss, span
+        return recorded_miss
 
     monkeypatch.setattr(search, "_span_miss", recorded)
     for d in range(3, 61):
@@ -556,6 +556,46 @@ def test_search_closes_no_table(monkeypatch):
     ):
         text = OutputDocument(tuple(records), {}).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_search_past_the_cap_raises_before_any_task(monkeypatch):
+    # with a 256-bit cap every leaf of d = 30 that passes j <= 2 needs
+    # J*d + 1 = 391 bits, so the search raises that leaf check's error
+    # before it runs a task, for every k in both modes; classify_range(30)
+    # meets the cap first at d = 25, with J*d + 1 = 276 bits
+    monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 256)
+
+    def no_task(*args):
+        raise AssertionError("a search task ran")
+
+    monkeypatch.setattr(search, "_search_a", no_task)
+    message = "the counting check at degree {} needs a {}-bit table, over the cap of 256 bits"
+    for mode in (PRUNED, PARANOID):
+        for k in range(1, max_pairs_bound(30) + 1):
+            with pytest.raises(TableTooLargeError) as caught:
+                enumerate_candidates(SearchConfig(30, k, mode))
+            assert str(caught.value) == message.format(30, 391), (mode, k)
+    with pytest.raises(TableTooLargeError) as caught:
+        classify_range(30)
+    assert str(caught.value) == message.format(25, 276)
+
+
+def test_search_is_refused_from_degree_46343(monkeypatch):
+    # with the walk stubbed out: d = 46,342 reaches _run_tasks with its
+    # 30,894 tasks (J*d + 1 = 1,073,697,799 bits, under 2^30), and
+    # d = 46,343 raises before it (J*d + 1 = 1,073,767,311 bits)
+    reached = []
+
+    def stub(fn, tasks, worker_count):
+        reached.append(len(tasks))
+        return []
+
+    monkeypatch.setattr(search, "_run_tasks", stub)
+    assert enumerate_candidates(SearchConfig(46_342, 1)) == []
+    assert reached == [30_894]
+    with pytest.raises(TableTooLargeError, match="degree 46343 needs a 1073767311-bit table"):
+        enumerate_candidates(SearchConfig(46_343, 1))
+    assert reached == [30_894]
 
 
 def test_passing_run_finds_every_run():
@@ -620,8 +660,8 @@ def test_classification_builds_each_record_once(monkeypatch):
     checked = []
     check = search._leaf_check
 
-    def recorded_check(degree, generators, apery, prefix):
-        verdict = check(degree, generators, apery, prefix)
+    def recorded_check(degree, generators, apery, first_j):
+        verdict = check(degree, generators, apery, first_j)
         checked.append((degree, generators, verdict.passed))
         return verdict
 

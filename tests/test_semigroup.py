@@ -261,16 +261,17 @@ STAGE_TWO_GCDS = (BUCKET_GCD, 1, inf)
 def check_every_stage_two_count(monkeypatch, degree, gens, want, leaf=False):
     # ``leaf``: gens are a gcd chain's with delta = genus, so the search's
     # leaf check must give the same result, off the Apery set of the node
-    # that would solve the leaf: from j = 1, and resumed past the node's
-    # checked prefix p_(k-1) w_k whenever no j there fails
+    # that would solve the leaf: from j = 1, and resumed at the first j past
+    # the node's checked prefix p_(k-1) w_k whenever no j there fails
     for bucket_gcd in STAGE_TWO_GCDS:
         monkeypatch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
         assert bl_check_unicuspidal(degree, gens) == want, (degree, gens, bucket_gcd)
         if leaf:
             node, prefix = node_of(gens)
-            assert _leaf_check(degree, gens, node, 0) == want, (degree, gens, bucket_gcd)
-            if want.passed or want.first_failing_j * degree > prefix:
-                got = _leaf_check(degree, gens, node, prefix)
+            first_j = prefix // degree + 1
+            assert _leaf_check(degree, gens, node, 1) == want, (degree, gens, bucket_gcd)
+            if want.passed or want.first_failing_j >= first_j:
+                got = _leaf_check(degree, gens, node, first_j)
                 assert got == want, (degree, gens, bucket_gcd)
 
 
@@ -349,30 +350,26 @@ def test_stage_one_cap_is_checked_before_any_table(monkeypatch):
 
 def test_leaf_check_past_the_cap_keeps_stage_one(monkeypatch):
     # a 256-bit cap at d = 30 admits stage one's 2d + 1 = 61 bits but not
-    # the J*d + 1 = 391 of the rest: a leaf that fails at j <= 2 still
-    # returns that failure, and one that passes j <= 2 raises, as the
-    # general check does
+    # the J*d + 1 = 391 of the rest: the general check still returns the
+    # failure of a leaf that fails at j <= 2, and raises for one that
+    # passes j <= 2 (the search refuses the degree before its walk; see
+    # test_search_past_the_cap_raises_before_any_task)
     monkeypatch.setattr(semigroup, "TABLE_BIT_CAP", 256)
     failed = raised = 0
     for k in range(1, max_pairs_bound(30) + 1):
         for a, bs in uncut_leaves(30, k):
             gens = _generators(*inv.characteristic_chain(a, bs))
-            node, prefix = node_of(gens)
             want = full_table_check(30, gens)
             if not want.passed and want.first_failing_j <= 2:
-                assert _leaf_check(30, gens, node, prefix) == bl_check_unicuspidal(30, gens) == want
+                assert bl_check_unicuspidal(30, gens) == want
                 failed += 1
                 continue
-            for check in (
-                lambda: _leaf_check(30, gens, node, prefix),
-                lambda: bl_check_unicuspidal(30, gens),
-            ):
-                with pytest.raises(TableTooLargeError) as caught:
-                    check()
-                assert str(caught.value) == (
-                    "the counting check at degree 30 needs a 391-bit table, "
-                    "over the cap of 256 bits"
-                )
+            with pytest.raises(TableTooLargeError) as caught:
+                bl_check_unicuspidal(30, gens)
+            assert str(caught.value) == (
+                "the counting check at degree 30 needs a 391-bit table, "
+                "over the cap of 256 bits"
+            )
             raised += 1
     assert (failed, raised) == (1_760, 113)
 
@@ -389,7 +386,7 @@ def test_prefix_cut_exact_side():
     below = [_generators(*inv.characteristic_chain(a, bs)) for a, bs in uncut_leaves(10, 2)]
     below = [gens for gens in below if gens[:2] == (6, 14)]
     assert below and all(node_of(gens)[0] == [0, 14, 28] for gens in below)
-    assert all(not _leaf_check(10, gens, [0, 14, 28], 0).passed for gens in below)
+    assert all(not _leaf_check(10, gens, [0, 14, 28], 1).passed for gens in below)
 
 
 def test_prefix_cut_keeps_the_prefixes_of_a_record():
@@ -453,13 +450,14 @@ def test_leaf_check_in_the_walk_matches_the_general_check(monkeypatch):
     # every leaf the pruned walk solves, over every k at each d <= 60,
     # failing ones included, gets the verdict of bl_check_unicuspidal on its
     # generators field for field, under each stage-two store; the check
-    # runs off the walk's own node set and resumes past the prefix that the
-    # probe entering the node checked, which is past j = 1 for most leaves
+    # runs off the walk's own node set and starts at the first j past the
+    # prefix that the probe entering the node checked, past j = 1 for most
+    # leaves
     checks = []
 
-    def recorded(degree, generators, apery, checked):
-        verdict = _leaf_check(degree, generators, apery, checked)
-        checks.append((degree, generators, checked, verdict))
+    def recorded(degree, generators, apery, first_j):
+        verdict = _leaf_check(degree, generators, apery, first_j)
+        checks.append((degree, generators, first_j, verdict))
         return verdict
 
     monkeypatch.setattr(search, "_leaf_check", recorded)
@@ -472,7 +470,7 @@ def test_leaf_check_in_the_walk_matches_the_general_check(monkeypatch):
             assert verdict == bl_check_unicuspidal(degree, gens), (degree, gens, bucket_gcd)
         assert len(checks) == 577
         assert sum(not verdict.passed for *_, verdict in checks) == 130
-        assert sum(checked >= degree for degree, _, checked, _ in checks) == 375
+        assert sum(first_j > 1 for _, _, first_j, _ in checks) == 375
 
 
 def test_bl_check_matches_full_table_on_two_generator_semigroups(monkeypatch):

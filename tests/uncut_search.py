@@ -63,9 +63,9 @@ def pruned_leaves(degree, k):
     recorded in place of any wrapper the caller has set on it."""
     checked = []
 
-    def recorded(degree, generators, apery, prefix):
+    def recorded(degree, generators, apery, first_j):
         checked.append(generators)
-        return _leaf_check(degree, generators, apery, prefix)
+        return _leaf_check(degree, generators, apery, first_j)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_leaf_check", recorded)
