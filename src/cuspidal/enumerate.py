@@ -65,9 +65,10 @@ Two modes produce identical sets and cross-validate each other:
     probe, and each b_1 left is still probed at every j <= J.
   - one run per child gcd: the child's span T only loses members below
     each point as b rises, so the b of one gcd g that pass the prefix cut
-    form one run (``_pruned_extend`` proves it).  Each node bisects for
-    its ends, O(log) probes per gcd, and enters every b between them
-    unprobed.
+    form one run (``_pruned_extend`` proves it).  Each node finds its ends
+    from the group's largest b down (``_passing_run``), O(log) probes per
+    gcd and one for a group that over-counts at its largest b, and enters
+    every b between them unprobed.
 
 * ``paranoid`` scans the full characteristic box with only
   provably-lossless cuts: the budget bound b_j <= (d-1)(d-2) + 1 (the
@@ -459,9 +460,9 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
     would, with no probe.
 
     The b of one group that the probe passes form one run, so the node
-    finds its ends by bisection (``_passing_run``) and enters every b
-    between them with no probe of its own.  Let n = P/g and write
-    P_l = gcd(w_1..w_l), n_l = P_(l-1)/P_l = p_(l-1).
+    finds its ends from the group's largest b down (``_passing_run``) and
+    enters every b between them with no probe of its own.  Let n = P/g and
+    write P_l = gcd(w_1..w_l), n_l = P_(l-1)/P_l = p_(l-1).
 
     - The gens are telescopic, so n w > F, the largest multiple of P
       outside <gens>.  Each w_(l+1) = n_l w_l + b_l - b_(l-1) exceeds
@@ -492,8 +493,8 @@ def _pruned_extend(degree, ks, bs, partial, P, gens, p, apery):
       neither set.
 
     A b in both sets fails, every smaller b over-counts and every larger
-    one misses: the group has no passing b, so whichever way the
-    bisection steps from it, it loses nothing.
+    one misses: the group has no passing b, so whichever way the search
+    for the run steps from it, it loses nothing.
     """
     depth = len(bs) + 1
     target = (degree - 1) * (degree - 2)
@@ -571,18 +572,35 @@ def _span_miss(degree, last_j, first_j, gens, apery, n):
 
 def _passing_run(miss, ws: Sequence[int], n: int) -> slice:
     """The w of the increasing list ``ws`` that pass ``miss(w, n*w + 1)``,
-    as a slice of it, found by bisection with O(log len(ws)) probes.
+    as a slice of it, in at most 3 bit_length(len(ws)) probes.
 
-    The passing w form one run (see :func:`_pruned_extend`): a w that
-    over-counts at some j puts the run above it, and a w that misses on the
-    exact side puts it below.  A w that does both leaves no run, so either
-    step is safe.  Bisection finds one passing w; below it every failing w
-    over-counts and above it every failing w misses on the exact side, so
-    two more bisections find the ends.
+    The passing w form one run (see :func:`_pruned_extend`): the w that
+    over-count form a down-set and those that miss on the exact side an
+    up-set, so a failing w below a passing one over-counts and a failing w
+    above it misses on the exact side.  A bisection of ``ws`` that probes
+    the largest w first finds one passing w:
+
+    - the largest over-counts: so does every smaller w, and nothing passes
+      (one probe);
+    - it misses on the exact side: the run lies below it, and the
+      bisection goes on over the rest, stepping up from a w that
+      over-counts and down from one that misses;
+    - it passes: the run ends at the top.
+
+    Below the passing w every failing w over-counts and above it every
+    failing w misses, so two more bisections find the ends.  The start of
+    a run that ends at the top is galloped for instead: the probes step
+    down to the top less 1, 2, 4, ... until a w fails, then bisect between
+    that w and the last one that passed, so a run of the top w alone costs
+    two probes.
+
+    No order loses a run: a w that both over-counts and misses (the probe
+    reports whichever j comes first) makes every smaller w over-count and
+    every larger one miss, so no w passes, and either step is safe.
     """
     lo, hi = 0, len(ws) - 1
+    mid = hi
     while lo <= hi:
-        mid = (lo + hi) // 2
         cut = miss(ws[mid], n * ws[mid] + 1)
         if cut is None:
             break
@@ -591,15 +609,19 @@ def _passing_run(miss, ws: Sequence[int], n: int) -> slice:
             lo = mid + 1
         else:
             hi = mid - 1
+        mid = (lo + hi) // 2
     else:
         return slice(0)
     first = last = mid
+    # a run that ends at the top gallops down to the top less step = 1, 2,
+    # 4, ... until a w fails, then bisects (step 0)
+    step = 1 if last == len(ws) - 1 else 0
     while lo < first:
-        t = (lo + first) // 2
+        t = max(last - step, lo) if step else (lo + first) // 2
         if miss(ws[t], n * ws[t] + 1) is None:
-            first = t
+            first, step = t, 2 * step
         else:
-            lo = t + 1
+            lo, step = t + 1, 0
     while last < hi:
         t = (last + hi + 1) // 2
         if miss(ws[t], n * ws[t] + 1) is None:

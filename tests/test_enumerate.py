@@ -261,11 +261,11 @@ def _every_k(degree):
 
 
 def test_one_walk_serves_every_pair_count(monkeypatch):
-    # at d = 300 one walk over every k bisects each gcd group of b once
-    # (2,774 probes), and finds the records of the searches for one k each
+    # at d = 300 one walk over every k probes each gcd group of b once
+    # (1,335 probes), and finds the records of the searches for one k each
     probes = _counted_probes(monkeypatch)
     records = search._search([(300, _every_k(300))], PRUNED, 1)
-    assert probes == [2_774]
+    assert probes == [1_335]
     per_k = [r for k in _every_k(300) for r in enumerate_candidates(SearchConfig(300, k))]
     assert records == sorted(per_k, key=CurveRecord.sort_key)
     assert len(records) == 176
@@ -296,12 +296,12 @@ def test_one_paranoid_walk_serves_every_pair_count():
 
 
 def test_single_pair_count_search_is_pinned(monkeypatch):
-    # the --pairs path walks for its one k: 192 probes and 27 counting
+    # the --pairs path walks for its one k: 105 probes and 27 counting
     # checks give the 27 records at d = 60, k = 3 and 4
     probes = _counted_probes(monkeypatch)
     calls = _counted_checks(monkeypatch)
     records = [r for k in (3, 4) for r in enumerate_candidates(SearchConfig(60, k))]
-    assert probes == [192]
+    assert probes == [105]
     assert len(calls) == len(records) == 27
     text = OutputDocument(tuple(records), {}).to_json()
     assert (
@@ -310,18 +310,34 @@ def test_single_pair_count_search_is_pinned(monkeypatch):
     )
 
 
+def test_large_degree_search_is_pinned(monkeypatch):
+    # the suite's largest search (~0.2 s): at d = 1500, k = 2, where the
+    # prefix cut checks j up to J = 748, 4,569 probes give 35 records; the
+    # SHA-256 of the JSON pins every record's bytes
+    probes = _counted_probes(monkeypatch)
+    records = enumerate_candidates(SearchConfig(1500, 2))
+    assert probes == [4_569]
+    assert len(records) == 35
+    text = OutputDocument(tuple(records), {}).to_json()
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "ed49fd439671536ac8f869bec877254a7ea30afc7908b7e24b82aae6bc7a43fe"
+    )
+
+
 def test_one_walk_probe_counts_are_pinned(monkeypatch):
     # one walk per degree, b_1 only in the first pair's window and each gcd
-    # group bisected: 485 probes to d = 30, 102,748 to d = 200 (a third of
-    # the 316,925 of a walk that probes every b of a group), and 5,039 at
-    # d = 500 over every k; the SHA-256 of the JSON pins every record's
-    # bytes to d = 200, and the closed-form routes agree with its records
+    # group probed from its largest b: 344 probes to d = 30, 57,278 to
+    # d = 200 (under a fifth of the 316,925 of a walk that probes every b
+    # of a group), and 2,368 at d = 500 over every k; the SHA-256 of the
+    # JSON pins every record's bytes to d = 200, and the closed-form routes
+    # agree with its records
     probes = _counted_probes(monkeypatch)
     assert len(search._search([(d, _every_k(d)) for d in range(3, 31)], PRUNED, 1)) == 138
-    assert probes == [485]
+    assert probes == [344]
     probes[0] = 0
     records = classify_range(200)
-    assert probes == [102_748]
+    assert probes == [57_278]
     assert len(records) == 3_319
     assert sum(r.existence == "candidate" for r in records) == 121
     text = OutputDocument(tuple(records), {}).to_json()
@@ -351,7 +367,7 @@ def test_one_walk_probe_counts_are_pinned(monkeypatch):
     _closed_forms_agree_with_the_walk(records)
     probes[0] = 0
     assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
-    assert probes == [5_039]
+    assert probes == [2_368]
 
 
 def _closed_forms_agree_with_the_walk(records):
@@ -469,8 +485,8 @@ def test_tree_counters_are_built_only_for_a_gcd_with_a_child(monkeypatch):
 def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
     # to d = 90 over every k, every b of each gcd group that the tree makes
     # a probe for is probed (7,624 groups, 33,199 probes; ~0.7 s): the b
-    # that pass are one run in the group's b order, it is the run that the
-    # bisection finds, and the tree enters exactly the passing children
+    # that pass are one run in the group's b order, it is the run that
+    # _passing_run finds, and the tree enters exactly the passing children
     span_miss, passing_run, extend = search._span_miss, search._passing_run, search._pruned_extend
     node_of = {}  # probe -> (degree, gens) of the node that made it
     groups, passing, entered = [], set(), set()
@@ -507,7 +523,7 @@ def test_each_gcd_group_passes_one_run_of_b(monkeypatch):
 
 
 def test_prefix_probe_equals_a_naive_count(monkeypatch):
-    # every probe of the per-degree walks over every k to d = 60 returns
+    # every probe of the per-degree walks over every k to d = 72 returns
     # the (j, R) of a brute-force count of <gens, w>, at the search's floor
     # n w + 1 and at floor 0 (the over-count side alone), with the search's
     # J = floor((d-3)/2); each side cuts somewhere
@@ -525,9 +541,9 @@ def test_prefix_probe_equals_a_naive_count(monkeypatch):
         return recorded_miss
 
     monkeypatch.setattr(search, "_span_miss", recorded)
-    for d in range(3, 61):
+    for d in range(3, 73):
         search._search([(d, _every_k(d))], PRUNED, 1)
-    assert len(probes) == 4_000
+    assert len(probes) == 4_110
     for degree, last_j, gens, floor, searched_floor, cut, over in probes:
         assert (last_j, searched_floor) == ((degree - 3) // 2, floor)
         assert cut == naive_miss(degree, last_j, gens, floor), (degree, gens)
@@ -599,12 +615,14 @@ def test_search_is_refused_from_degree_46343(monkeypatch):
 
 
 def test_passing_run_finds_every_run():
-    # synthetic probes over ws = 0..L-1, L = 0..12: every w below the run
-    # over-counts and every w above it misses on the exact side, and the
-    # bisection returns the whole run, whatever its start and length, in
-    # O(log L) probes.  With no run, one w may do both (the probe reports
-    # whichever j comes first), every smaller w over-counts and every larger
-    # one misses: nothing passes.
+    # synthetic probes over ws = 0..L-1, L = 0..40: every w below the run
+    # over-counts and every w above it misses on the exact side, and
+    # _passing_run returns the whole run, whatever its start and length, in
+    # at most 3 bit_length(L) probes.  With no run, one w may do both (the
+    # probe reports whichever j comes first), every smaller w over-counts
+    # and every larger one misses: nothing passes.  The largest w is probed
+    # first, so a group that over-counts everywhere costs one probe, and a
+    # run of the top w alone two
     over, exact = (1, 4), (1, 2)  # R(d+1) = 4 > 3, and 2 < 3 with d < floor
     n = 3
 
@@ -618,20 +636,24 @@ def test_passing_run_finds_every_run():
         run = search._passing_run(miss, ws, n)
         assert all(floor == n * w + 1 for w, floor in floors)
         assert len(floors) <= 3 * len(ws).bit_length()
-        return ws[run]
+        return ws[run], len(floors)
 
-    for size in range(13):
+    for size in range(41):
         ws = list(range(size))
         for start in range(size + 1):
             for stop in range(start, size + 1):
-                found = run_of(ws, lambda w: over if w < start else exact if w >= stop else None)
+                found, _ = run_of(ws, lambda w: over if w < start else exact if w >= stop else None)
                 assert found == ws[start:stop], (size, start, stop)
         for both in range(size):
             for reported in (over, exact):
-                found = run_of(
+                found, _ = run_of(
                     ws, lambda w: over if w < both else exact if w > both else reported
                 )
                 assert found == [], (size, both, reported)
+        if size:
+            assert run_of(ws, lambda w: over) == ([], 1)
+        if size >= 2:
+            assert run_of(ws, lambda w: over if w < size - 1 else None) == ([size - 1], 2)
 
 
 def _counted_everywhere(monkeypatch, module, name: str) -> list:
@@ -674,7 +696,7 @@ def test_classification_builds_each_record_once(monkeypatch):
     # classification keeps each built record's generators
     generators_of = {r.sort_key(): r.semigroup_generators for r in classify_range(40)}
     assert len(generators_of) == 227
-    assert probes == [1_243]
+    assert probes == [838]
     assert len(checked) == 295
     passing = [(d, gens) for d, gens, ok in checked if ok]
     assert len(passing) == len(finalized) == len(built) == 227
@@ -968,12 +990,12 @@ run(in_helper=lambda: time.sleep(60), in_caller=fail)
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):
     # the SHA-256 of the JSON pins every record's bytes; one walk per
-    # degree makes 16,640 probes, and 1,321 counting checks give the 1,043
+    # degree makes 9,880 probes, and 1,321 counting checks give the 1,043
     # records
     calls = _counted_checks(monkeypatch)
     probes = _counted_probes(monkeypatch)
     records = classify_range(100)
-    assert probes == [16_640]
+    assert probes == [9_880]
     assert len(calls) == 1_321
     assert len(records) == 1_043
     assert Counter(r.existence for r in records) == {
