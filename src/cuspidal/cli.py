@@ -119,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(document: OutputDocument, fmt: str) -> None:
-    sys.stdout.write(document.render(fmt))
-
-
 def _cmd_enumerate(args) -> int:
     config = SearchConfig(
         degree=args.degree,
@@ -150,7 +146,7 @@ def _cmd_enumerate(args) -> int:
         jobs=args.jobs,
         **extra,
     )
-    _emit(OutputDocument(tuple(records), meta), args.format)
+    sys.stdout.write(OutputDocument(tuple(records), meta).render(args.format))
     return 0
 
 
@@ -176,13 +172,13 @@ def _cmd_invariants(args) -> int:
         },
         delta_matches_genus=matches,
     )
-    _emit(OutputDocument((record,), meta), args.format)
+    sys.stdout.write(OutputDocument((record,), meta).render(args.format))
     return 0
 
 
 def _cmd_reproduce(args) -> int:
     if args.table not in TABLE_IDS:
-        raise SystemExit(f"unknown table {args.table!r}; choose from {', '.join(TABLE_IDS)}")
+        raise ValueError(f"unknown table {args.table!r}; choose from {', '.join(TABLE_IDS)}")
     report = reproduce(args.table, worker_count=args.jobs)
     print(report.render())
     return 0 if report.ok else 1
@@ -192,27 +188,27 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SystemExit(f"{what} must be a comma-separated integer list, got {text!r}")
+        raise ValueError(f"{what} must be a comma-separated integer list, got {text!r}") from None
 
 
 def _cmd_family(args) -> int:
     kind = args.kind
     start = time.monotonic()
     if kind not in PARAM_NAMES:
-        raise SystemExit(f"unknown family kind {kind!r}; choose from {', '.join(ALL_KINDS)}")
+        raise ValueError(f"unknown family kind {kind!r}; choose from {', '.join(ALL_KINDS)}")
     # one option per param name; a Kashiwara kind appends the optional
     # --lambdas list to its --l
     options = PARAM_NAMES[kind]
     params = tuple(getattr(args, option) for option in options)
     if None in params:
-        raise SystemExit(f"{kind} needs {' and '.join('--' + o for o in options)}")
+        raise ValueError(f"{kind} needs {' and '.join('--' + o for o in options)}")
     if kind == AMS:
         params = _parse_int_list(args.factors, "--factors")
     elif kind in KASHIWARA_KINDS and args.lambdas is not None:
         params += _parse_int_list(args.lambdas, "--lambdas")
     record = family_curve(FamilySpec(kind, params))
     meta = _metadata("family", time.monotonic() - start, kind=kind)
-    _emit(OutputDocument((record,), meta), args.format)
+    sys.stdout.write(OutputDocument((record,), meta).render(args.format))
     return 0
 
 
@@ -264,14 +260,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ValueError as exc:  # InvalidCuspData and FamilyParameterError too
+    except ValueError as exc:  # usage errors, InvalidCuspData and FamilyParameterError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(f"error: {exc.code}", file=sys.stderr)
-            return 2
-        raise
 
 
 if __name__ == "__main__":

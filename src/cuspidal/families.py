@@ -230,13 +230,11 @@ def _kashiwara_data(kind: str, l: int, lambdas: tuple[int, ...]) -> tuple[int, i
     if l < 0:
         raise FamilyParameterError(f"l must be >= 0, got {l}")
     F = inv.fibonacci(2 * l + 3)
+    if kind in (KASHIWARA_II_GE, KASHIWARA_II_SP) and lambdas:
+        raise FamilyParameterError(f"{kind} takes no lambda parameters")
     if kind == KASHIWARA_II_GE:
-        if lambdas:
-            raise FamilyParameterError(f"{kind} takes no lambda parameters")
         return F * inv.fibonacci(2 * l + 5), ((F * F, inv.fibonacci(2 * l + 5) ** 2),)
     if kind == KASHIWARA_II_SP:
-        if lambdas:
-            raise FamilyParameterError(f"{kind} takes no lambda parameters")
         if l < 1:
             raise FamilyParameterError(
                 "the special one-pair type needs l >= 1 (l = 0 gives the pair (1, 5), a smooth conic)"
@@ -780,12 +778,7 @@ def kashiwara_grid(l_max: int, n_max: int, lambda_max: int):
     for l in range(l_max + 1):
         yield FamilySpec(KASHIWARA_II_GE, (l,))
         yield FamilySpec(KASHIWARA_II_SP, (l,))
-    for kind in (
-        KASHIWARA_IIPLUS_GE,
-        KASHIWARA_IIPLUS_SP,
-        KASHIWARA_IIMINUS_GE,
-        KASHIWARA_IIMINUS_SP,
-    ):
+    for kind in KASHIWARA_KINDS[2:]:
         for l in range(l_max + 1):
             for N in range(1, n_max + 1):
                 yield from (

@@ -180,21 +180,17 @@ def characteristic_seq(pairs: Pairs) -> tuple[int, tuple[int, ...]]:
 
 
 def newton_from_characteristic(a: int, b: tuple[int, ...]) -> Pairs:
-    """Recover the Newton pairs from a characteristic sequence, off its gcd
-    chain (:func:`characteristic_chain`): (p_j, q_j) = (p_j, Q_j / e_j),
-    where e_j = e_(j-1) / p_j divides b_j and b_(j-1).
+    """Recover the Newton pairs from a characteristic sequence, off the gcd
+    chain p_1..p_k, Q_1..Q_k that :func:`characteristic_chain` validates
+    and returns: (p_j, q_j) = (p_j, Q_j / e_j), where e_0 = a and
+    e_j = e_(j-1) / p_j divides b_j and b_(j-1).
 
     The chain proves the pairs valid, so they are not checked again: the
     gcd drops at every b_j (p_j >= 2), b increases (q_j >= 1),
     gcd(e_(j-1), b_j - b_(j-1)) = e_j gives gcd(p_j, q_j) = 1, and
     b_1 > a gives q_1 > p_1.
     """
-    return _newton_from_chain(a, *characteristic_chain(a, b))
-
-
-def _newton_from_chain(a: int, ps: tuple[int, ...], Qs: tuple[int, ...]) -> Pairs:
-    # the pairs of the chain (p_j), (Q_j) of a valid characteristic
-    # sequence with multiplicity a: q_j = Q_j / e_j, e_j = e_(j-1) / p_j
+    ps, Qs = characteristic_chain(a, b)
     pairs = []
     e = a
     for p, Q in zip(ps, Qs):

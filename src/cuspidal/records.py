@@ -205,43 +205,38 @@ def record_to_json_dict(record: CurveRecord) -> dict:
 _N4, _N6, _N8, _N10 = ("\n" + " " * n for n in (4, 6, 8, 10))
 
 
-def _json_list(items: list[str], pad: str) -> str:
-    """A JSON list of written items; ``pad`` is a newline plus the
-    indentation of the line the list starts on."""
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON list of written items, or with ``brackets="{}"`` a JSON object
+    of written ``"key": value`` fields; ``pad`` is a newline plus the
+    indentation of the line the block starts on, and an empty block is
+    the bare bracket pair."""
     inner = pad + "  "
-    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-
-
-def _json_object(fields: list[str], pad: str) -> str:
-    """A JSON object of written ``"key": value`` fields, placed as in
-    :func:`_json_list`."""
-    inner = pad + "  "
-    return "{" + inner + ("," + inner).join(fields) + pad + "}" if fields else "{}"
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1] if items else brackets
 
 
 def _int_list(values, pad: str) -> str:
-    return _json_list(list(map(str, values)), pad)
+    return _json_block(list(map(str, values)), pad)
 
 
 def _pairs_json(pairs) -> str:
-    return _json_list([f"[{_N10}{p},{_N10}{q}{_N8}]" for p, q in pairs], _N6)
+    return _json_block([f"[{_N10}{p},{_N10}{q}{_N8}]" for p, q in pairs], _N6)
 
 
 def _degree_mult_json(degree: int, mult) -> str:
-    return _json_object(
-        ['"degree": ' + str(degree), '"mult": ' + _str(inv.format_multiplicity(mult))], _N10
+    return _json_block(
+        ['"degree": ' + str(degree), '"mult": ' + _str(inv.format_multiplicity(mult))], _N10, "{}"
     )
 
 
 def _step_json(step: ReductionStep) -> str:
     to = "null" if step.to_degree is None else _degree_mult_json(step.to_degree, step.to_mult)
-    return _json_object(
+    return _json_block(
         [
             '"rule": ' + _str(step.rule),
             '"from": ' + _degree_mult_json(step.from_degree, step.from_mult),
             '"to": ' + to,
         ],
-        _N8,
+        _N8, "{}",
     )
 
 
@@ -252,8 +247,8 @@ def _record_json(record: CurveRecord) -> str:
     if family is None:
         family_text = "null"
     else:
-        family_text = _json_object(
-            ['"kind": ' + _str(family.kind), '"params": ' + _int_list(family.params, _N8)], _N6
+        family_text = _json_block(
+            ['"kind": ' + _str(family.kind), '"params": ' + _int_list(family.params, _N8)], _N6, "{}"
         )
     kodaira = _kodaira_to_json(record.kodaira)
     if isinstance(kodaira, str):
@@ -265,18 +260,18 @@ def _record_json(record: CurveRecord) -> str:
         '"multiplicity_sequence": ' + _str(inv.format_multiplicity(record.mult)),
         '"delta": ' + str(record.delta),
         '"semigroup_generators": ' + _int_list(record.semigroup_generators, _N6),
-        '"lct": ' + _json_object(
-            ['"num": ' + str(record.lct.numerator), '"den": ' + str(record.lct.denominator)], _N6
+        '"lct": ' + _json_block(
+            ['"num": ' + str(record.lct.numerator), '"den": ' + str(record.lct.denominator)], _N6, "{}"
         ),
         '"self_intersection": ' + str(record.self_intersection),
         '"family": ' + family_text,
         '"kodaira": ' + ("null" if kodaira is None else str(kodaira)),
         '"existence": ' + _str(record.existence),
-        '"reduction_chain": ' + _json_list(list(map(_step_json, record.reduction_chain)), _N6),
+        '"reduction_chain": ' + _json_block(list(map(_step_json, record.reduction_chain)), _N6),
     ]
     if record.flags:
-        fields.append('"flags": ' + _json_list(list(map(_str, record.flags)), _N6))
-    return _json_object(fields, _N4)
+        fields.append('"flags": ' + _json_block(list(map(_str, record.flags)), _N6))
+    return _json_block(fields, _N4, "{}")
 
 
 CSV_COLUMNS = [
@@ -323,11 +318,11 @@ class OutputDocument:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        records = _json_list(list(map(_record_json, self.records)), "\n  ")
+        records = _json_block(list(map(_record_json, self.records)), "\n  ")
         # JSON escapes newlines inside strings, so each one json.dumps
         # writes starts a line, which nesting indents by two more spaces
         metadata = json.dumps(self.metadata, indent=2).replace("\n", "\n  ")
-        return _json_object(['"metadata": ' + metadata, '"records": ' + records], "\n") + "\n"
+        return _json_block(['"metadata": ' + metadata, '"records": ' + records], "\n", "{}") + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()

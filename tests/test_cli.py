@@ -121,6 +121,12 @@ def test_reproduce_exit_codes(capsys):
     assert "1/1 rows match" in out
     code, _, err = run(capsys, "reproduce", "--table", "nonsense")
     assert code == 2
+    assert run(capsys, "reproduce", "--table", "bogus") == (
+        2,
+        "",
+        "error: unknown table 'bogus'; choose from onepair, twopairs, threepairs, fourpairs, "
+        "induct, lct-kashiwara, lct-tono, lct-orevkov, all\n",
+    )
 
 
 def test_reproduce_all_with_workers(capsys):
@@ -164,6 +170,11 @@ def test_family_command(capsys):
     assert err.startswith("error: unknown family kind 'klein'; choose from ams, ")
     code, _, err = run(capsys, "family", "ams", "--factors", "3,1")
     assert code == 2
+    assert run(capsys, "family", "ams", "--factors", "3,x") == (
+        2,
+        "",
+        "error: --factors must be a comma-separated integer list, got '3,x'\n",
+    )
     code, _, err = run(capsys, "family", "kashiwara-iiminus-ge", "--l", "0", "--lambdas", "1")
     assert code == 2
     assert err == (
