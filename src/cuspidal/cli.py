@@ -8,6 +8,11 @@ Exit codes: 0 on success (for ``reproduce``: every row matches), 1 when a
 reproduced table differs from the embedded one, 2 for usage and domain
 errors.  The environment variable ``CUSPIDAL_JOBS`` sets the default
 worker count; a worker count below 1, from either source, is a usage error.
+
+``main(argv)`` may be called repeatedly in one process.  It builds one
+parser on its first call and reuses it for every later call and every
+subcommand; each call reads ``CUSPIDAL_JOBS`` afresh, so a change to it
+between calls takes effect as it would in a new process.
 """
 
 from __future__ import annotations
@@ -74,14 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # a string default goes through _jobs too, so a bad CUSPIDAL_JOBS is a
-    # usage error of the subcommands that take --jobs
+    # usage error of the subcommands that take --jobs; main refreshes both
+    # defaults on every call
     jobs = os.environ.get("CUSPIDAL_JOBS", "1")
+    parser.jobs_actions = []
 
     p = sub.add_parser("enumerate", help="search candidate cusps at one (degree, pair count)")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True, help="number of Newton pairs")
     p.add_argument("--paranoid", action="store_true", help="full-scan oracle mode")
-    p.add_argument("--jobs", type=_jobs, default=jobs)
+    parser.jobs_actions.append(p.add_argument("--jobs", type=_jobs, default=jobs))
     p.add_argument("--format", choices=("json", "csv", "md"), default="json")
     p.add_argument("--classify", action="store_true", help="attach family/existence data")
 
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a reference table and diff it")
     p.add_argument("--table", required=True, help=f"one of {', '.join(TABLE_IDS)}")
-    p.add_argument("--jobs", type=_jobs, default=jobs)
+    parser.jobs_actions.append(p.add_argument("--jobs", type=_jobs, default=jobs))
 
     p = sub.add_parser("family", help="generate one closed-form family member")
     p.add_argument("kind", help=f"one of {', '.join(ALL_KINDS)}")
@@ -246,9 +253,17 @@ def _cmd_prime_scan(args) -> int:
     return 0
 
 
+_parser = None  # built by the first call of main and reused by every later one
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    jobs = os.environ.get("CUSPIDAL_JOBS", "1")
+    for action in _parser.jobs_actions:
+        action.default = jobs
+    args = _parser.parse_args(argv)
     handlers = {
         "enumerate": _cmd_enumerate,
         "invariants": _cmd_invariants,

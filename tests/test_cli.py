@@ -504,3 +504,50 @@ def test_nonpositive_jobs_is_a_usage_error(monkeypatch, capsys):
     # subcommands without --jobs ignore the variable
     code, out, _ = run(capsys, "factorizations", "--n", "12")
     assert code == 0 and out.strip() == "8"
+
+
+QUERY = ["enumerate", "--degree", "12", "--pairs", "3"]
+
+
+def _usage_exit(capsys, call) -> tuple[int, str]:
+    with pytest.raises(SystemExit) as exc:
+        call()
+    return exc.value.code, capsys.readouterr().err
+
+
+def test_main_reads_cuspidal_jobs_on_every_call(capsys, monkeypatch):
+    # main reuses one parser, so each call must refresh the --jobs default,
+    # and an explicit --jobs must not become the next call's default
+    for env, extra, jobs in (("3", [], 3), ("1", [], 1), ("1", ["--jobs", "2"], 2), ("1", [], 1)):
+        monkeypatch.setenv("CUSPIDAL_JOBS", env)
+        code, out, _ = run(capsys, *QUERY, *extra)
+        assert code == 0 and json.loads(out)["metadata"]["jobs"] == jobs
+
+
+def test_a_bad_cuspidal_jobs_after_a_good_call_is_the_fresh_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("CUSPIDAL_JOBS", "1")
+    assert run(capsys, *QUERY)[0] == 0
+    monkeypatch.setenv("CUSPIDAL_JOBS", "junk")
+    # alone, and with a missing --degree, which argparse reports only after
+    # the bad default
+    for argv in (QUERY, ["enumerate", "--pairs", "3"], ["reproduce", "--table", "fourpairs"]):
+        reused = _usage_exit(capsys, lambda: main(argv))
+        fresh = _usage_exit(capsys, lambda: cli.build_parser().parse_args(argv))
+        assert reused == fresh
+        assert reused[0] == 2 and "CUSPIDAL_JOBS" in reused[1]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_parser", None)
+    assert run(capsys, *QUERY)[0] == 0
+    assert run(capsys, "factorizations", "--n", "12")[0] == 0
+    assert run(capsys, "reduce", "--degree", "12", "--mult", "4,2_3")[0] == 0
+    assert len(builds) == 1
