@@ -38,7 +38,6 @@ no record.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -420,16 +419,17 @@ def family_curve(spec: FamilySpec) -> CurveRecord:
     degree, pairs = _family_data(spec)
     inconsistent = spec.kind == TONO_IIB
     try:
-        record = curve_record(degree, pairs, strict=not inconsistent)
+        return curve_record(
+            degree,
+            pairs,
+            strict=not inconsistent,
+            family=spec,
+            kodaira=kodaira_of_kind(spec.kind),
+            existence=CANDIDATE if inconsistent else PROVED_FAMILY,
+            flags=(FLAG_INCONSISTENT,) if inconsistent else (),
+        )
     except inv.InvalidCuspData as exc:
         raise _family_error(spec, exc) from exc
-    return replace(
-        record,
-        family=spec,
-        kodaira=kodaira_of_kind(spec.kind),
-        existence=CANDIDATE if inconsistent else PROVED_FAMILY,
-        flags=(FLAG_INCONSISTENT,) if inconsistent else (),
-    )
 
 
 def _family_error(spec: FamilySpec, exc: inv.InvalidCuspData) -> FamilyParameterError:

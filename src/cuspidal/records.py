@@ -7,8 +7,9 @@ attribution with its logarithmic Kodaira dimension, an existence status and
 the reduction chain that proves it.  Records are immutable; derived fields
 are computed once by :func:`curve_record`, or for a search leaf by
 :func:`_record`, and every stored invariant can be recomputed from the
-Newton pairs.  A search leaf gets its classification fields when it is
-built; any other record gets them attached with ``dataclasses.replace``.
+Newton pairs.  A search leaf and a family member get their
+classification fields when they are built; any other record gets them
+attached with ``dataclasses.replace``.
 
 Records are written in three formats (JSON, CSV, Markdown) and never read
 back.  :class:`OutputDocument` writes them in the order it is given; every
@@ -110,28 +111,34 @@ def cusp_data(
     return puiseux, mult, delta
 
 
-def curve_record(degree: int, newton: inv.Pairs, *, strict: bool = True) -> CurveRecord:
+def curve_record(
+    degree: int, newton: inv.Pairs, *, strict: bool = True, **classified
+) -> CurveRecord:
     """Build a record with all derived fields computed from the Newton pairs.
 
     Every field is derived from the Puiseux pairs, computed once by
     :func:`cusp_data`, which also runs the checks of ``strict`` (the
     default): the Newton pairs must satisfy the cusp invariants and delta
-    must equal the genus.  The record carries only these invariants: no
-    family, existence "candidate" and no flag.  Callers attach the rest
-    with ``dataclasses.replace`` (``family_curve`` its spec, Kodaira
-    dimension, existence and flag; ``classify_record`` the attribution and
-    the existence proof).  ``family_curve`` builds with ``strict=False``
-    for known-bad source data, which it flags.  The search does not call
-    this: a leaf, whose gcd chain and delta equation have already proved
-    what strict checks, builds its record once through :func:`_record`,
-    with its chain's generators and, when classified, its classification
-    fields.  The empty Newton sequence gives the smooth conic.
+    must equal the genus.  ``classified`` holds any classification fields
+    the record carries, as for :func:`_record`; without them it has no
+    family, existence "candidate" and no flag.  ``family_curve`` passes its
+    spec, Kodaira dimension, existence and flag here, so a family record is
+    built once; ``classify_record`` attaches the attribution and the
+    existence proof to a built record with ``dataclasses.replace``.
+    ``family_curve`` builds with ``strict=False`` for known-bad source
+    data, which it flags.  The search does not call this: a leaf, whose gcd
+    chain and delta equation have already proved what strict checks,
+    builds its record once through :func:`_record`, with its chain's
+    generators and, when classified, its classification fields.  The empty
+    Newton sequence gives the smooth conic.
     """
     puiseux, mult, delta = cusp_data(degree, newton, strict=strict)
     if not newton:
-        return CurveRecord(degree, newton, puiseux, mult, delta, (1,), Fraction(1), 3 * degree - 2)
+        return CurveRecord(
+            degree, newton, puiseux, mult, delta, (1,), Fraction(1), 3 * degree - 2, **classified
+        )
     gens = _generators([p for p, _ in newton], [Q for _, Q in puiseux])
-    return _record(degree, newton, puiseux, mult, delta, gens)
+    return _record(degree, newton, puiseux, mult, delta, gens, **classified)
 
 
 def _record(degree, newton, puiseux, mult, delta, gens, **classified) -> CurveRecord:

@@ -49,13 +49,18 @@ bit it does not read, and each saving is lossless:
    the point M = j*d the sweep (``_sweep``) needs
    #{r <= M : r mod w_1 > s} for s = M mod w_1.  It steps M by d as
    (M//w_1, s) and keeps the residues of the Apery members added so far
-   in one of two stores.  Every such s is a multiple
-   of g = gcd(d, w_1).  When g >= ``BUCKET_GCD`` it keeps w_1/g + 1
-   counts, one per bucket ceil(rho/g), and sums those above s/g, which is
-   exact since rho > s iff ceil(rho/g) > s/g.  Otherwise it keeps the
+   in one of two stores, each with its own loop.  Every such s is a
+   multiple of g = gcd(d, w_1).  When g >= ``BUCKET_GCD`` it keeps a
+   suffix table: for each k < w_1/g the number of residues rho with
+   ceil(rho/g) > k, which at k = s/g is the number above s, since
+   rho > s iff ceil(rho/g) > s/g.  An added rho raises the entries below
+   ceil(rho/g), all in one add of a packed int, and each point reads one
+   entry.  k = s/g steps by d/g mod w_1/g, so it runs through one fixed
+   cycle of length w_1/g, which the sweep lays out once, with the step of
+   M//w_1 at each k: no point divides or wraps.  Otherwise it keeps the
    residues as the bits of a w_1-bit int, shifted and popcounted at each
-   point.  A large g makes the bucket list short, while each insert into
-   the int costs O(w_1).
+   point.  A large g makes the table short, while each operation on the
+   int costs O(w_1).
 
 Symmetry, the conductor and the telescopic order are not assumed: an
 O(k^2) test on the generators proves them.  No stage whose largest probe
@@ -79,6 +84,7 @@ only ever checked below it.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import cycle
 from math import gcd, inf, prod
 from typing import NamedTuple
 
@@ -88,12 +94,15 @@ from .invariants import Pairs, newton_to_puiseux
 # stage one's membership table, and for stage two a bound on its work
 TABLE_BIT_CAP = 1 << 30
 
-# The store of the stage-two sweep (``_sweep``): from gcd(d, w_1) =
-# BUCKET_GCD up it keeps the added residues as per-bucket counts, below it
-# as the bits of a w_1-bit int.  On the criterion-7 family members up to
-# d = 20,000, every threshold from 16 to 128 cut stage two by the same third
-# and 256 by less; below 32 the search leaves at d <= 60 (g <= 30) take the
-# buckets and get slower
+# The store of the stage-two sweep (``_sweep``): from g = gcd(d, w_1) =
+# BUCKET_GCD up it keeps the added residues as a suffix table of w_1/g
+# counts packed in one int, below it as the bits of a w_1-bit int.  An add
+# or a query touches w_1/g fields of about log2(w_1) bits in the table and
+# w_1 bits in the int, so a large g favours the table.  On the 185 sweeps
+# of the criterion-7 family members up to d = 20,000, every threshold from
+# 8 to 128 cut the sweep time of the int store alone by 44%, 256 by 37% and
+# 512 by 29%; below 32 the search leaves at d <= 60 (g <= 30) take the
+# table and get slower
 BUCKET_GCD = 128
 
 
@@ -315,10 +324,10 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
        (``_sweep``): R(d+1) = 3 puts w_1 <= d, so it costs O(d) steps.
        With g = gcd(d, w_1) it keeps the residues of the added Apery
        members in one of two stores: the bits of a w_1-bit int when
-       g < ``BUCKET_GCD``, and w_1/g + 1 bucket counts ceil(rho/g)
-       otherwise.  Telescopic generators give the Apery set as a box
-       (``_apery``), any other input by round robin (``_round_robin``,
-       O(k d) steps).
+       g < ``BUCKET_GCD``, and otherwise a table of w_1/g suffix counts
+       of the buckets ceil(rho/g), read in O(1) per j.  Telescopic
+       generators give the Apery set as a box (``_apery``), any other
+       input by round robin (``_round_robin``, O(k d) steps).
 
     The search checks its leaves with ``_leaf_check``, which runs stage 2
     alone, off the Apery set of the node that solved the leaf, from the
@@ -338,8 +347,9 @@ def bl_check_unicuspidal(degree: int, generators: tuple[int, ...]) -> BLCheckRes
     (3) the members <= M of a numerical semigroup are r + t w_1 with r in
         the Apery set of w_1, r <= M and 0 <= t <= (M - r)//w_1, each once;
     (4) g divides s = j*d mod w_1, so a residue rho exceeds s iff
-        ceil(rho/g) > s/g, and the bucket counts above s/g give the
-        residues above s.
+        ceil(rho/g) > s/g, and the suffix count at s/g, the number of
+        added residues whose bucket ceil(rho/g) exceeds s/g, is the number
+        of residues above s.
 
     Any stage whose J*d + 1 passes TABLE_BIT_CAP raises
     ``TableTooLargeError`` (a ``ValueError``) before any work is done.  Only
@@ -387,6 +397,15 @@ def _sweep(
     each once, in whatever residue classes mod w1 S meets, so the set may
     hold fewer than w1 members (item 3 of the module docstring).
 
+    The residues of the added members are kept, with g = gcd(d, w1), as a
+    w1-bit int when g < ``BUCKET_GCD`` and as a suffix table of w1/g
+    bucket counts otherwise, each store in its own loop.  The table's loop
+    reads one entry per j, at a k = (j*d mod w1)/g and with a step of
+    (j*d)//w1 taken from one precomputed lap of their cycle: no division,
+    wrap or sum per j, one shift of the w1/g packed fields where the int's
+    loop shifts and popcounts w1 bits.  Both count exactly, so the store
+    changes no result.
+
     With a floor the sweep stops at the last j that can still cut,
     L = max(first_j, floor((floor - 1)/d), |apery| ceil(d/w1) - 2), and
     that loses nothing.  A step of the point from M to M + d adds at most
@@ -402,42 +421,68 @@ def _sweep(
     # with q, s = divmod(M, w_1) at M = j*d, R(M + 1) = sum over r <= M of
     # (M - r)//w_1 + 1 = c(q + 1) - U - #{r <= M : r mod w_1 > s}, where c
     # counts the r <= M and U sums their r//w_1.  One pointer adds each r
-    # once, and the point steps by d as (q + 1, s).  ``buckets`` is
-    # allocated only for the per-bucket store, g = gcd(d, w_1) >= BUCKET_GCD,
-    # whose buckets ceil(rho/g) above s/g hold the residues above s.
+    # once, and the point steps by d as (q + 1, s).  Each store has its own
+    # loop; the store is chosen by g = gcd(d, w_1), which divides every s.
     if floor < inf:
         stop = max(first_j, (floor - 1) // degree, len(apery) * -(-degree // w1) - 2)
         last_j = min(last_j, stop)
-    g = gcd(degree, w1)
-    buckets = [0] * (w1 // g + 1) if g >= BUCKET_GCD else None
     step_q, step_s = divmod(degree, w1)
     point = first_j * degree
     q, s = divmod(point + w1, w1)
-    c = u = residues = 0
+    c = u = 0
     size = len(apery)
     expected = (first_j + 1) * (first_j + 2) // 2
     nxt = apery[0]
-    for j in range(first_j, last_j + 1):
+    g = gcd(degree, w1)
+    if g < BUCKET_GCD:
+        # the residues rho of the added r as the bits of a w_1-bit int
+        residues = 0
+        for j in range(first_j, last_j + 1):
+            while nxt <= point:
+                q_r, s_r = divmod(nxt, w1)
+                u += q_r
+                residues |= 1 << s_r
+                c += 1
+                nxt = apery[c] if c < size else inf
+            count = c * q - u - (residues >> s + 1).bit_count()
+            if count != expected and (count > expected or point < floor):
+                return j, count
+            expected += j + 2
+            point += degree
+            q += step_q
+            s += step_s
+            if s >= w1:
+                s -= w1
+                q += 1
+        return None
+    # the suffix table: field k of ``above``, ``width`` bits wide, counts the
+    # added rho with bucket ceil(rho/g) > k, i.e. rho > k g, for k < period
+    # = w_1/g; no field exceeds size < 2^width, so none carries into the
+    # next.  Adding rho adds 1 to fields 0..ceil(rho/g) - 1 in one int add,
+    # of ``unit`` shifted down by period - ceil(rho/g) fields.  k = s/g
+    # steps by step_s/g mod period and so runs through a cycle of length
+    # period: ``steps`` holds one lap of (the shift of field k, the step of
+    # q from that point to the next).
+    period, width = w1 // g, size.bit_length()
+    field = (1 << width) - 1
+    unit = ((1 << width * period) - 1) // field  # a 1 in every field
+    step_k = step_s // g
+    lap = [(s // g + i * step_k) % period for i in range(period)]
+    steps = [(width * k, step_q + (k + step_k >= period)) for k in lap]
+    above = 0
+    for j, (shift, step) in zip(range(first_j, last_j + 1), cycle(steps)):
         while nxt <= point:
             q_r, s_r = divmod(nxt, w1)
             u += q_r
-            if buckets is None:
-                residues |= 1 << s_r
-            else:
-                buckets[-(-s_r // g)] += 1
+            above += unit >> width * (period + s_r // -g)
             c += 1
             nxt = apery[c] if c < size else inf
-        above = (residues >> s + 1).bit_count() if buckets is None else sum(buckets[s // g + 1:])
-        count = c * q - u - above
+        count = c * q - u - (above >> shift & field)
         if count != expected and (count > expected or point < floor):
             return j, count
         expected += j + 2
         point += degree
-        q += step_q
-        s += step_s
-        if s >= w1:
-            s -= w1
-            q += 1
+        q += step
     return None
 
 

@@ -1,7 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, cycle
 from math import gcd, inf, prod
 
 import pytest
@@ -547,27 +547,42 @@ def test_bl_check_matches_full_table_on_family_members(monkeypatch):
         check_every_stage_two_count(monkeypatch, degree, gens, expect, leaf=True)
 
 
+def test_every_benchmark_family_member_passes_on_both_stores(monkeypatch):
+    # the counting checks of the family-crosscheck benchmark: every
+    # unflagged member of the criterion-7 grids up to d = 20,000, past the
+    # d <= 8,000 that the full-table oracle checks.  The bucket store meets its
+    # largest real inputs here (7 members at d = 11,050-17,940).  Each
+    # passes on the default store and on the forced w_1-bit int; ~0.1 s
+    members = family_members(20_000)
+    assert len(members) == 189
+    assert sum(gcd(degree, gens[0]) >= BUCKET_GCD for degree, gens in members) == 15
+    assert sum(degree > 8_000 for degree, _ in members) == 7
+    for bucket_gcd in (BUCKET_GCD, inf):
+        monkeypatch.setattr(semigroup, "BUCKET_GCD", bucket_gcd)
+        for degree, gens in members:
+            assert bl_check_unicuspidal(degree, gens) == BLCheckResult(degree), (degree, bucket_gcd)
+
+
 def test_stage_two_count_is_selected_by_the_gcd(monkeypatch):
     # <2 * 127, w> at d = 5 * 127 and <2 * 128, w> at d = 5 * 128 pass stage
     # one (w > 2d): g = 127 keeps the w_1-bit int, g = BUCKET_GCD = 128
-    # takes the buckets.  Only the bucket store sums a list in the module
-    # (``_telescopic`` sums a generator), so the sums on a list show which
-    # store the sweep took.
+    # takes the buckets.  Only the bucket store's loop runs over a cycle of
+    # its query steps, one lap of w_1/g = 2 of them here, so the cycles
+    # made in the module show which store the sweep took.
     assert BUCKET_GCD == 128
-    bucket_sums = []
+    laps = []
 
-    def traced_sum(items, *start):
-        if isinstance(items, list):
-            bucket_sums.append(len(items))
-        return sum(items, *start)
+    def traced_cycle(steps):
+        laps.append(len(steps))
+        return cycle(steps)
 
-    monkeypatch.setattr(semigroup, "sum", traced_sum, raising=False)
+    monkeypatch.setattr(semigroup, "cycle", traced_cycle)
     took_buckets = []
     for degree, gens in ((635, (254, 1271)), (640, (256, 1281))):
-        before = len(bucket_sums)
+        before = len(laps)
         assert bl_check_unicuspidal(degree, gens) == full_table_check(degree, gens)
-        took_buckets.append(len(bucket_sums) > before)
-    assert took_buckets == [False, True]
+        took_buckets.append(laps[before:])
+    assert took_buckets == [[], [2]]
 
 
 def apery_check(degree, w1, apery, last_j, floor=inf, first_j=1):
