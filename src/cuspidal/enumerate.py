@@ -86,16 +86,17 @@ tree once for every k, while ``enumerate_candidates`` serves its one k
 (see ``_pruned_extend`` for why the shared cuts lose nothing).
 
 The search is embarrassingly parallel over (degree, leading multiplicity
-a): each pair is one task, and one task list serves every caller
-(``_search``).  Before it makes any task the search refuses a degree whose
-leaves the counting check would refuse (``semigroup._check_leaf_size``),
-from d = 46,343 on: no record of such a degree exists, as every leaf there
-fails at j <= 2 or needs more than ``TABLE_BIT_CAP`` bits, so the task list
-stays bounded.  A search runs in two passes: the tasks walk their trees
-and return only the leaves that pass the counting check, and then the
-caller builds their records in task order, classified for
-``classify_range`` and the tables.  The calling process runs the tasks
-in order.
+a): each pair is one task (``pruned`` skips an a with fewer prime factors
+than the smallest pair count, which serves no leaf), and one task list
+serves every caller (``_search``).  Before it makes any task the search
+refuses a degree whose leaves the counting check would refuse
+(``semigroup._check_leaf_size``), from d = 46,343 on: no record of such a
+degree exists, as every leaf there fails at j <= 2 or needs more than
+``TABLE_BIT_CAP`` bits, so the task list stays bounded.  A search runs in
+two passes: the tasks walk their trees and return only the leaves that
+pass the counting check, and then the caller builds their records in task
+order, classified for ``classify_range`` and the tables.  The calling
+process runs the tasks in order.
 With more than one worker, once the call has run for a fixed delay (10 ms) and
 tasks remain, it forks helpers and works alongside them on the rest,
 every process taking the next task index from one token passed around
@@ -117,7 +118,7 @@ from math import gcd, inf, isqrt
 from . import invariants as inv
 from .existence import CANDIDATE, MAX_DEGREE, PROVED_FAMILY, resolve_existence
 from .families import attribute_family, kodaira_of_kind
-from .records import FLAG_FRONTIER, CurveRecord, _record, cusp_data
+from .records import FLAG_FRONTIER, CurveRecord, _record
 from .semigroup import _check_leaf_size, _first_pair_window, _generators, _join, _leaf_check
 from .semigroup import _sweep, bl_check_unicuspidal
 
@@ -195,14 +196,32 @@ def _search(
     Each cell's degree is first checked against the counting cap
     (``semigroup._check_leaf_size``), which raises the error of the leaf
     check before any task is made; past the cap no leaf can pass, so no
-    record is lost.  The task list is then bounded: for one degree at
-    most 30,894 tasks, 3.0 MiB (d = 46,342; ``paranoid`` 46,340 and
-    4.5 MiB), and about N^2/3 tasks for ``classify_range(N)``, 0.8 MiB at
-    N = 200 and 31 MiB at N = 1,000.
+    record is lost.
+
+    ``pruned`` makes no task for an a with fewer prime factors (with
+    multiplicity) than the smallest pair count k of the cell, the start of
+    ``ks`` (``_omega_at_least``), and loses nothing by it.  A leaf with k
+    pairs has a = p_1 ... p_k with every p_j >= 2, so Omega(a) >= k.  For
+    an a with Omega(a) < k, the task's root serves no leaf, since
+    depth 1 < k; and every proper divisor g of a has Omega(g) <=
+    Omega(a) - 1 < k - 1, so the root's prime-factor filter passes no
+    child, and the task would end without a probe.
+    ``paranoid`` keeps every a, as the oracle of the cuts.  The cut changes
+    nothing for a cell with k = 1, such as every cell of
+    ``classify_range``; at d = 60 with k = 3 and with k = 4 it leaves 22
+    of the 78 tasks.
+
+    The task list is bounded: for one degree at most 30,894 tasks, 3.0 MiB
+    (d = 46,342, k = 1; ``paranoid`` 46,340 and 4.5 MiB), and about N^2/3
+    tasks for ``classify_range(N)``, 0.8 MiB at N = 200 and 31 MiB at
+    N = 1,000.
     """
     for degree, _ in cells:
         _check_leaf_size(degree)
-    tasks = [(d, ks, a) for d, ks in cells for a in _a_range(d, mode)]
+    tasks = [
+        (d, ks, a) for d, ks in cells for a in _a_range(d, mode)
+        if mode == PARANOID or _omega_at_least(a, ks.start)
+    ]
     leaves = _run_tasks(lambda task: _search_a(*task, mode), tasks, worker_count)
     records = [_finalize(*leaf, classify=classify) for leaf in leaves]
     records.sort(key=CurveRecord.sort_key)
@@ -661,19 +680,29 @@ def _finalize(
 ) -> CurveRecord:
     """The record of a leaf (a; ``bs``), a = gens[0], that passed the
     counting check in the search's first pass (``_search_a``), built once
-    with the generators that were checked and, when ``classify`` is set,
-    with the fields of ``classify_record`` (``_classification``).
+    by ``records._record`` with the generators that were checked and, when
+    ``classify`` is set, with the fields of ``classify_record``
+    (``_classification``) as positional arguments.
 
+    Every field comes off the leaf's one gcd chain
+    (``invariants.characteristic_chain``, which validates it): the Newton
+    and the Puiseux pairs both (``invariants._pairs_from_chain``), the
+    multiplicity runs from the Puiseux pairs (``invariants._staged_euclid``).
     It needs no strict re-check: the chain proves the Newton pairs valid
-    (``newton_from_characteristic``), and the delta equation the walk
-    solved makes delta the genus.  No tangent-line filter is needed: the
-    three smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for
-    d >= 3 the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
+    (see :func:`~cuspidal.invariants.newton_from_characteristic`), and the
+    delta equation the walk solved makes delta the genus, so delta is not
+    recomputed from the runs.  No tangent-line filter is needed: the three
+    smallest members are 0, a and min(2a, b_1) = m_1 + m_2, and for d >= 3
+    the check's j = 1 condition R(d+1) = 3 forces min(2a, b_1) <= d.
     """
-    newton = inv.newton_from_characteristic(gens[0], bs)
-    puiseux, mult, delta = cusp_data(degree, newton, strict=False)
-    classified = _classification(degree, newton, mult) if classify else {}
-    return _record(degree, newton, puiseux, mult, delta, gens, **classified)
+    a = gens[0]
+    newton, puiseux = inv._pairs_from_chain(a, *inv.characteristic_chain(a, bs))
+    mult = inv._staged_euclid(puiseux)
+    delta = inv.genus_target(degree)
+    if not classify:
+        return _record(degree, newton, puiseux, mult, delta, gens)
+    classified = _classification(degree, newton, mult)
+    return _record(degree, newton, puiseux, mult, delta, gens, *classified)
 
 
 # ---------------------------------------------------------------------------
@@ -684,13 +713,16 @@ def classify_record(record: CurveRecord) -> CurveRecord:
 
     Existence is proved complete only for degrees <= MAX_DEGREE (30), so a
     record above it is flagged "frontier"."""
-    return replace(
-        record, **_classification(record.degree, record.newton, record.mult, record.flags)
-    )
+    fields = _classification(record.degree, record.newton, record.mult, record.flags)
+    return replace(record, **dict(zip(_CLASSIFIED, fields)))
 
 
-def _classification(degree: int, newton: inv.Pairs, mult: inv.MultRuns, flags=()) -> dict:
-    # the fields classify_record attaches, for the search's leaves too,
+# the fields classify_record attaches, in CurveRecord's order
+_CLASSIFIED = ("family", "kodaira", "existence", "reduction_chain", "flags")
+
+
+def _classification(degree: int, newton: inv.Pairs, mult: inv.MultRuns, flags=()) -> tuple:
+    # the values of the _CLASSIFIED fields, for the search's leaves too,
     # which are built with them
     spec = attribute_family(degree, newton)
     status, chain = resolve_existence(degree, mult)
@@ -698,13 +730,7 @@ def _classification(degree: int, newton: inv.Pairs, mult: inv.MultRuns, flags=()
         status = PROVED_FAMILY
     if degree > MAX_DEGREE and FLAG_FRONTIER not in flags:
         flags = flags + (FLAG_FRONTIER,)
-    return {
-        "family": spec,
-        "kodaira": None if spec is None else kodaira_of_kind(spec.kind),
-        "existence": status,
-        "reduction_chain": chain,
-        "flags": flags,
-    }
+    return spec, None if spec is None else kodaira_of_kind(spec.kind), status, chain, flags
 
 
 def classify_range(max_degree: int, worker_count: int = 1) -> list[CurveRecord]:

@@ -78,9 +78,16 @@ def detect_reduction(degree: int, runs: MultRuns) -> tuple[int, int, MultRuns] |
 
     n is forced to be the second entry of the expanded sequence and
     k = m_1 / n; returns (k, n, remainder) or None if the pattern or the
-    degree equation fails.
+    degree equation fails.  The runs are merge-normalized first, and the
+    remainder comes back normalized.
     """
-    runs = normalize_runs(runs)
+    return _detect_reduction(degree, normalize_runs(runs))
+
+
+def _detect_reduction(degree: int, runs: MultRuns) -> tuple[int, int, MultRuns] | None:
+    # unvalidated core of detect_reduction, on normalized runs: adjacent
+    # values differ, so the remainder is normalized once an emptied run is
+    # dropped
     if not runs:
         return None
     (m1, count), *rest = runs
@@ -96,7 +103,9 @@ def detect_reduction(degree: int, runs: MultRuns) -> tuple[int, int, MultRuns] |
         return None
     if run < 2 * k:  # normalized, so the entries equal to n after m1 are one run
         return None
-    return k, n, normalize_runs(((n, run - 2 * k), *rest[1:]))
+    if run == 2 * k:
+        return k, n, tuple(rest[1:])
+    return k, n, ((n, run - 2 * k), *rest[1:])
 
 
 def detect_lemma212(degree: int, runs: MultRuns) -> tuple[int, int] | None:
@@ -130,7 +139,9 @@ def resolve_existence(degree: int, runs: MultRuns) -> tuple[str, tuple[Reduction
     Applies block reductions repeatedly, stopping as soon as the registry
     is hit; a stuck sequence falls back to the grafting pattern.  Returns
     one of the proved-* statuses with the full chain, or ("candidate", chain
-    of attempted steps).
+    of attempted steps).  The runs are merge-normalized once, on entry:
+    each block reduction's remainder is normalized again, so the steps go
+    through the core of :func:`detect_reduction`, which does not normalize.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
@@ -141,7 +152,7 @@ def resolve_existence(degree: int, runs: MultRuns) -> tuple[str, tuple[Reduction
             chain.append(ReductionStep("base", d, m))
             status = PROVED_BASE if len(chain) == 1 else PROVED_REDUCTION
             return status, tuple(chain)
-        hit = detect_reduction(d, m)
+        hit = _detect_reduction(d, m)
         if hit is not None:
             k, n, remainder = hit
             chain.append(ReductionStep(f"block(k={k},n={n})", d, m, n, remainder))

@@ -182,21 +182,31 @@ def characteristic_seq(pairs: Pairs) -> tuple[int, tuple[int, ...]]:
 def newton_from_characteristic(a: int, b: tuple[int, ...]) -> Pairs:
     """Recover the Newton pairs from a characteristic sequence, off the gcd
     chain p_1..p_k, Q_1..Q_k that :func:`characteristic_chain` validates
-    and returns: (p_j, q_j) = (p_j, Q_j / e_j), where e_0 = a and
-    e_j = e_(j-1) / p_j divides b_j and b_(j-1).
+    and returns (:func:`_pairs_from_chain`).
 
     The chain proves the pairs valid, so they are not checked again: the
     gcd drops at every b_j (p_j >= 2), b increases (q_j >= 1),
     gcd(e_(j-1), b_j - b_(j-1)) = e_j gives gcd(p_j, q_j) = 1, and
     b_1 > a gives q_1 > p_1.
     """
-    ps, Qs = characteristic_chain(a, b)
-    pairs = []
+    return _pairs_from_chain(a, *characteristic_chain(a, b))[0]
+
+
+def _pairs_from_chain(
+    a: int, ps: tuple[int, ...], Qs: tuple[int, ...]
+) -> tuple[Pairs, Pairs]:
+    """The Newton and the Puiseux pairs of the gcd chain p_1..p_k,
+    Q_1..Q_k of (a; b_1, ..., b_k) that :func:`characteristic_chain`
+    validated.  With e_0 = a and e_j = e_(j-1) / p_j, which divides b_j and
+    b_(j-1): (p_j, q_j) = (p_j, Q_j / e_j) and (P_j, Q_j) = (e_(j-1), Q_j),
+    as P_j = p_j ... p_k = e_(j-1)."""
+    newton, puiseux = [], []
     e = a
     for p, Q in zip(ps, Qs):
+        puiseux.append((e, Q))
         e //= p
-        pairs.append((p, Q // e))
-    return tuple(pairs)
+        newton.append((p, Q // e))
+    return tuple(newton), tuple(puiseux)
 
 
 def multiplicity_sequence(pairs: Pairs) -> MultRuns:

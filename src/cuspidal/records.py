@@ -4,10 +4,13 @@ A :class:`CurveRecord` bundles everything this package knows about one
 rational unicuspidal plane curve: degree, all four cusp representations,
 the scalar invariants, the semigroup generators, an optional family
 attribution with its logarithmic Kodaira dimension, an existence status and
-the reduction chain that proves it.  Records are immutable; derived fields
-are computed once by :func:`curve_record`, or for a search leaf by
-:func:`_record`, and every stored invariant can be recomputed from the
-Newton pairs.  A search leaf and a family member get their
+the reduction chain that proves it.  Records are immutable, and every
+record with a cusp is built once, by :func:`_record`, which reads the lct
+and the self-intersection off the Puiseux pairs.  :func:`curve_record`
+passes it what :func:`cusp_data` derives from the Newton pairs; a search
+leaf passes what its validated gcd chain gives (``enumerate._finalize``),
+with no strict re-check.  Every stored invariant can be recomputed from
+the Newton pairs.  A search leaf and a family member get their
 classification fields when they are built; any other record gets them
 attached with ``dataclasses.replace``.
 
@@ -15,7 +18,8 @@ Records are written in three formats (JSON, CSV, Markdown) and never read
 back.  :class:`OutputDocument` writes them in the order it is given; every
 caller passes canonical order (degree, then lexicographic Newton pairs), so
 repeated runs are byte-identical.  Each record's JSON text is written
-directly, without ``json.dumps``; the run metadata goes through
+directly, without ``json.dumps``, from one f-string template per nesting
+level (:func:`_record_json`); the run metadata goes through
 ``json.dumps``.  The document is byte-identical to
 ``json.dumps(payload, indent=2) + "\n"`` with ASCII escapes, keys in
 :func:`record_to_json_dict` order; the oracle tests in
@@ -128,9 +132,9 @@ def curve_record(
     ``family_curve`` builds with ``strict=False`` for known-bad source
     data, which it flags.  The search does not call this: a leaf, whose gcd
     chain and delta equation have already proved what strict checks,
-    builds its record once through :func:`_record`, with its chain's
-    generators and, when classified, its classification fields.  The empty
-    Newton sequence gives the smooth conic.
+    builds its record once through :func:`_record`, with the pairs and the
+    generators of its chain and, when classified, its classification
+    fields.  The empty Newton sequence gives the smooth conic.
     """
     puiseux, mult, delta = cusp_data(degree, newton, strict=strict)
     if not newton:
@@ -141,14 +145,22 @@ def curve_record(
     return _record(degree, newton, puiseux, mult, delta, gens, **classified)
 
 
-def _record(degree, newton, puiseux, mult, delta, gens, **classified) -> CurveRecord:
-    """The record of a cusp from its :func:`cusp_data` and generators, with
-    the lct and the self-intersection read off the Puiseux pairs, built
-    once: ``classified`` holds any classification fields it carries
-    (family, Kodaira dimension, existence, chain and flags)."""
-    lct_value = inv._lct_from_puiseux(puiseux)
-    self_int = inv._self_intersection_from_puiseux(degree, puiseux)
-    return CurveRecord(degree, newton, puiseux, mult, delta, gens, lct_value, self_int, **classified)
+def _record(
+    degree, newton, puiseux, mult, delta, gens,
+    family=None, kodaira=None, existence=CANDIDATE, reduction_chain=(), flags=(),
+) -> CurveRecord:
+    """The record of a cusp from its pairs, multiplicity runs, delta and
+    generators, with the lct and the self-intersection read off the Puiseux
+    pairs, built once with any classification fields it carries (family,
+    Kodaira dimension, existence, chain and flags).  Every record with a
+    cusp is built here: :func:`curve_record` passes :func:`cusp_data`, and
+    a search leaf passes what its gcd chain gives, with its classification
+    fields as positional arguments."""
+    return CurveRecord(
+        degree, newton, puiseux, mult, delta, gens, inv._lct_from_puiseux(puiseux),
+        inv._self_intersection_from_puiseux(degree, puiseux),
+        family, kodaira, existence, reduction_chain, flags,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,76 +221,72 @@ def record_to_json_dict(record: CurveRecord) -> dict:
 
 # newline plus the indentation of a record's lines in the document, and of
 # the lines below them
-_N4, _N6, _N8, _N10 = ("\n" + " " * n for n in (4, 6, 8, 10))
+_N4, _N6, _N8, _N10, _N12 = ("\n" + " " * n for n in (4, 6, 8, 10, 12))
 
 
-def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
-    """A JSON list of written items, or with ``brackets="{}"`` a JSON object
-    of written ``"key": value`` fields; ``pad`` is a newline plus the
-    indentation of the line the block starts on, and an empty block is
-    the bare bracket pair."""
+def _json_list(items: list[str], pad: str) -> str:
+    """A JSON list of written items; ``pad`` is a newline plus the
+    indentation of the line the list starts on, and an empty list is
+    ``[]``."""
     inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1] if items else brackets
-
-
-def _int_list(values, pad: str) -> str:
-    return _json_block(list(map(str, values)), pad)
+    return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
 
 
 def _pairs_json(pairs) -> str:
-    return _json_block([f"[{_N10}{p},{_N10}{q}{_N8}]" for p, q in pairs], _N6)
-
-
-def _degree_mult_json(degree: int, mult) -> str:
-    return _json_block(
-        ['"degree": ' + str(degree), '"mult": ' + _str(inv.format_multiplicity(mult))], _N10, "{}"
-    )
+    return _json_list([f"[{_N10}{p},{_N10}{q}{_N8}]" for p, q in pairs], _N6)
 
 
 def _step_json(step: ReductionStep) -> str:
-    to = "null" if step.to_degree is None else _degree_mult_json(step.to_degree, step.to_mult)
-    return _json_block(
-        [
-            '"rule": ' + _str(step.rule),
-            '"from": ' + _degree_mult_json(step.from_degree, step.from_mult),
-            '"to": ' + to,
-        ],
-        _N8, "{}",
+    if step.to_degree is None:
+        to = "null"
+    else:
+        to_mult = _str(inv.format_multiplicity(step.to_mult))
+        to = f'{{{_N12}"degree": {step.to_degree},{_N12}"mult": {to_mult}{_N10}}}'
+    return (
+        f'{{{_N10}"rule": {_str(step.rule)},'
+        f'{_N10}"from": {{{_N12}"degree": {step.from_degree},'
+        f'{_N12}"mult": {_str(inv.format_multiplicity(step.from_mult))}{_N10}}},'
+        f'{_N10}"to": {to}{_N8}}}'
     )
 
 
 def _record_json(record: CurveRecord) -> str:
     """The text ``json.dumps(record_to_json_dict(record), indent=2)`` gives
-    for the record nested at depth 2 (4 spaces) of the document."""
+    for the record nested at depth 2 (4 spaces) of the document, written
+    from one template per nesting level: the record's, a reduction step's
+    (:func:`_step_json`), and the lists' (:func:`_json_list`)."""
     family = record.family
     if family is None:
         family_text = "null"
     else:
-        family_text = _json_block(
-            ['"kind": ' + _str(family.kind), '"params": ' + _int_list(family.params, _N8)], _N6, "{}"
-        )
+        params = _json_list(list(map(str, family.params)), _N8)
+        family_text = f'{{{_N8}"kind": {_str(family.kind)},{_N8}"params": {params}{_N6}}}'
     kodaira = _kodaira_to_json(record.kodaira)
-    if isinstance(kodaira, str):
+    if kodaira is None:
+        kodaira = "null"
+    elif isinstance(kodaira, str):
         kodaira = _str(kodaira)
-    fields = [
-        '"degree": ' + str(record.degree),
-        '"newton_pairs": ' + _pairs_json(record.newton),
-        '"puiseux_pairs": ' + _pairs_json(record.puiseux),
-        '"multiplicity_sequence": ' + _str(inv.format_multiplicity(record.mult)),
-        '"delta": ' + str(record.delta),
-        '"semigroup_generators": ' + _int_list(record.semigroup_generators, _N6),
-        '"lct": ' + _json_block(
-            ['"num": ' + str(record.lct.numerator), '"den": ' + str(record.lct.denominator)], _N6, "{}"
-        ),
-        '"self_intersection": ' + str(record.self_intersection),
-        '"family": ' + family_text,
-        '"kodaira": ' + ("null" if kodaira is None else str(kodaira)),
-        '"existence": ' + _str(record.existence),
-        '"reduction_chain": ' + _json_block(list(map(_step_json, record.reduction_chain)), _N6),
-    ]
+    flags = ""
     if record.flags:
-        fields.append('"flags": ' + _json_block(list(map(_str, record.flags)), _N6))
-    return _json_block(fields, _N4, "{}")
+        flags = f',{_N6}"flags": {_json_list(list(map(_str, record.flags)), _N6)}'
+    generators = _json_list(list(map(str, record.semigroup_generators)), _N6)
+    chain = _json_list(list(map(_step_json, record.reduction_chain)), _N6)
+    lct = record.lct
+    return (
+        f'{{{_N6}"degree": {record.degree},'
+        f'{_N6}"newton_pairs": {_pairs_json(record.newton)},'
+        f'{_N6}"puiseux_pairs": {_pairs_json(record.puiseux)},'
+        f'{_N6}"multiplicity_sequence": {_str(inv.format_multiplicity(record.mult))},'
+        f'{_N6}"delta": {record.delta},'
+        f'{_N6}"semigroup_generators": {generators},'
+        f'{_N6}"lct": {{{_N8}"num": {lct.numerator},{_N8}"den": {lct.denominator}{_N6}}},'
+        f'{_N6}"self_intersection": {record.self_intersection},'
+        f'{_N6}"family": {family_text},'
+        f'{_N6}"kodaira": {kodaira},'
+        f'{_N6}"existence": {_str(record.existence)},'
+        f'{_N6}"reduction_chain": {chain}'
+        f"{flags}{_N4}}}"
+    )
 
 
 CSV_COLUMNS = [
@@ -325,11 +333,11 @@ class OutputDocument:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        records = _json_block(list(map(_record_json, self.records)), "\n  ")
+        records = _json_list(list(map(_record_json, self.records)), "\n  ")
         # JSON escapes newlines inside strings, so each one json.dumps
         # writes starts a line, which nesting indents by two more spaces
         metadata = json.dumps(self.metadata, indent=2).replace("\n", "\n  ")
-        return _json_block(['"metadata": ' + metadata, '"records": ' + records], "\n", "{}") + "\n"
+        return f'{{\n  "metadata": {metadata},\n  "records": {records}\n}}\n'
 
     def to_csv(self) -> str:
         buf = io.StringIO()

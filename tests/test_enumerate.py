@@ -708,17 +708,18 @@ def test_classification_builds_each_record_once(monkeypatch):
 
 
 def test_classified_records_are_built_in_one_step(monkeypatch):
-    # the search builds each passing leaf's record already classified,
-    # after a walk shared with a forked helper too: the same records, field
-    # for field, as classifying a record rebuilt from each leaf's Newton
-    # pairs
-    leaves = search._search([(d, _every_k(d)) for d in range(3, 61)], PRUNED, 1)
-    expect = [classify_record(curve_record(r.degree, r.newton, strict=False)) for r in leaves]
-    assert len(expect) == 447
-    assert classify_range(60) == expect
+    # the search builds each passing leaf's record already classified, off
+    # its gcd chain, after a walk shared with a forked helper too: the same
+    # records, field for field, as classifying a record rebuilt strictly
+    # from each leaf's Newton pairs (curve_record, the reference path), over
+    # the 1,043 records of degree <= 100; ~0.8 s, most of it the three walks
+    leaves = search._search([(d, _every_k(d)) for d in range(3, 101)], PRUNED, 1)
+    expect = [classify_record(curve_record(r.degree, r.newton)) for r in leaves]
+    assert len(expect) == 1_043
+    assert classify_range(100) == expect
     _forking_at_once(monkeypatch)
     forks = _recorded_forks(monkeypatch)
-    assert classify_range(60, worker_count=2) == expect
+    assert classify_range(100, worker_count=2) == expect
     assert len(forks) == 1
 
 
@@ -989,7 +990,8 @@ run(in_helper=lambda: time.sleep(60), in_caller=fail)
 
 
 def test_classify_range_to_degree_100_is_pinned(monkeypatch):
-    # the SHA-256 of the JSON pins every record's bytes; one walk per
+    # the SHA-256 of each of the JSON, the CSV and the Markdown pins every
+    # record's bytes in that writer; one walk per
     # degree makes 9,880 probes, and 1,321 counting checks give the 1,043
     # records
     calls = _counted_checks(monkeypatch)
@@ -1005,8 +1007,10 @@ def test_classify_range_to_degree_100_is_pinned(monkeypatch):
         "proved-lemma212": 26,
         "proved-base": 6,
     }
-    text = OutputDocument(tuple(records), {}).to_json()
-    assert (
-        hashlib.sha256(text.encode()).hexdigest()
-        == "523b3758bbc37765c117e165e83c354d04170ba8399d1b128399ccb3091d01d3"
-    )
+    doc = OutputDocument(tuple(records), {})
+    digests = {fmt: hashlib.sha256(doc.render(fmt).encode()).hexdigest() for fmt in ("json", "csv", "md")}
+    assert digests == {
+        "json": "523b3758bbc37765c117e165e83c354d04170ba8399d1b128399ccb3091d01d3",
+        "csv": "fc99dade1d4a56f1b257845cac5e56650e0eb3ede42edad1d887779668b9cdfa",
+        "md": "e94df45e6df570e5f77fc95f23007d88b091ab4cac56cc2a71b1163c5221ce40",
+    }

@@ -45,6 +45,15 @@ def test_detect_reduction_examples():
     assert detect_reduction(9, ((8, 1), (3, 4))) is None
     # a run of 3 entries n = 4, shorter than 2k = 4
     assert detect_reduction(12, ((8, 1), (4, 3), (2, 3))) is None
+    # unnormalized runs are merge-normalized first: adjacent equal runs, a
+    # value-1 run and a zero count, each in the pattern and the remainder
+    rest = parse_multiplicity("4_3,2_3")
+    assert detect_reduction(24, ((16, 1), (8, 1), (8, 3), (4, 3), (2, 3))) == (2, 8, rest)
+    assert detect_reduction(24, ((16, 1), (8, 0), (8, 4), (4, 2), (4, 1), (2, 3))) == (2, 8, rest)
+    assert detect_reduction(24, ((16, 1), (8, 4), (4, 3), (2, 3), (1, 5))) == (2, 8, rest)
+    assert detect_reduction(16, ((8, 1), (8, 0), (8, 2), (4, 3), (2, 3))) == (1, 8, rest)
+    # the run of n is whole only after merging: 8, then 8_3, is 8_4 = 2k
+    assert detect_reduction(24, ((16, 1), (8, 1), (8, 3), (1, 2))) == (2, 8, ())
 
 
 def test_detect_lemma212_examples():
