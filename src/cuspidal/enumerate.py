@@ -404,12 +404,14 @@ def _search_a(degree: int, ks: range, a: int, mode: str) -> list[tuple]:
 
 
 def _omega_at_least(n: int, count: int) -> bool:
-    # does n have at least `count` prime factors (with multiplicity)?
+    # does n have at least `count` prime factors (with multiplicity)?  A
+    # cofactor left above 1 is one more prime, so trial division stops one
+    # factor short of count
     if n < 2 ** count:
         return False
     found = 0
     f = 2
-    while f * f <= n and found < count:
+    while f * f <= n and found < count - 1:
         while n % f == 0:
             n //= f
             found += 1

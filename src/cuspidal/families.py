@@ -13,10 +13,14 @@ organized by the logarithmic Kodaira dimension of the curve complement:
 * **Orevkov curves** (Kodaira dimension 2): two Fibonacci families, plain
   and starred.
 
-Each family kind maps to its data in one place: :func:`_family_data` turns
-a :class:`FamilySpec` into (degree, Newton pairs), and :func:`kodaira_of_kind`
-gives the Kodaira dimension of the kind.  :func:`family_curve` builds every
-family record from those two; the per-family constructors only name the
+Each family kind's facts sit in one table, ``_KINDS``: its data function,
+the names of its parameters and the Kodaira dimension of its curves'
+complement.  Every data function takes (kind, params) and returns (degree,
+Newton pairs); :func:`_family_data` checks that the kind is known and, for
+a kind of fixed arity, the parameter count, and then calls it.
+:func:`kodaira_of_kind` and ``PARAM_NAMES`` (the CLI's options) read the
+same table.  :func:`family_curve` builds every family record from the data
+and the Kodaira dimension; the per-family constructors only name the
 spec.  The data functions validate every divisibility and coprimality
 condition at runtime and reject parameter combinations that do not produce
 genuine cusp data (several published parameterizations contain such
@@ -94,8 +98,9 @@ def _exact_div(num: int, den: int, what: str) -> int:
 # ---------------------------------------------------------------------------
 # AMS curves
 
-def ams_newton_pairs(factors: tuple[int, ...]) -> inv.Pairs:
-    """Newton pairs of the AMS curve of the ordered factorization.
+def _ams_data(kind: str, factors: tuple[int, ...]) -> tuple[int, inv.Pairs]:
+    """Degree (the product) and Newton pairs of the AMS curve of the ordered
+    factorization.
 
     First factor f_1 >= 3: pairs (f_1 - 1, f_1), (f_2, f_1 f_2 - 1), ...,
     (f_r, f_{r-1} f_r - 1).  First factor 2: the leading pair degenerates
@@ -110,8 +115,8 @@ def ams_newton_pairs(factors: tuple[int, ...]) -> inv.Pairs:
         raise FamilyParameterError(f"factors must all be >= 2, got {factors}")
     tail = [(f, e * f - 1) for e, f in zip(factors, factors[1:])]
     if factors[0] != 2:
-        return ((factors[0] - 1, factors[0]), *tail)
-    return ((factors[1], 4 * factors[1] - 1), *tail[1:]) if tail else ()
+        return prod(factors), ((factors[0] - 1, factors[0]), *tail)
+    return prod(factors), ((factors[1], 4 * factors[1] - 1), *tail[1:]) if tail else ()
 
 
 def ams_curve(factors: tuple[int, ...]) -> CurveRecord:
@@ -225,7 +230,23 @@ def ams_all(degree: int) -> list[CurveRecord]:
 # ---------------------------------------------------------------------------
 # Kashiwara curves
 
-def _kashiwara_data(kind: str, l: int, lambdas: tuple[int, ...]) -> tuple[int, inv.Pairs]:
+def _kashiwara_data(kind: str, params: tuple[int, ...]) -> tuple[int, inv.Pairs]:
+    """(degree, Newton pairs) of a Kashiwara spec (l, lambda_1, ...).
+
+    The "minus" kinds' first pair (p_1, q_1) has q_1 < p_1, so their data
+    never pass the cusp invariants.  The first pair was likely printed in
+    the other order: transposed to (q_1, p_1), the members with l <= 2,
+    one to three lambdas and d <= 200 give 97 strict records (91 at l = 0,
+    6 at l = 1), each a "candidate" of the d <= 200 search with no family.
+    They are 76 of its 78 two-pair candidates, among them every series of
+    the two-pair candidates: (a, 4a+1),(2, 2a+1) is iiminus-sp at l = 0,
+    lambda = a, and (b, 4b+1),(4, 4b+1) is iiminus-ge at l = 0,
+    lambda = b.  They are also 21 of its 43 three-pair candidates.  The
+    data are kept as published; the tests hold the repair.
+    """
+    if not params:
+        raise FamilyParameterError(f"{kind} needs the parameter l")
+    l, lambdas = params[0], params[1:]
     if l < 0:
         raise FamilyParameterError(f"l must be >= 0, got {l}")
     F = inv.fibonacci(2 * l + 3)
@@ -298,6 +319,16 @@ def tono_curve(kind: str, params: tuple[int, ...]) -> CurveRecord:
 
 
 def _tono_data(kind: str, params: tuple[int, ...]) -> tuple[int, inv.Pairs]:
+    """(degree, Newton pairs) of a Tono spec, as published.
+
+    tono-iib's first pair (n(4s-1), (s-1)(4n+1)) is likely a
+    transcription error for tono-iia's (n, 4n+1): with it, and the other
+    two pairs and the degree as written, all 49 members with
+    2 <= n, s <= 8 give strict records that pass the counting check, and
+    the 11 with d <= 1500 are each a three-pair "candidate" of the search
+    with no family.  The data are kept as published; the tests hold the
+    repair.
+    """
     if kind == TONO_IA:
         (a,) = params
         if a < 3:
@@ -334,7 +365,8 @@ def orevkov_curve(k: int, starred: bool = False) -> CurveRecord:
     return family_curve(FamilySpec(OREVKOV_STAR if starred else OREVKOV, (k,)))
 
 
-def _orevkov_data(k: int, starred: bool) -> tuple[int, inv.Pairs]:
+def _orevkov_data(kind: str, params: tuple[int, ...]) -> tuple[int, inv.Pairs]:
+    (k,), starred = params, kind == OREVKOV_STAR
     if k < 1:
         raise FamilyParameterError(f"k must be >= 1, got {k}")
     if k == 1:
@@ -348,57 +380,41 @@ def _orevkov_data(k: int, starred: bool) -> tuple[int, inv.Pairs]:
 
 
 # ---------------------------------------------------------------------------
-# the family table: kind -> data and Kodaira dimension; one record builder
+# the family table and the one record builder
 
-# the names of each family kind's params, in order: AMS takes any number
-# of factors, a Kashiwara kind takes l and then any number of lambdas, and
-# every other kind exactly the names listed
-PARAM_NAMES = {
-    AMS: ("factors",),
-    **dict.fromkeys(KASHIWARA_KINDS, ("l",)),
-    TONO_IA: ("a",),
-    TONO_IB: ("a", "s"),
-    TONO_IIA: ("n",),
-    TONO_IIB: ("n", "s"),
-    OREVKOV: ("k",),
-    OREVKOV_STAR: ("k",),
+# kind -> (data function, the names of its params in order, Kodaira
+# dimension of its curves' complement).  Every data function takes (kind,
+# params) and returns (degree, Newton pairs).  AMS takes any number of
+# factors and a Kashiwara kind l and then any number of lambdas, so their
+# data functions check the count; every other kind takes exactly the names
+# listed
+_KINDS = {
+    AMS: (_ams_data, ("factors",), KODAIRA_NEG_INF),
+    **dict.fromkeys(KASHIWARA_KINDS, (_kashiwara_data, ("l",), KODAIRA_NEG_INF)),
+    TONO_IA: (_tono_data, ("a",), 1),
+    TONO_IB: (_tono_data, ("a", "s"), 1),
+    TONO_IIA: (_tono_data, ("n",), 1),
+    TONO_IIB: (_tono_data, ("n", "s"), 1),
+    OREVKOV: (_orevkov_data, ("k",), 2),
+    OREVKOV_STAR: (_orevkov_data, ("k",), 2),
 }
-
-
-def _check_param_count(spec: FamilySpec) -> None:
-    given = len(spec.params)
-    if spec.kind in KASHIWARA_KINDS:
-        if given < 1:
-            raise FamilyParameterError(f"{spec.kind} needs the parameter l")
-    elif spec.kind != AMS and spec.kind in PARAM_NAMES:
-        expected = len(PARAM_NAMES[spec.kind])
-        if given != expected:
-            raise FamilyParameterError(f"{spec.kind} takes {expected} parameter(s), got {given}")
+PARAM_NAMES = {kind: names for kind, (_, names, _) in _KINDS.items()}
 
 
 def _family_data(spec: FamilySpec) -> tuple[int, inv.Pairs]:
     """(degree, Newton pairs) of a family spec, after the parameter checks
     of its kind; no record is built."""
-    _check_param_count(spec)
-    kind, params = spec.kind, spec.params
-    if kind == AMS:
-        return prod(params), ams_newton_pairs(params)
-    if kind in KASHIWARA_KINDS:
-        return _kashiwara_data(kind, params[0], params[1:])
-    if kind in TONO_KINDS:
-        return _tono_data(kind, params)
-    if kind in (OREVKOV, OREVKOV_STAR):
-        return _orevkov_data(params[0], kind == OREVKOV_STAR)
-    raise FamilyParameterError(f"unknown family kind {kind!r}")
+    if spec.kind not in _KINDS:
+        raise FamilyParameterError(f"unknown family kind {spec.kind!r}")
+    data, names, _ = _KINDS[spec.kind]
+    if data not in (_ams_data, _kashiwara_data) and len(spec.params) != len(names):
+        raise FamilyParameterError(f"{spec.kind} takes {len(names)} parameter(s), got {len(spec.params)}")
+    return data(spec.kind, spec.params)
 
 
 def kodaira_of_kind(kind: str) -> float | int:
     """Logarithmic Kodaira dimension of the complement of a family's curves."""
-    if kind in TONO_KINDS:
-        return 1
-    if kind in (OREVKOV, OREVKOV_STAR):
-        return 2
-    return KODAIRA_NEG_INF  # ams and kashiwara
+    return _KINDS[kind][2]
 
 
 def family_curve(spec: FamilySpec) -> CurveRecord:
@@ -415,6 +431,14 @@ def family_curve(spec: FamilySpec) -> CurveRecord:
     invariant does not match the genus of the stated degree.  iib records
     are therefore built on the lenient path, flagged, and left with
     existence "candidate"; see also :func:`invariant_closed_forms`.
+
+    Both look like transcription errors in the first pair: the minus
+    kinds' printed in the other order (:func:`_kashiwara_data`), and
+    tono-iib's in place of tono-iia's (:func:`_tono_data`).  Repaired so,
+    each kind's small members are exactly search candidates that no
+    family explains.  They are not attributed: that would change the
+    family and existence answers of those candidates, and needs a check
+    against Kashiwara's and Tono's papers first.
     """
     degree, pairs = _family_data(spec)
     inconsistent = spec.kind == TONO_IIB

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -33,8 +34,13 @@ from cuspidal.families import (
     tono_grid,
 )
 from cuspidal.invariants import newton_to_puiseux
-from cuspidal.records import CurveRecord, OutputDocument, curve_record, record_to_flat_dict
-from cuspidal.semigroup import TableTooLargeError, _generators, bl_check_unicuspidal
+from cuspidal.records import CurveRecord, FamilySpec, OutputDocument, curve_record, record_to_flat_dict
+from cuspidal.semigroup import (
+    TableTooLargeError,
+    _generators,
+    bl_check_unicuspidal,
+    generators_from_newton,
+)
 from uncut_search import naive_miss, pruned_leaves, uncut_leaves
 
 
@@ -365,6 +371,7 @@ def test_one_walk_probe_counts_are_pinned(monkeypatch):
     assert len(surplus) == len(expect) == 78
     assert {(r.degree, r.newton) for r in surplus} == expect
     _closed_forms_agree_with_the_walk(records)
+    _transposed_minus_kinds_are_candidates(records)
     probes[0] = 0
     assert len(search._search([(500, _every_k(500))], PRUNED, 1)) == 76
     assert probes == [2_368]
@@ -403,6 +410,79 @@ def _closed_forms_agree_with_the_walk(records):
     # 3,193 members, each a different record; 1,956 of them have 3 or more
     # pairs and degree above 30
     assert members == {1: 305, 2: 909, 3: 1_117, 4: 642, 5: 193, 6: 26, 7: 1}
+
+
+def _transposed(pairs):
+    # the likely repair of a published pair list: its first pair in the
+    # other order
+    (p, q), *rest = pairs
+    return ((q, p), *rest)
+
+
+def _transposed_minus_kinds_are_candidates(records):
+    # the Kashiwara minus kinds with their first pair transposed, against
+    # the records of classify_range(200), with no search of their own
+    # (~3 ms): 97 members with d <= 200 build strict records, and each is a
+    # candidate with no family.  They are 76 of the 78 two-pair candidates
+    # and 21 of the 43 three-pair ones.  l = 0 takes every lambda >= 1
+    minus = {}
+    for kind in (families.KASHIWARA_IIMINUS_GE, families.KASHIWARA_IIMINUS_SP):
+        for l, count in product(range(3), range(1, 4)):
+            least = (0 if l else 1,) * count
+            for degree, pairs in families._walk_members(kind, (l,), least, 200) or ():
+                newton = _transposed(pairs)
+                try:
+                    curve_record(degree, newton)
+                except inv.InvalidCuspData:
+                    continue
+                minus[degree, newton] = l
+    assert len(minus) == 97 and Counter(minus.values()) == {0: 91, 1: 6}
+    by_key = {(r.degree, r.newton): r for r in records}
+    assert all(by_key[key].existence == "candidate" and by_key[key].family is None for key in minus)
+    candidates = Counter(len(r.newton) for r in records if r.existence == "candidate")
+    assert Counter(len(newton) for _, newton in minus) == {2: 76, 3: 21}
+    assert candidates == {2: 78, 3: 43}
+    unexplained = {
+        (r.degree, r.newton) for r in records if r.existence == "candidate" and len(r.newton) == 2
+    } - set(minus)
+    assert unexplained == {(17, ((2, 7), (4, 17))), (20, ((2, 3), (6, 31)))}
+    # the series of the two-pair candidates, as minus members
+    def member(kind, *params):
+        degree, pairs = families._family_data(FamilySpec(kind, params))
+        return degree, _transposed(pairs)
+
+    for a in range(2, 50):
+        assert member(families.KASHIWARA_IIMINUS_SP, 0, a) == (4 * a + 1, ((a, 4 * a + 1), (2, 2 * a + 1)))
+    for b in range(2, 25):
+        assert member(families.KASHIWARA_IIMINUS_GE, 0, b) == (8 * b + 2, ((b, 4 * b + 1), (4, 4 * b + 1)))
+    for c in range(1, 5):
+        assert member(families.KASHIWARA_IIMINUS_SP, 1, c - 1) == (
+            50 * c - 12,
+            ((4 * c - 1, 25 * c - 6), (5, 5 * c - 1)),
+        )
+    assert member(families.KASHIWARA_IIMINUS_GE, 1, 0) == (190, ((3, 19), (25, 19)))
+
+
+def test_tono_iib_with_the_first_pair_of_iia_is_a_search_candidate():
+    # tono-iib with first pair (n, 4n+1), tono-iia's, in place of the
+    # published (n(4s-1), (s-1)(4n+1)): all 49 members with 2 <= n, s <= 8
+    # build strict records and pass the counting check, and the 11 with
+    # d <= 1500 are each a three-pair candidate of the search that no
+    # family explains (~1 s)
+    repaired = []
+    for n, s in product(range(2, 9), repeat=2):
+        degree, pairs = families._family_data(FamilySpec(families.TONO_IIB, (n, s)))
+        newton = ((n, 4 * n + 1), *pairs[1:])
+        curve_record(degree, newton)
+        assert bl_check_unicuspidal(degree, generators_from_newton(newton)).passed, (n, s)
+        repaired.append((degree, newton))
+    small = sorted(row for row in repaired if row[0] <= 1500)
+    assert len(small) == 11 and small[0] == (284, ((2, 9), (7, 16), (9, 16)))
+    for degree, newton in small:
+        hits = [r for r in enumerate_candidates(SearchConfig(degree, 3)) if r.newton == newton]
+        assert len(hits) == 1, (degree, newton)
+        record = classify_record(hits[0])
+        assert record.family is None and record.existence == "candidate", (degree, newton)
 
 
 def test_one_counting_check_per_delta_solved_candidate(monkeypatch):
@@ -612,6 +692,23 @@ def test_search_is_refused_from_degree_46343(monkeypatch):
     with pytest.raises(TableTooLargeError, match="degree 46343 needs a 1073767311-bit table"):
         enumerate_candidates(SearchConfig(46_343, 1))
     assert reached == [30_894]
+
+
+def test_omega_at_least_counts_prime_factors():
+    # the search's prime-factor filter is exactly Omega(n) >= count, though
+    # its trial division stops one factor short of count
+    def omega(n):
+        found, f = 0, 2
+        while n > 1:
+            while n % f == 0:
+                n, found = n // f, found + 1
+            f += 1
+        return found
+
+    for n in range(1, 2_001):
+        big_omega = omega(n)
+        for count in range(13):
+            assert search._omega_at_least(n, count) == (big_omega >= count), (n, count)
 
 
 def test_passing_run_finds_every_run():

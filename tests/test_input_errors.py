@@ -81,6 +81,31 @@ def _cli(*argv):
         (lambda: kashiwara_curve("tono-ia", 3), FamilyParameterError, "unknown Kashiwara type"),
         (lambda: tono_curve("orevkov", (1,)), FamilyParameterError, "unknown Tono type"),
         (lambda: family_curve(FamilySpec("bogus", ())), FamilyParameterError, "unknown family kind"),
+        (
+            lambda: family_curve(FamilySpec("tono-ib", (3,))),
+            FamilyParameterError,
+            r"^tono-ib takes 2 parameter\(s\), got 1$",
+        ),
+        (
+            lambda: family_curve(FamilySpec("orevkov", (1, 2))),
+            FamilyParameterError,
+            r"^orevkov takes 1 parameter\(s\), got 2$",
+        ),
+        (
+            lambda: family_curve(FamilySpec("tono-iia", ())),
+            FamilyParameterError,
+            r"^tono-iia takes 1 parameter\(s\), got 0$",
+        ),
+        (
+            lambda: family_curve(FamilySpec("kashiwara-iiplus-sp", ())),
+            FamilyParameterError,
+            "^kashiwara-iiplus-sp needs the parameter l$",
+        ),
+        (
+            lambda: family_curve(FamilySpec("ams", ())),
+            FamilyParameterError,
+            "^ordered factorization must be nonempty$",
+        ),
         (lambda: prime_degree_scan(1), ValueError, "limit must be >= 2"),
         (lambda: bunyakovsky_condition_check("sn2+1"), ValueError, "needs s >= 1"),
         (lambda: bunyakovsky_condition_check("x"), ValueError, "unknown family"),
